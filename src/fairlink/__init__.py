@@ -18,7 +18,6 @@ from .errors import (
 from .fairness import (
     INTER,
     INTRA,
-    DyadicGrouping,
     PrefixDistribution,
     Ranking,
     delta_dp_score,

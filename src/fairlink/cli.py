@@ -22,22 +22,24 @@ from .fairness import ndkl, ndkl_upper_bound
 from .graphs import (
     GroupDistribution,
     GroupId,
+    check_ratios,
     load_graph,
     read_edge_list,
     stratified_split,
     write_split,
 )
+from .io import write_json
 from .oracle import MultisetSpec, enumerate_ndkl_extremes
 from .pipeline import (
     GREEDY,
     RunConfig,
     build_candidates,
     evaluate_ranking,
+    resolve_target,
     run_pipeline,
 )
 from .rerank import (
     gap_experiment,
-    kl_greedy_merge,
     kl_greedy_merge_weighted,
     merge_by_score,
     read_ranking,
@@ -99,27 +101,14 @@ def parse_target(text: str) -> str | GroupDistribution:
     return GroupDistribution(parse_group_map(text))
 
 
-def _resolve_file_target(args, config, graph, train_path_name="train"):
+def _target(args, config: dict, graph) -> GroupDistribution:
+    """--target, or the empirical proportions of the --train edges."""
     spec = _pick(args, config, "target", "empirical")
-    if isinstance(spec, str) and spec != "empirical":
+    if isinstance(spec, str):
         spec = parse_target(spec)
-    if isinstance(spec, GroupDistribution):
-        return spec
-    if isinstance(spec, dict):
-        return GroupDistribution.from_label_dict(spec)
-    train_path = _pick(args, config, train_path_name)
-    if train_path is None:
-        raise ConfigError("empirical target needs --train (or an explicit --target)")
-    from .graphs import empirical_distribution
-
-    return empirical_distribution(graph, read_edge_list(train_path))
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    train = _pick(args, config, "train")
+    train_edges = read_edge_list(train) if spec == "empirical" and train is not None else None
+    return resolve_target(spec, graph, train_edges)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -127,8 +116,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def cmd_split(args) -> int:
     config = _load_config(args.config)
+    ratios = check_ratios(_pick(args, config, "ratios", (0.7, 0.1, 0.2)))
     graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
-    ratios = tuple(_pick(args, config, "ratios", (0.7, 0.1, 0.2)))
     seed = _pick(args, config, "seed", 0)
     split = stratified_split(graph, ratios, seed=seed)
     out = Path(_out_dir(_require(args, config, "out")))
@@ -162,14 +151,11 @@ def cmd_rerank(args) -> int:
     graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
     test = read_edge_list(_require(args, config, "test"))
     candidates = ingest_scores(_require(args, config, "scores"), graph, test)
-    target = _resolve_file_target(args, config, graph)
+    target = _target(args, config, graph)
     n = _pick(args, config, "n") or candidates.total()
     lam = _pick(args, config, "lam", 1.0)
     smoothing = bool(_pick(args, config, "smoothing", False))
-    if lam >= 1.0:
-        ranking, _ = kl_greedy_merge(candidates, target, n, smoothing=smoothing)
-    else:
-        ranking, _ = kl_greedy_merge_weighted(candidates, target, n, lam, smoothing=smoothing)
+    ranking, _ = kl_greedy_merge_weighted(candidates, target, n, lam, smoothing=smoothing)
     out = _require(args, config, "out")
     write_ranking(out, ranking)
     value = ndkl(ranking, target, smoothing=smoothing)
@@ -181,7 +167,7 @@ def cmd_eval(args) -> int:
     config = _load_config(args.config)
     graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
     ranking = read_ranking(_require(args, config, "ranking"))
-    target = _resolve_file_target(args, config, graph)
+    target = _target(args, config, graph)
     k_list = tuple(_pick(args, config, "k", (100,)))
     smoothing = bool(_pick(args, config, "smoothing", False))
     pool = GroupedCandidateSet.from_candidates(ranking.entries)
@@ -195,8 +181,7 @@ def cmd_eval(args) -> int:
         "bound": ndkl_upper_bound(target.smoothed() if smoothing else target.positive()),
         "methods": {name: rep.to_dict() for name, rep in sorted(reports.items())},
     }
-    out = Path(_require(args, config, "out"))
-    _write_json(out, payload)
+    write_json(_require(args, config, "out"), payload)
     for name, rep in sorted(reports.items()):
         if rep.per_k:
             top = rep.per_k[-1]
@@ -221,8 +206,7 @@ def cmd_gap(args) -> int:
             g: max(1, round(scale * p)) for g, p in target.items() if p > 0
         }
     curve = gap_experiment(target, pools, k_grid)
-    out = Path(_require(args, config, "out"))
-    out.parent.mkdir(parents=True, exist_ok=True)
+    out = _require(args, config, "out")
     curve.write_csv(out)
     print(f"wrote {out} ({len(k_grid)} grid points)")
     return 0
@@ -238,8 +222,7 @@ def cmd_oracle(args) -> int:
     result = enumerate_ndkl_extremes(MultisetSpec(counts), target, guard=guard)
     payload = result.as_dict()
     payload["bound"] = ndkl_upper_bound(target.positive())
-    out = Path(_require(args, config, "out"))
-    _write_json(out, payload)
+    write_json(_require(args, config, "out"), payload)
     print(
         f"examined {result.permutations_examined} orderings: "
         f"min={result.min_value:.6f} max={result.max_value:.6f} bound={payload['bound']:.6f}"
@@ -284,9 +267,7 @@ def cmd_pipeline(args) -> int:
     fields.update({k: v for k, v in cli_values.items() if v is not None})
     fields["out_dir"] = _out_dir(fields.get("out_dir", "runs"))
     if isinstance(fields.get("target"), str) and fields["target"] != "empirical":
-        fields["target"] = GroupDistribution(
-            parse_group_map(fields["target"])
-        ).as_label_dict()
+        fields["target"] = parse_target(fields["target"]).as_label_dict()
     if "edges_path" not in fields or "attrs_path" not in fields:
         raise ConfigError("pipeline needs --edges and --attrs (or config equivalents)")
     run = RunConfig.from_dict(fields)

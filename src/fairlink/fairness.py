@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     ConfigError,
@@ -78,30 +78,6 @@ class PrefixDistribution:
             raise ConfigError(f"prefix counts sum to {sum(self.counts.values())}, not k={self.k}")
         if abs(math.fsum(self.fractions.values()) - 1.0) > 1e-12:
             raise ConfigError("prefix fractions do not sum to 1")
-
-
-@dataclass(frozen=True)
-class DyadicGrouping:
-    """Assignment of each group to the intra or inter dyadic class."""
-
-    classes: Mapping[GroupId, str]
-
-    def __post_init__(self):
-        for group, cls in self.classes.items():
-            expected = INTRA if group.is_intra else INTER
-            if cls != expected:
-                raise ConfigError(f"group {group} must be {expected!r}, got {cls!r}")
-        object.__setattr__(self, "classes", dict(self.classes))
-
-    @classmethod
-    def from_groups(cls, groups: Iterable[GroupId]) -> "DyadicGrouping":
-        return cls({g: (INTRA if g.is_intra else INTER) for g in groups})
-
-    def of(self, group: GroupId) -> str:
-        try:
-            return self.classes[group]
-        except KeyError:
-            raise ConfigError(f"group {group} not covered by the dyadic grouping") from None
 
 
 # --- divergences -------------------------------------------------------------
@@ -237,12 +213,12 @@ def delta_dp_selection(
     ranking: Ranking,
     k: int,
     pools: Mapping[str, int],
-    grouping: DyadicGrouping,
 ) -> float:
     """Absolute gap between the intra and inter selection rates in the top-k.
 
     A class's rate is (its entries in the top-k) / (its candidate pool
-    size). Blind to how the top-k is ordered internally.
+    size); a group is intra when both endpoints share a value. Blind to
+    how the top-k is ordered internally.
     """
     if k == 0:
         return 0.0
@@ -250,7 +226,7 @@ def delta_dp_selection(
         raise KOutOfRangeError(k, len(ranking))
     selected = {INTRA: 0, INTER: 0}
     for cand in ranking.entries[:k]:
-        selected[grouping.of(cand.group)] += 1
+        selected[INTRA if cand.group.is_intra else INTER] += 1
     rates = {}
     for cls in (INTRA, INTER):
         pool = pools.get(cls, 0)

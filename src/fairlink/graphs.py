@@ -9,7 +9,6 @@ fairness reference used throughout the package.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .errors import (
     SelfLoopError,
     UnknownNodeError,
 )
+from .io import atomic_write, data_lines, write_json
 
 Edge = tuple[int, int]
 
@@ -124,9 +124,6 @@ class SensitiveGraph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self.edges
-
     def attribute_values(self) -> tuple[int, ...]:
         return tuple(sorted(set(self.sensitive.values())))
 
@@ -219,7 +216,11 @@ class GroupDistribution:
 
     @classmethod
     def from_label_dict(cls, mapping: Mapping[str, float]) -> "GroupDistribution":
-        return cls({GroupId.parse(label): float(p) for label, p in mapping.items()})
+        try:
+            probabilities = {GroupId.parse(label): float(p) for label, p in mapping.items()}
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"cannot parse distribution {dict(mapping)!r}: {exc}") from None
+        return cls(probabilities)
 
 
 def empirical_distribution(graph: SensitiveGraph, edges: Iterable[Edge]) -> GroupDistribution:
@@ -306,6 +307,16 @@ class SplitResult:
 MIN_GROUP_EDGES = 3
 
 
+def check_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
+    """Validated train/valid/test fractions: three positive numbers summing to 1."""
+    ratios = tuple(ratios)
+    if len(ratios) != 3 or any(r <= 0 for r in ratios):
+        raise ConfigError(f"ratios must be three positive numbers, got {ratios}")
+    if abs(math.fsum(ratios) - 1.0) > 1e-9:
+        raise ConfigError(f"ratios must sum to 1, got {ratios}")
+    return ratios
+
+
 def stratified_split(
     graph: SensitiveGraph,
     ratios: tuple[float, float, float] = (0.7, 0.1, 0.2),
@@ -317,11 +328,7 @@ def stratified_split(
     preserves the graph's group proportions to within one edge per group.
     Deterministic for a fixed seed.
     """
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ConfigError(f"ratios must be three positive numbers, got {ratios}")
-    if abs(math.fsum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"ratios must sum to 1, got {ratios}")
-
+    ratios = check_ratios(ratios)
     rng = random.Random(seed)
     buckets: dict[str, set[Edge]] = {"train": set(), "valid": set(), "test": set()}
     for group, group_edges in sorted(graph.edges_by_group().items()):
@@ -339,7 +346,7 @@ def stratified_split(
         valid=frozenset(buckets["valid"]),
         test=frozenset(buckets["test"]),
         seed=seed,
-        ratios=tuple(ratios),
+        ratios=ratios,
     )
 
 
@@ -433,15 +440,6 @@ def _parse_int_pair(path, line_no: int, line: str) -> tuple[int, int]:
         raise MalformedLineError(path, line_no, f"non-integer field in {line.strip()!r}") from None
 
 
-def _data_lines(path: Path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield line_no, stripped
-
-
 def read_edge_list(path: str | Path) -> list[Edge]:
     """Read `u<TAB>v` (or comma-separated) edge lines, canonicalized.
 
@@ -451,7 +449,7 @@ def read_edge_list(path: str | Path) -> list[Edge]:
     path = Path(path)
     seen: set[Edge] = set()
     edges: list[Edge] = []
-    for line_no, line in _data_lines(path):
+    for line_no, line in data_lines(path):
         u, v = _parse_int_pair(path, line_no, line)
         if u < 0 or v < 0:
             raise MalformedLineError(path, line_no, "negative node id")
@@ -467,7 +465,7 @@ def read_edge_list(path: str | Path) -> list[Edge]:
 def read_attributes(path: str | Path) -> dict[int, int]:
     path = Path(path)
     attrs: dict[int, int] = {}
-    for line_no, line in _data_lines(path):
+    for line_no, line in data_lines(path):
         node, value = _parse_int_pair(path, line_no, line)
         if node < 0:
             raise MalformedLineError(path, line_no, "negative node id")
@@ -495,12 +493,9 @@ def load_graph(edge_file: str | Path, attribute_file: str | Path) -> SensitiveGr
 
 def write_edge_list(path: str | Path, edges: Iterable[Edge]) -> None:
     """Write edges as sorted `u<TAB>v` lines, atomically."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for u, v in sorted(edges):
             fh.write(f"{u}\t{v}\n")
-    tmp.replace(path)
 
 
 def write_split(
@@ -510,7 +505,6 @@ def write_split(
 ) -> dict[str, Path]:
     """Write train/valid/test edge files plus a JSON manifest."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
     per_group: dict[str, dict[str, int]] = {}
     for name, subset in split.subsets().items():
@@ -523,9 +517,6 @@ def write_split(
         "ratios": list(split.ratios),
         "per_group_counts": per_group,
     }
-    manifest_path = out / "split.json"
-    tmp = manifest_path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    tmp.replace(manifest_path)
-    paths["manifest"] = manifest_path
+    paths["manifest"] = out / "split.json"
+    write_json(paths["manifest"], manifest)
     return paths

@@ -10,11 +10,10 @@ number is reproducible from (inputs, seed).
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import statistics
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -23,7 +22,6 @@ from .errors import ConfigError
 from .fairness import (
     INTER,
     INTRA,
-    DyadicGrouping,
     Ranking,
     delta_dp_score,
     delta_dp_selection,
@@ -36,12 +34,14 @@ from .graphs import (
     GroupDistribution,
     SensitiveGraph,
     SplitResult,
+    check_ratios,
     empirical_distribution,
     load_graph,
     sample_negatives,
     stratified_split,
     write_split,
 )
+from .io import write_csv, write_json
 from .rank_metrics import (
     RelevanceVector,
     average_precision,
@@ -50,13 +50,12 @@ from .rank_metrics import (
     precision_at_k,
 )
 from .rerank import (
-    kl_greedy_merge,
     kl_greedy_merge_weighted,
     merge_by_score,
     pool_statistics,
     write_ranking,
 )
-from .scorers import GroupedCandidateSet, load_embeddings, score_candidates
+from .scorers import SCORERS, GroupedCandidateSet, load_embeddings, score_candidates
 
 GREEDY = "greedy"
 NAIVE = "naive"
@@ -89,15 +88,19 @@ class RunConfig:
         if any(k < 1 for k in self.k_list):
             raise ConfigError("k_list cutoffs must be positive")
         object.__setattr__(self, "k_list", tuple(sorted(self.k_list)))
-        object.__setattr__(self, "ratios", tuple(self.ratios))
+        object.__setattr__(self, "ratios", check_ratios(self.ratios))
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lambda must lie in [0, 1], got {self.lam}")
         if self.negatives_per_positive < 0:
             raise ConfigError("negatives_per_positive must be >= 0")
+        if self.scorer not in SCORERS:
+            raise ConfigError(f"unknown scorer {self.scorer!r}; choose one of {SCORERS}")
+        if self.scorer == "embedding" and not self.embeddings_path:
+            raise ConfigError("scorer 'embedding' requires embeddings_path")
         if isinstance(self.target, dict):
-            total = sum(self.target.values())
-            if abs(total - 1.0) > 1e-9:
-                raise ConfigError(f"explicit target sums to {total}, expected 1")
+            GroupDistribution.from_label_dict(self.target)
+        elif self.target != "empirical":
+            raise ConfigError(f"unsupported target spec {self.target!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "RunConfig":
@@ -207,15 +210,21 @@ class SeedRunResult:
         }
 
 
-def resolve_target(
-    config: RunConfig, graph: SensitiveGraph, train_edges
-) -> GroupDistribution:
-    """Training-edge empirical proportions, or the explicit config target."""
-    if config.target == "empirical":
-        return empirical_distribution(graph, train_edges)
-    if isinstance(config.target, dict):
-        return GroupDistribution.from_label_dict(config.target)
-    raise ConfigError(f"unsupported target spec {config.target!r}")
+def resolve_target(spec, graph: SensitiveGraph, train_edges) -> GroupDistribution:
+    """The target a run ranks against.
+
+    ``spec`` is ``"empirical"`` (the group proportions of ``train_edges``
+    in ``graph``), a ``label -> mass`` mapping, or a GroupDistribution.
+    """
+    if isinstance(spec, GroupDistribution):
+        return spec
+    if isinstance(spec, Mapping):
+        return GroupDistribution.from_label_dict(spec)
+    if spec != "empirical":
+        raise ConfigError(f"unsupported target spec {spec!r}")
+    if train_edges is None:
+        raise ConfigError("empirical target needs --train (or an explicit --target)")
+    return empirical_distribution(graph, train_edges)
 
 
 def build_candidates(
@@ -260,7 +269,6 @@ def evaluate_ranking(
     (score-mean forms), and top-k based for the selection-rate form.
     """
     pool_sizes, class_scores, group_scores = pool_statistics(candidates)
-    grouping = DyadicGrouping.from_groups(candidates.groups())
     total_positives = sum(
         1 for cand in candidates.all_candidates() if cand.relevance
     )
@@ -291,7 +299,7 @@ def evaluate_ranking(
         method=method,
         per_k=tuple(rows),
         ap=average_precision(rel),
-        delta_dp_selection=delta_dp_selection(ranking, k_top, pool_sizes, grouping),
+        delta_dp_selection=delta_dp_selection(ranking, k_top, pool_sizes),
         delta_dp_score=delta_dp_score(class_scores[INTRA], class_scores[INTER]),
         delta_max=delta_max(group_scores),
         target=target.as_label_dict(),
@@ -304,16 +312,13 @@ def run_single(config: RunConfig, seed: int, graph: SensitiveGraph | None = None
     if graph is None:
         graph = load_graph(config.edges_path, config.attrs_path)
     split = stratified_split(graph, config.ratios, seed=seed)
-    target = resolve_target(config, graph, split.train)
+    target = resolve_target(config.target, graph, split.train)
     candidates = build_candidates(config, graph, split.train, split.test, seed)
 
     n = config.output_size or min(candidates.total(), max(config.k_list, default=candidates.total()))
-    if config.lam >= 1.0:
-        greedy_ranking, _ = kl_greedy_merge(candidates, target, n, smoothing=config.smoothing)
-    else:
-        greedy_ranking, _ = kl_greedy_merge_weighted(
-            candidates, target, n, config.lam, smoothing=config.smoothing
-        )
+    greedy_ranking, _ = kl_greedy_merge_weighted(
+        candidates, target, n, config.lam, smoothing=config.smoothing
+    )
     naive_ranking = merge_by_score(candidates, n)
 
     reports = {
@@ -332,12 +337,6 @@ def run_single(config: RunConfig, seed: int, graph: SensitiveGraph | None = None
     )
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
-
-
 def emit_seed_report(result: SeedRunResult, out_dir: str | Path) -> dict[str, Path]:
     """Write one seed's ranking files and JSON report atomically.
 
@@ -345,7 +344,6 @@ def emit_seed_report(result: SeedRunResult, out_dir: str | Path) -> dict[str, Pa
     checks can strip it and compare everything else byte for byte.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
     for name, ranking in sorted(result.rankings.items()):
         paths[f"ranking_{name}"] = out / f"ranking_{name}.tsv"
@@ -354,9 +352,8 @@ def emit_seed_report(result: SeedRunResult, out_dir: str | Path) -> dict[str, Pa
     payload["provenance"] = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    report_path = out / "report.json"
-    _atomic_write_text(report_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    paths["report"] = report_path
+    paths["report"] = out / "report.json"
+    write_json(paths["report"], payload)
     return paths
 
 
@@ -420,15 +417,6 @@ def _proportion_rows(results: Sequence[SeedRunResult]) -> list[dict]:
     return rows
 
 
-def _write_csv(path: Path, rows: list[dict], fieldnames: list[str]) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
-    tmp.replace(path)
-
-
 def run_pipeline(config: RunConfig, *, write_outputs: bool = True) -> PipelineSummary:
     """Run ``config.repeats`` seeded passes and aggregate the reports.
 
@@ -449,23 +437,15 @@ def run_pipeline(config: RunConfig, *, write_outputs: bool = True) -> PipelineSu
             write_split(seed_dir / "split", graph, result.split)
 
     if write_outputs:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(
-            out_dir / "config.json", json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        _write_csv(
+        write_json(out_dir / "config.json", config.to_dict())
+        write_csv(
             out_dir / "summary.csv",
             _summary_rows(results),
             ["method", "metric", "k", "mean", "std"],
         )
-        _write_csv(
+        write_csv(
             out_dir / "proportions.csv",
             _proportion_rows(results),
             ["seed", "method", "k", "group", "fraction", "target_fraction"],
         )
     return PipelineSummary(config=config, seeds=seeds, results=tuple(results), out_dir=out_dir)
-
-
-def with_overrides(config: RunConfig, **overrides) -> RunConfig:
-    """Functional update that re-runs validation."""
-    return replace(config, **overrides)

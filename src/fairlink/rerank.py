@@ -20,7 +20,6 @@ greedy and worst-case rankings at identical group proportions.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -35,8 +34,9 @@ from .errors import (
     MalformedLineError,
     ZeroTargetMassError,
 )
-from .fairness import INTER, INTRA, DyadicGrouping, Ranking, kl_divergence, ndkl
+from .fairness import INTER, INTRA, Ranking, kl_divergence, ndkl
 from .graphs import GroupDistribution, GroupId, apportion
+from .io import atomic_write, data_lines, write_csv
 from .rank_metrics import RelevanceVector, precision_at_k
 from .scorers import GroupedCandidateSet, ScoredCandidate
 
@@ -328,16 +328,7 @@ class GapCurve:
         ]
 
     def write_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["k", "greedy_ndkl", "worst_ndkl", "delta_dp", "prec"]
-            )
-            writer.writeheader()
-            for row in self.rows():
-                writer.writerow(row)
-        tmp.replace(path)
+        write_csv(path, self.rows(), ["k", "greedy_ndkl", "worst_ndkl", "delta_dp", "prec"])
 
 
 def _split_by_class(pools: Mapping[GroupId, int]) -> tuple[dict[GroupId, int], dict[GroupId, int]]:
@@ -429,39 +420,32 @@ def gap_experiment(
 
 def write_ranking(path: str | Path, ranking: Ranking) -> None:
     """Write `rank u v group score relevance` tab-separated lines (atomic)."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rank, cand in enumerate(ranking, start=1):
             fh.write(
                 f"{rank}\t{cand.u}\t{cand.v}\t{cand.group.label()}\t"
                 f"{cand.score!r}\t{int(cand.relevance)}\n"
             )
-    tmp.replace(path)
 
 
 def read_ranking(path: str | Path) -> Ranking:
     path = Path(path)
     entries: list[ScoredCandidate] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split("\t")
-            if len(tokens) != 6:
-                raise MalformedLineError(path, line_no, f"expected 6 fields, got {len(tokens)}")
-            try:
-                rank = int(tokens[0])
-                u, v = int(tokens[1]), int(tokens[2])
-                group = GroupId.parse(tokens[3])
-                score = float(tokens[4])
-                relevance = bool(int(tokens[5]))
-            except ValueError:
-                raise MalformedLineError(path, line_no, "cannot parse fields") from None
-            if rank != len(entries) + 1:
-                raise MalformedLineError(path, line_no, f"rank {rank} out of order")
-            entries.append(ScoredCandidate(u, v, score, group, relevance))
+    for line_no, line in data_lines(path):
+        tokens = line.split("\t")
+        if len(tokens) != 6:
+            raise MalformedLineError(path, line_no, f"expected 6 fields, got {len(tokens)}")
+        try:
+            rank = int(tokens[0])
+            u, v = int(tokens[1]), int(tokens[2])
+            group = GroupId.parse(tokens[3])
+            score = float(tokens[4])
+            relevance = bool(int(tokens[5]))
+        except ValueError:
+            raise MalformedLineError(path, line_no, "cannot parse fields") from None
+        if rank != len(entries) + 1:
+            raise MalformedLineError(path, line_no, f"rank {rank} out of order")
+        entries.append(ScoredCandidate(u, v, score, group, relevance))
     return Ranking(tuple(entries))
 
 
@@ -469,12 +453,11 @@ def pool_statistics(
     candidates: GroupedCandidateSet,
 ) -> tuple[dict[str, int], dict[str, list[float]], dict[GroupId, list[float]]]:
     """Dyadic pool sizes, per-class score lists, and per-group score lists."""
-    grouping = DyadicGrouping.from_groups(candidates.groups())
     sizes = {INTRA: 0, INTER: 0}
     class_scores: dict[str, list[float]] = {INTRA: [], INTER: []}
     group_scores: dict[GroupId, list[float]] = {}
     for group in candidates.groups():
-        cls = grouping.of(group)
+        cls = INTRA if group.is_intra else INTER
         bucket = candidates.lists[group]
         sizes[cls] += len(bucket)
         class_scores[cls].extend(c.score for c in bucket)

@@ -25,6 +25,7 @@ from .errors import (
     SelfLoopError,
 )
 from .graphs import Edge, GroupId, SensitiveGraph, canonical_edge, edge_group
+from .io import atomic_write, data_lines
 
 HEURISTIC_SCORERS = ("common_neighbors", "adamic_adar")
 SCORERS = HEURISTIC_SCORERS + ("embedding",)
@@ -250,36 +251,29 @@ def ingest_scores(
     relevant = {canonical_edge(u, v) for u, v in test_edges}
     seen: set[Edge] = set()
     scored: list[ScoredCandidate] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.replace(",", " ").split()
-            if len(tokens) != 3:
-                raise MalformedLineError(path, line_no, f"expected 3 fields, got {len(tokens)}")
-            try:
-                u, v, value = int(tokens[0]), int(tokens[1]), float(tokens[2])
-            except ValueError:
-                raise MalformedLineError(path, line_no, "non-numeric field") from None
-            if not math.isfinite(value):
-                raise MalformedLineError(path, line_no, "non-finite score")
-            if u == v:
-                raise SelfLoopError(u, line_no)
-            pair = canonical_edge(u, v)
-            if pair in seen:
-                raise DuplicatePairError(pair, line_no)
-            seen.add(pair)
-            group = edge_group(graph, *pair)
-            scored.append(ScoredCandidate(pair[0], pair[1], value, group, pair in relevant))
+    for line_no, line in data_lines(path):
+        tokens = line.replace(",", " ").split()
+        if len(tokens) != 3:
+            raise MalformedLineError(path, line_no, f"expected 3 fields, got {len(tokens)}")
+        try:
+            u, v, value = int(tokens[0]), int(tokens[1]), float(tokens[2])
+        except ValueError:
+            raise MalformedLineError(path, line_no, "non-numeric field") from None
+        if not math.isfinite(value):
+            raise MalformedLineError(path, line_no, "non-finite score")
+        if u == v:
+            raise SelfLoopError(u, line_no)
+        pair = canonical_edge(u, v)
+        if pair in seen:
+            raise DuplicatePairError(pair, line_no)
+        seen.add(pair)
+        group = edge_group(graph, *pair)
+        scored.append(ScoredCandidate(pair[0], pair[1], value, group, pair in relevant))
     return GroupedCandidateSet.from_candidates(scored)
 
 
 def write_scores(path: str | Path, candidates: GroupedCandidateSet) -> None:
     """Write candidates as `u<TAB>v<TAB>score` lines (atomic)."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for cand in sorted(candidates.all_candidates(), key=lambda c: c.pair):
             fh.write(f"{cand.u}\t{cand.v}\t{cand.score!r}\n")
-    tmp.replace(path)

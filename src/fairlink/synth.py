@@ -13,7 +13,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import GroupId, SensitiveGraph
+from .graphs import GroupId, SensitiveGraph, write_edge_list
+from .io import atomic_write
 
 
 def biased_block_graph(
@@ -65,10 +66,8 @@ def biased_block_graph(
 
 
 def write_graph_files(graph: SensitiveGraph, edges_path, attrs_path) -> None:
-    """Dump a graph to the edge-list / attribute-list file formats."""
-    from .graphs import write_edge_list
-
+    """Dump a graph to the edge-list / attribute-list file formats, atomically."""
     write_edge_list(edges_path, graph.edges)
-    with open(attrs_path, "w", encoding="utf-8") as fh:
+    with atomic_write(attrs_path) as fh:
         for node in sorted(graph.sensitive):
             fh.write(f"{node}\t{graph.sensitive[node]}\n")

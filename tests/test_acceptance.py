@@ -36,7 +36,7 @@ from fairlink import (
     worst_case_ranking,
 )
 from fairlink.cli import main as cli_main
-from fairlink.fairness import INTER, INTRA, DyadicGrouping, Ranking
+from fairlink.fairness import INTER, INTRA, Ranking
 from fairlink.pipeline import GREEDY, NAIVE, RunConfig
 from fairlink.rerank import gap_point
 from fairlink.scorers import GroupedCandidateSet, ScoredCandidate
@@ -159,7 +159,6 @@ def test_criterion_4_gap_experiment_qualitative():
         for name, masses in REFERENCE_PROPORTIONS.items():
             target = GroupDistribution(masses)
             pools = {g: max(1, round(2 * max(GAP_GRID) * p)) for g, p in target.items()}
-            grouping = DyadicGrouping.from_groups(list(pools))
             class_pools = {
                 INTRA: sum(c for g, c in pools.items() if g.is_intra),
                 INTER: sum(c for g, c in pools.items() if not g.is_intra),
@@ -170,8 +169,8 @@ def test_criterion_4_gap_experiment_qualitative():
                 worst_value = ndkl(point.worst, target)
                 assert worst_value > greedy_value, f"{name} k={k}"
 
-                greedy_gap = delta_dp_selection(point.greedy, k, class_pools, grouping)
-                worst_gap = delta_dp_selection(point.worst, k, class_pools, grouping)
+                greedy_gap = delta_dp_selection(point.greedy, k, class_pools)
+                worst_gap = delta_dp_selection(point.worst, k, class_pools)
                 assert greedy_gap == worst_gap == point.delta_dp
 
                 for ranking in (point.greedy, point.worst):

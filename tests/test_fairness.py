@@ -5,7 +5,6 @@ import pytest
 from fairlink import (
     INTER,
     INTRA,
-    DyadicGrouping,
     GroupDistribution,
     GroupId,
     Ranking,
@@ -20,7 +19,6 @@ from fairlink import (
     top_k_proportions,
 )
 from fairlink.errors import (
-    ConfigError,
     EmptyGroupError,
     EmptyRankingError,
     FewerThanTwoGroupsError,
@@ -160,26 +158,23 @@ class TestNdklUpperBound:
 
 
 class TestDeltaDpSelection:
-    def grouping(self):
-        return DyadicGrouping.from_groups([G00, G01, G11])
-
     def test_unbalanced_pools_hand_value(self):
         # 2 intra of pool 3 vs 8 inter of pool 11.
         labels = [G00] * 2 + [G01] * 8
         value = delta_dp_selection(
-            ranking_from_groups(labels), 10, {INTRA: 3, INTER: 11}, self.grouping()
+            ranking_from_groups(labels), 10, {INTRA: 3, INTER: 11}
         )
         assert value == pytest.approx(abs(2 / 3 - 8 / 11), abs=1e-12)
         assert value == pytest.approx(0.0606, abs=1e-3)
 
     def test_k_zero(self):
         ranking = ranking_from_groups([G00])
-        assert delta_dp_selection(ranking, 0, {INTRA: 1, INTER: 1}, self.grouping()) == 0.0
+        assert delta_dp_selection(ranking, 0, {INTRA: 1, INTER: 1}) == 0.0
 
     def test_equal_rates_cancel(self):
         labels = [G00] * 2 + [G01] * 2
         value = delta_dp_selection(
-            ranking_from_groups(labels), 4, {INTRA: 10, INTER: 10}, self.grouping()
+            ranking_from_groups(labels), 4, {INTRA: 10, INTER: 10}
         )
         assert value == 0.0
 
@@ -187,7 +182,7 @@ class TestDeltaDpSelection:
         labels = [G00] * 3
         with pytest.raises(PoolSmallerThanSelectedError):
             delta_dp_selection(
-                ranking_from_groups(labels), 3, {INTRA: 2, INTER: 5}, self.grouping()
+                ranking_from_groups(labels), 3, {INTRA: 2, INTER: 5}
             )
 
     def test_permutation_invariance_within_top_k(self):
@@ -196,12 +191,12 @@ class TestDeltaDpSelection:
         rnd = random.Random(8)
         labels = [G00, G01, G11, G00, G01, G00, G11, G01]
         pools = {INTRA: 20, INTER: 20}
-        base = delta_dp_selection(ranking_from_groups(labels), 6, pools, self.grouping())
+        base = delta_dp_selection(ranking_from_groups(labels), 6, pools)
         for _ in range(20):
             top = labels[:6]
             rnd.shuffle(top)
             permuted = ranking_from_groups(top + labels[6:])
-            assert delta_dp_selection(permuted, 6, pools, self.grouping()) == base
+            assert delta_dp_selection(permuted, 6, pools) == base
 
 
 class TestDeltaDpScore:
@@ -253,13 +248,3 @@ class TestTopKProportions:
             dist = top_k_proportions(ranking_from_groups(labels), k)
             assert math.fsum(dist.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
 
-
-class TestDyadicGrouping:
-    def test_from_groups(self):
-        grouping = DyadicGrouping.from_groups([G00, G01, G11])
-        assert grouping.of(G00) == INTRA
-        assert grouping.of(G01) == INTER
-
-    def test_wrong_assignment_rejected(self):
-        with pytest.raises(ConfigError):
-            DyadicGrouping({G00: INTER})

@@ -70,6 +70,22 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             small_config(dataset, tmp_path, target={"0-0": 0.5, "0-1": 0.6})
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"target": {"0-0": 0.5, "0-1": 0.3, "1-1": 0.2 + 5e-10}},
+            {"target": {"x-y": 1.0}},
+            {"target": "uniform"},
+            {"ratios": (0.5, 0.5, 0.5)},
+            {"scorer": "nope"},
+            {"scorer": "embedding"},
+        ],
+    )
+    def test_rejected_before_any_file_is_read(self, tmp_path, overrides):
+        missing = tmp_path / "missing.tsv"
+        with pytest.raises(ConfigError):
+            RunConfig(edges_path=str(missing), attrs_path=str(missing), **overrides)
+
     def test_k_list_sorted(self, dataset, tmp_path):
         config = small_config(dataset, tmp_path, k_list=(60, 20))
         assert config.k_list == (20, 60)
@@ -314,6 +330,11 @@ class TestCli:
             "split", "--edges", dataset["edges"], "--attrs", dataset["attrs"],
             "--out", tmp_path / "s", "--ratios", 0.5, 0.5, 0.5,
         ) == 2
+        # 2: bad ratios are reported before any input file is read
+        assert self.run(
+            "split", "--edges", tmp_path / "nope.tsv", "--attrs", tmp_path / "nope.tsv",
+            "--out", tmp_path / "s", "--ratios", 0.5, 0.5, 0.5,
+        ) == 2
         # 3: data error (missing file)
         assert self.run(
             "split", "--edges", tmp_path / "nope.tsv", "--attrs", dataset["attrs"],
@@ -335,6 +356,29 @@ class TestCli:
             "out_dir": str(tmp_path / "zt"),
         }))
         assert self.run("pipeline", "--config", config_path) == 2
+        # 2: unparseable group label in a config-file target
+        config_path.write_text(json.dumps({
+            "edges_path": dataset["edges"],
+            "attrs_path": dataset["attrs"],
+            "target": {"x-y": 1.0},
+            "out_dir": str(tmp_path / "xy"),
+        }))
+        assert self.run("pipeline", "--config", config_path) == 2
+        # 2: rerank weight outside [0, 1], on either side
+        test_edges, scores = tmp_path / "test.tsv", tmp_path / "scores.tsv"
+        test_edges.write_text("0\t1\n")
+        scores.write_text("0\t1\t0.5\n0\t2\t0.25\n")
+        for lam in (1.5, -0.5):
+            assert self.run(
+                "rerank", "--edges", dataset["edges"], "--attrs", dataset["attrs"],
+                "--test", test_edges, "--scores", scores, "--target", "0-0=1",
+                "--lam", lam, "--out", tmp_path / "lam.tsv",
+            ) == 2
+        assert self.run(
+            "rerank", "--edges", dataset["edges"], "--attrs", dataset["attrs"],
+            "--test", test_edges, "--scores", scores, "--target", "0-0=1",
+            "--lam", 1.0, "--out", tmp_path / "lam.tsv",
+        ) == 0
 
     def test_parse_helpers(self):
         target = parse_target("0-0=0.6,0-1=0.4")

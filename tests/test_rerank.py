@@ -32,7 +32,7 @@ from fairlink.errors import (
     LambdaOutOfRangeError,
     ZeroTargetMassError,
 )
-from fairlink.fairness import DyadicGrouping, INTER, INTRA
+from fairlink.fairness import INTER, INTRA
 from fairlink.scorers import GroupedCandidateSet, ScoredCandidate
 
 from conftest import G00, G01, G11
@@ -269,13 +269,12 @@ class TestGapExperiment:
     def test_point_rankings_share_exact_parity_gap(self, three_group_target):
         pools = {G00: 120, G01: 90, G11: 60}
         point = gap_point(three_group_target, pools, 40)
-        grouping = DyadicGrouping.from_groups(list(pools))
         class_pools = {
             INTRA: pools[G00] + pools[G11],
             INTER: pools[G01],
         }
-        greedy_gap = delta_dp_selection(point.greedy, 40, class_pools, grouping)
-        worst_gap = delta_dp_selection(point.worst, 40, class_pools, grouping)
+        greedy_gap = delta_dp_selection(point.greedy, 40, class_pools)
+        worst_gap = delta_dp_selection(point.worst, 40, class_pools)
         assert greedy_gap == worst_gap == point.delta_dp
 
     def test_identical_group_multisets(self, three_group_target):
