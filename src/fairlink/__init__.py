@@ -18,16 +18,15 @@ from .errors import (
 from .fairness import (
     INTER,
     INTRA,
-    PrefixDistribution,
     Ranking,
     delta_dp_score,
     delta_dp_selection,
     delta_max,
     kl_divergence,
     ndkl,
+    ndkl_curve,
     ndkl_upper_bound,
     position_discount,
-    prefix_distributions,
     top_k_proportions,
 )
 from .graphs import (

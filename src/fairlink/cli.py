@@ -39,8 +39,9 @@ from .pipeline import (
     run_pipeline,
 )
 from .rerank import (
+    check_lambda,
     gap_experiment,
-    kl_greedy_merge_weighted,
+    kl_greedy_merge,
     merge_by_score,
     read_ranking,
     write_ranking,
@@ -101,13 +102,21 @@ def parse_target(text: str) -> str | GroupDistribution:
     return GroupDistribution(parse_group_map(text))
 
 
-def _target(args, config: dict, graph) -> GroupDistribution:
-    """--target, or the empirical proportions of the --train edges."""
+def _target_spec(args, config: dict) -> str | GroupDistribution:
+    """--target as a distribution or "empirical", checked before any file is read."""
     spec = _pick(args, config, "target", "empirical")
     if isinstance(spec, str):
         spec = parse_target(spec)
-    train = _pick(args, config, "train")
-    train_edges = read_edge_list(train) if spec == "empirical" and train is not None else None
+    if spec != "empirical":
+        return resolve_target(spec, None, None)
+    if _pick(args, config, "train") is None:
+        raise ConfigError("empirical target needs --train (or an explicit --target)")
+    return spec
+
+
+def _target(args, config: dict, spec, graph) -> GroupDistribution:
+    """The explicit target, or the empirical proportions of the --train edges."""
+    train_edges = read_edge_list(_pick(args, config, "train")) if spec == "empirical" else None
     return resolve_target(spec, graph, train_edges)
 
 
@@ -148,14 +157,15 @@ def cmd_score(args) -> int:
 
 def cmd_rerank(args) -> int:
     config = _load_config(args.config)
+    spec = _target_spec(args, config)
+    lam = check_lambda(_pick(args, config, "lam", 1.0))
     graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
     test = read_edge_list(_require(args, config, "test"))
     candidates = ingest_scores(_require(args, config, "scores"), graph, test)
-    target = _target(args, config, graph)
+    target = _target(args, config, spec, graph)
     n = _pick(args, config, "n") or candidates.total()
-    lam = _pick(args, config, "lam", 1.0)
     smoothing = bool(_pick(args, config, "smoothing", False))
-    ranking, _ = kl_greedy_merge_weighted(candidates, target, n, lam, smoothing=smoothing)
+    ranking, _ = kl_greedy_merge(candidates, target, n, lam, smoothing=smoothing)
     out = _require(args, config, "out")
     write_ranking(out, ranking)
     value = ndkl(ranking, target, smoothing=smoothing)
@@ -165,9 +175,10 @@ def cmd_rerank(args) -> int:
 
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
+    spec = _target_spec(args, config)
     graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
     ranking = read_ranking(_require(args, config, "ranking"))
-    target = _target(args, config, graph)
+    target = _target(args, config, spec, graph)
     k_list = tuple(_pick(args, config, "k", (100,)))
     smoothing = bool(_pick(args, config, "smoothing", False))
     pool = GroupedCandidateSet.from_candidates(ranking.entries)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import (
-    ConfigError,
     DuplicatePairError,
     EmptyGroupError,
     EmptyRankingError,
@@ -34,8 +33,6 @@ from .scorers import ScoredCandidate
 
 INTRA = "intra"
 INTER = "inter"
-
-SMOOTHING_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,21 +62,6 @@ class Ranking:
         return tuple(cand.relevance for cand in self.entries)
 
 
-@dataclass(frozen=True)
-class PrefixDistribution:
-    """Group composition of the top-k prefix of a ranking."""
-
-    k: int
-    counts: Mapping[GroupId, int]
-    fractions: Mapping[GroupId, float]
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.k:
-            raise ConfigError(f"prefix counts sum to {sum(self.counts.values())}, not k={self.k}")
-        if abs(math.fsum(self.fractions.values()) - 1.0) > 1e-12:
-            raise ConfigError("prefix fractions do not sum to 1")
-
-
 # --- divergences -------------------------------------------------------------
 
 
@@ -89,18 +71,15 @@ def _masses(dist) -> Mapping[GroupId, float]:
     return dist
 
 
-def kl_divergence(q, p, *, smoothing: bool = False) -> float:
+def kl_divergence(q, p) -> float:
     """KL divergence sum_i q_i ln(q_i / p_i), natural log, 0*ln(0) = 0.
 
     ``q`` and ``p`` are GroupDistributions or plain group->mass mappings
-    over the same group set. A group with q_i > 0 but p_i = 0 is an error
-    unless ``smoothing`` bumps every listed entry of ``p`` by a tiny
-    epsilon and renormalizes.
+    over the same group set. A group with q_i > 0 but p_i = 0 is an error;
+    pass ``p.smoothed()`` to give every listed group a tiny positive mass.
     """
     q_masses = _masses(q)
     p_masses = _masses(p)
-    if smoothing:
-        p_masses = _smooth(p_masses)
     total = 0.0
     for group in sorted(q_masses):
         q_i = q_masses[group]
@@ -114,39 +93,44 @@ def kl_divergence(q, p, *, smoothing: bool = False) -> float:
     return max(0.0, total)
 
 
-def _smooth(masses: Mapping[GroupId, float], eps: float = SMOOTHING_EPS) -> dict[GroupId, float]:
-    bumped = {g: m + eps for g, m in masses.items()}
-    norm = math.fsum(bumped.values())
-    return {g: m / norm for g, m in bumped.items()}
-
-
-# --- prefix machinery ---------------------------------------------------------
-
-
-def prefix_distributions(ranking: Ranking) -> list[PrefixDistribution]:
-    """Group composition of every prefix, one entry per position.
-
-    Computed with running counts, O(len * groups) overall.
-    """
-    if len(ranking) == 0:
-        raise EmptyRankingError()
-    counts: dict[GroupId, int] = {}
-    out: list[PrefixDistribution] = []
-    for k, cand in enumerate(ranking, start=1):
-        counts[cand.group] = counts.get(cand.group, 0) + 1
-        out.append(
-            PrefixDistribution(
-                k=k,
-                counts=dict(counts),
-                fractions={g: c / k for g, c in counts.items()},
-            )
-        )
-    return out
+# --- prefix divergence ---------------------------------------------------------
 
 
 def position_discount(k: int) -> float:
     """Exposure weight of rank position k (1-based): 1 / log2(k + 1)."""
     return 1.0 / math.log2(k + 1)
+
+
+def ndkl_curve(
+    ranking: Ranking,
+    target: GroupDistribution,
+    k_max: int | None = None,
+    *,
+    smoothing: bool = False,
+) -> list[float]:
+    """``ndkl`` at every cutoff k = 1..k_max (default: the whole ranking).
+
+    One pass over the prefix; entry k-1 is ``ndkl(ranking, target, k)``.
+    With ``smoothing`` the target is ``target.smoothed()``.
+    """
+    if len(ranking) == 0:
+        raise EmptyRankingError()
+    limit = len(ranking) if k_max is None else k_max
+    if not 1 <= limit <= len(ranking):
+        raise KOutOfRangeError(limit, len(ranking))
+
+    target_masses = _masses(target.smoothed() if smoothing else target)
+    counts: dict[GroupId, int] = {}
+    weighted = 0.0
+    normalizer = 0.0
+    curve: list[float] = []
+    for k, cand in enumerate(ranking.entries[:limit], start=1):
+        counts[cand.group] = counts.get(cand.group, 0) + 1
+        discount = position_discount(k)
+        normalizer += discount
+        weighted += discount * kl_divergence({g: c / k for g, c in counts.items()}, target_masses)
+        curve.append(weighted / normalizer)
+    return curve
 
 
 def ndkl(
@@ -161,23 +145,9 @@ def ndkl(
     Sums kl_divergence(prefix_k, target) * 1/log2(k+1) over positions
     k = 1..k_max (default: the whole ranking) and divides by the sum of
     the discounts, so the result depends only on the top-k_max entries.
+    It is the last entry of ``ndkl_curve``.
     """
-    if len(ranking) == 0:
-        raise EmptyRankingError()
-    limit = len(ranking) if k_max is None else k_max
-    if not 1 <= limit <= len(ranking):
-        raise KOutOfRangeError(limit, len(ranking))
-
-    target_masses = _smooth(_masses(target)) if smoothing else _masses(target)
-    counts: dict[GroupId, int] = {}
-    weighted = 0.0
-    normalizer = 0.0
-    for k, cand in enumerate(ranking.entries[:limit], start=1):
-        counts[cand.group] = counts.get(cand.group, 0) + 1
-        discount = position_discount(k)
-        normalizer += discount
-        weighted += discount * kl_divergence({g: c / k for g, c in counts.items()}, target_masses)
-    return weighted / normalizer
+    return ndkl_curve(ranking, target, k_max, smoothing=smoothing)[-1]
 
 
 def ndkl_upper_bound(target: GroupDistribution) -> float:

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, KOutOfRangeError
 from .fairness import (
     INTER,
     INTRA,
@@ -26,7 +26,7 @@ from .fairness import (
     delta_dp_score,
     delta_dp_selection,
     delta_max,
-    ndkl,
+    ndkl_curve,
     ndkl_upper_bound,
     top_k_proportions,
 )
@@ -50,7 +50,8 @@ from .rank_metrics import (
     precision_at_k,
 )
 from .rerank import (
-    kl_greedy_merge_weighted,
+    check_lambda,
+    kl_greedy_merge,
     merge_by_score,
     pool_statistics,
     write_ranking,
@@ -89,8 +90,7 @@ class RunConfig:
             raise ConfigError("k_list cutoffs must be positive")
         object.__setattr__(self, "k_list", tuple(sorted(self.k_list)))
         object.__setattr__(self, "ratios", check_ratios(self.ratios))
-        if not 0.0 <= self.lam <= 1.0:
-            raise ConfigError(f"lambda must lie in [0, 1], got {self.lam}")
+        check_lambda(self.lam)
         if self.negatives_per_positive < 0:
             raise ConfigError("negatives_per_positive must be >= 0")
         if self.scorer not in SCORERS:
@@ -214,7 +214,8 @@ def resolve_target(spec, graph: SensitiveGraph, train_edges) -> GroupDistributio
     """The target a run ranks against.
 
     ``spec`` is ``"empirical"`` (the group proportions of ``train_edges``
-    in ``graph``), a ``label -> mass`` mapping, or a GroupDistribution.
+    in ``graph``), a ``label -> mass`` mapping, or a GroupDistribution;
+    only the empirical target reads ``graph`` and ``train_edges``.
     """
     if isinstance(spec, GroupDistribution):
         return spec
@@ -222,8 +223,6 @@ def resolve_target(spec, graph: SensitiveGraph, train_edges) -> GroupDistributio
         return GroupDistribution.from_label_dict(spec)
     if spec != "empirical":
         raise ConfigError(f"unsupported target spec {spec!r}")
-    if train_edges is None:
-        raise ConfigError("empirical target needs --train (or an explicit --target)")
     return empirical_distribution(graph, train_edges)
 
 
@@ -274,23 +273,21 @@ def evaluate_ranking(
     )
     rel = RelevanceVector.from_ranking(ranking, total_positives)
 
-    rows = []
-    seen_ks = set()
-    for k in k_list:
-        k = min(k, len(ranking))
-        if k in seen_ks:
-            continue
-        seen_ks.add(k)
-        rows.append(
-            MetricsAtK(
-                k=k,
-                ndkl=ndkl(ranking, target, k_max=k, smoothing=smoothing),
-                precision=precision_at_k(rel, k),
-                hits=hits_at_k(rel, k),
-                ndcg=ndcg_at_k(rel, k),
-                proportions=top_k_proportions(ranking, k).as_label_dict(),
-            )
+    cutoffs = list(dict.fromkeys(min(k, len(ranking)) for k in k_list))
+    curve = ndkl_curve(ranking, target, max(cutoffs), smoothing=smoothing) if cutoffs else []
+    if cutoffs and min(cutoffs) < 1:
+        raise KOutOfRangeError(min(cutoffs), len(ranking))
+    rows = [
+        MetricsAtK(
+            k=k,
+            ndkl=curve[k - 1],
+            precision=precision_at_k(rel, k),
+            hits=hits_at_k(rel, k),
+            ndcg=ndcg_at_k(rel, k),
+            proportions=top_k_proportions(ranking, k).as_label_dict(),
         )
+        for k in cutoffs
+    ]
 
     # With no cutoffs requested the parity gap is taken over the whole ranking.
     k_top = rows[-1].k if rows else len(ranking)
@@ -316,7 +313,7 @@ def run_single(config: RunConfig, seed: int, graph: SensitiveGraph | None = None
     candidates = build_candidates(config, graph, split.train, split.test, seed)
 
     n = config.output_size or min(candidates.total(), max(config.k_list, default=candidates.total()))
-    greedy_ranking, _ = kl_greedy_merge_weighted(
+    greedy_ranking, _ = kl_greedy_merge(
         candidates, target, n, config.lam, smoothing=config.smoothing
     )
     naive_ranking = merge_by_score(candidates, n)

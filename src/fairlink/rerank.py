@@ -8,9 +8,8 @@ group attains the minimum. Because only heads are ever taken, the
 relative order within a group is preserved, and raw scores are never
 compared across groups (their scales are not assumed commensurable).
 
-The weighted variant trades the per-step divergence against the head's
-within-group normalized score; weight 1 reduces exactly to the pure
-merge, weight 0 to per-step score greediness.
+A weight lam below 1 trades the per-step divergence against the head's
+within-group normalized score; weight 0 is per-step score greediness.
 
 Also here: the exact integer solver for the dyadic-parity-optimal
 intra/inter selection split, the block-ordered worst-case ranking
@@ -73,31 +72,39 @@ def _normalized_scores(candidates: Sequence[ScoredCandidate]) -> list[float]:
     return [(c.score - low) / (high - low) for c in candidates]
 
 
-def _check_target(candidates: GroupedCandidateSet, target, smoothing: bool):
-    masses = target.smoothed() if smoothing else target
-    for group in candidates.groups():
-        if candidates.lists[group] and masses.mass(group) <= 0.0:
-            raise ZeroTargetMassError(group)
-    return masses
+def check_lambda(lam: float) -> float:
+    """The merge weight, which must lie in [0, 1]."""
+    if not 0.0 <= lam <= 1.0:
+        raise LambdaOutOfRangeError(lam)
+    return lam
 
 
-def _greedy_merge(
+def kl_greedy_merge(
     candidates: GroupedCandidateSet,
     target: GroupDistribution,
     n: int,
-    lam: float,
-    smoothing: bool,
+    lam: float = 1.0,
+    *,
+    smoothing: bool = False,
 ) -> tuple[Ranking, AggregationTrace]:
-    if not 0.0 <= lam <= 1.0:
-        raise LambdaOutOfRangeError(lam)
+    """Merge per-group lists by the per-step objective lam*KL + (1-lam)*(1-shat).
+
+    KL is the tentative prefix divergence from the target, shat the head's
+    within-group normalized score; lam=1 is the pure divergence greedy.
+    Ties prefer the higher shat, then the lower group id. Returns the
+    ranking (length min(n, total candidates)) and the per-step trace.
+    """
+    check_lambda(lam)
     if n < 1:
         raise ConfigError(f"output size must be >= 1, got {n}")
     if candidates.total() == 0:
         raise EmptyInputError("candidate set")
-    masses = _check_target(candidates, target, smoothing)
-
+    masses = target.smoothed() if smoothing else target
     groups = candidates.groups()
     lists = {g: candidates.lists[g] for g in groups}
+    for g in groups:
+        if lists[g] and masses.mass(g) <= 0.0:
+            raise ZeroTargetMassError(g)
     normalized = {g: _normalized_scores(lists[g]) for g in groups}
     heads = {g: 0 for g in groups}
     counts: dict[GroupId, int] = {g: 0 for g in groups}
@@ -138,37 +145,9 @@ def _greedy_merge(
     return Ranking(tuple(entries)), AggregationTrace(tuple(steps), truncated)
 
 
-def kl_greedy_merge(
-    candidates: GroupedCandidateSet,
-    target: GroupDistribution,
-    n: int,
-    *,
-    smoothing: bool = False,
-) -> tuple[Ranking, AggregationTrace]:
-    """Merge per-group lists, minimizing prefix KL to target at each rank.
-
-    Ties on the divergence prefer the head with the higher within-group
-    normalized score, then the lower group id. Returns the ranking
-    (length min(n, total candidates)) and the per-step trace.
-    """
-    return _greedy_merge(candidates, target, n, lam=1.0, smoothing=smoothing)
-
-
-def kl_greedy_merge_weighted(
-    candidates: GroupedCandidateSet,
-    target: GroupDistribution,
-    n: int,
-    lam: float,
-    *,
-    smoothing: bool = False,
-) -> tuple[Ranking, AggregationTrace]:
-    """Per-step objective lam*KL + (1-lam)*(1 - normalized head score).
-
-    lam=1 reproduces ``kl_greedy_merge`` exactly; lam=0 picks the highest
-    normalized head each step. Scores are normalized within each group
-    list, so no cross-group score comparison is introduced.
-    """
-    return _greedy_merge(candidates, target, n, lam=lam, smoothing=smoothing)
+# Second name of the same function; the benchmark harness (perfbench/)
+# calls the weighted merge by it.
+kl_greedy_merge_weighted = kl_greedy_merge
 
 
 def merge_by_score(candidates: GroupedCandidateSet, n: int | None = None) -> Ranking:

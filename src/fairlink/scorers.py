@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ConfigError,
@@ -106,41 +106,29 @@ def _check_pair(graph: SensitiveGraph, u: int, v: int) -> None:
         raise SelfLoopError(u)
 
 
+def _heuristic(scorer: str, neighbors: Callable[[int], set[int]], u: int, v: int) -> float:
+    """Common-neighbors count or Adamic-Adar sum; ``neighbors(w)`` is w's neighbor set.
+
+    A shared neighbor is adjacent to both endpoints, so its degree is at
+    least 2 and the logarithm is strictly positive. ``math.fsum`` is
+    exactly rounded, so the sum does not depend on set iteration order.
+    """
+    shared = neighbors(u) & neighbors(v)
+    if scorer == "common_neighbors":
+        return float(len(shared))
+    return math.fsum(1.0 / math.log(len(neighbors(w))) for w in shared)
+
+
 def common_neighbors(graph: SensitiveGraph, u: int, v: int) -> float:
     """Number of shared neighbors of u and v."""
     _check_pair(graph, u, v)
-    return float(len(graph.neighbors(u) & graph.neighbors(v)))
+    return _heuristic("common_neighbors", graph.neighbors, u, v)
 
 
 def adamic_adar(graph: SensitiveGraph, u: int, v: int) -> float:
-    """Sum of 1/ln(deg(w)) over shared neighbors w of u and v.
-
-    A shared neighbor is adjacent to both endpoints, so its degree is at
-    least 2 and the logarithm is strictly positive.
-    """
+    """Sum of 1/ln(deg(w)) over shared neighbors w of u and v."""
     _check_pair(graph, u, v)
-    return math.fsum(
-        1.0 / math.log(graph.degree(w)) for w in graph.neighbors(u) & graph.neighbors(v)
-    )
-
-
-def _restricted_adjacency(graph: SensitiveGraph, group: GroupId) -> dict[int, set[int]]:
-    """Adjacency using only this group's edges."""
-    adjacency: dict[int, set[int]] = {}
-    for u, v in graph.edges:
-        if edge_group(graph, u, v) == group:
-            adjacency.setdefault(u, set()).add(v)
-            adjacency.setdefault(v, set()).add(u)
-    return adjacency
-
-
-def _heuristic_on_adjacency(
-    scorer: str, adjacency: Mapping[int, set[int]], u: int, v: int
-) -> float:
-    shared = adjacency.get(u, set()) & adjacency.get(v, set())
-    if scorer == "common_neighbors":
-        return float(len(shared))
-    return math.fsum(1.0 / math.log(len(adjacency[w])) for w in shared)
+    return _heuristic("adamic_adar", graph.neighbors, u, v)
 
 
 # --- embedding scoring --------------------------------------------------------
@@ -212,7 +200,14 @@ def score_candidates(
         raise ConfigError("scorer 'embedding' requires embeddings")
 
     positives = {canonical_edge(u, v) for u, v in positives}
+    # Decoupled heuristics read each group's own adjacency, built in one pass.
     restricted: dict[GroupId, dict[int, set[int]]] = {}
+    if decoupled and scorer in HEURISTIC_SCORERS:
+        for group, edges in graph.edges_by_group().items():
+            adjacency = restricted[group] = {}
+            for a, b in edges:
+                adjacency.setdefault(a, set()).add(b)
+                adjacency.setdefault(b, set()).add(a)
     scored: list[ScoredCandidate] = []
     seen: set[Edge] = set()
 
@@ -225,13 +220,10 @@ def score_candidates(
         if scorer == "embedding":
             value = embedding_dot(embeddings, *pair)
         elif decoupled:
-            if group not in restricted:
-                restricted[group] = _restricted_adjacency(graph, group)
-            value = _heuristic_on_adjacency(scorer, restricted[group], *pair)
-        elif scorer == "common_neighbors":
-            value = common_neighbors(graph, *pair)
+            own = restricted.get(group, {})
+            value = _heuristic(scorer, lambda node: own.get(node, set()), *pair)
         else:
-            value = adamic_adar(graph, *pair)
+            value = _heuristic(scorer, graph.neighbors, *pair)
         scored.append(ScoredCandidate(pair[0], pair[1], value, group, pair in positives))
 
     return GroupedCandidateSet.from_candidates(scored)

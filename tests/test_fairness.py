@@ -13,8 +13,8 @@ from fairlink import (
     delta_max,
     kl_divergence,
     ndkl,
+    ndkl_curve,
     ndkl_upper_bound,
-    prefix_distributions,
     ranking_from_groups,
     top_k_proportions,
 )
@@ -53,7 +53,7 @@ class TestKlDivergence:
     def test_smoothing_rescues_zero_mass(self):
         q = GroupDistribution({G00: 1.0})
         p = GroupDistribution({G00: 0.0, G01: 1.0})
-        value = kl_divergence(q, p, smoothing=True)
+        value = kl_divergence(q, p.smoothed())
         assert value > 10  # ln(1/eps-ish), large but finite
 
     def test_zero_q_entries_contribute_nothing(self):
@@ -63,31 +63,35 @@ class TestKlDivergence:
 
 
 class TestPrefixDistributions:
+    """Group composition of each prefix, read through ``top_k_proportions``."""
+
     def test_single_entry(self):
-        (pd,) = prefix_distributions(ranking_from_groups([G00]))
-        assert pd.fractions == {G00: 1.0}
+        assert top_k_proportions(ranking_from_groups([G00]), 1).probabilities == {G00: 1.0}
 
     def test_two_groups(self):
-        prefixes = prefix_distributions(ranking_from_groups([G00, G01]))
-        assert prefixes[1].fractions == {G00: 0.5, G01: 0.5}
+        dist = top_k_proportions(ranking_from_groups([G00, G01]), 2)
+        assert dist.probabilities == {G00: 0.5, G01: 0.5}
 
     def test_direct_count(self):
-        prefixes = prefix_distributions(ranking_from_groups([G00, G00, G01, G11]))
-        assert prefixes[3].fractions == {G00: 0.5, G01: 0.25, G11: 0.25}
+        dist = top_k_proportions(ranking_from_groups([G00, G00, G01, G11]), 4)
+        assert dist.probabilities == {G00: 0.5, G01: 0.25, G11: 0.25}
 
     def test_matches_from_scratch_recount(self):
         labels = [G00, G01, G00, G11, G11, G01, G00]
-        prefixes = prefix_distributions(ranking_from_groups(labels))
-        for k, pd in enumerate(prefixes, start=1):
+        ranking = ranking_from_groups(labels)
+        for k in range(1, len(labels) + 1):
             recount = {}
             for g in labels[:k]:
                 recount[g] = recount.get(g, 0) + 1
-            assert dict(pd.counts) == recount
-            assert pd.k == k
+            assert top_k_proportions(ranking, k).probabilities == {
+                g: c / k for g, c in recount.items()
+            }
 
     def test_empty(self):
         with pytest.raises(EmptyRankingError):
-            prefix_distributions(Ranking(()))
+            top_k_proportions(Ranking(()), 1)
+        with pytest.raises(EmptyRankingError):
+            ndkl_curve(Ranking(()), GroupDistribution({G00: 1.0}))
 
 
 class TestNdkl:
@@ -140,6 +144,49 @@ class TestNdkl:
             ndkl(ranking, uniform_pair_target, k_max=3)
         with pytest.raises(EmptyRankingError):
             ndkl(Ranking(()), uniform_pair_target)
+
+
+def reference_ndkl(ranking, target, k_max, smoothing=False):
+    """The per-cutoff NDKL loop, one full walk per cutoff."""
+    masses = (target.smoothed() if smoothing else target).probabilities
+    counts = {}
+    weighted = 0.0
+    normalizer = 0.0
+    for k, cand in enumerate(ranking.entries[:k_max], start=1):
+        counts[cand.group] = counts.get(cand.group, 0) + 1
+        discount = 1.0 / math.log2(k + 1)
+        normalizer += discount
+        weighted += discount * kl_divergence({g: c / k for g, c in counts.items()}, masses)
+    return weighted / normalizer
+
+
+class TestNdklCurve:
+    @pytest.mark.parametrize("smoothing", [False, True])
+    def test_every_cutoff_equals_the_per_cutoff_loop(self, three_group_target, smoothing):
+        import random
+
+        rnd = random.Random(11)
+        targets = [three_group_target, GroupDistribution({G00: 0.5, G01: 0.5, G11: 0.0})]
+        for target in targets:
+            groups = [g for g in (G00, G01, G11) if smoothing or target.mass(g) > 0]
+            for _ in range(30):
+                ranking = ranking_from_groups(
+                    [rnd.choice(groups) for _ in range(rnd.randint(1, 40))]
+                )
+                curve = ndkl_curve(ranking, target, smoothing=smoothing)
+                assert len(curve) == len(ranking)
+                for k, value in enumerate(curve, start=1):
+                    assert value == reference_ndkl(ranking, target, k, smoothing)
+                    assert value == ndkl(ranking, target, k_max=k, smoothing=smoothing)
+
+    def test_k_max_truncates(self, three_group_target):
+        ranking = ranking_from_groups([G00, G01, G11, G00, G00])
+        full = ndkl_curve(ranking, three_group_target)
+        assert ndkl_curve(ranking, three_group_target, k_max=3) == full[:3]
+        with pytest.raises(KOutOfRangeError):
+            ndkl_curve(ranking, three_group_target, k_max=0)
+        with pytest.raises(KOutOfRangeError):
+            ndkl_curve(ranking, three_group_target, k_max=6)
 
 
 class TestNdklUpperBound:

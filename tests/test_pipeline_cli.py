@@ -379,6 +379,23 @@ class TestCli:
             "--test", test_edges, "--scores", scores, "--target", "0-0=1",
             "--lam", 1.0, "--out", tmp_path / "lam.tsv",
         ) == 0
+        # 2: bad --lam, bad explicit --target and an empirical target without
+        # --train are reported before any input file is read
+        missing = tmp_path / "missing.tsv"
+        inputs = ("--edges", missing, "--attrs", missing)
+        rerank_inputs = inputs + ("--test", missing, "--scores", missing)
+        for flags in (
+            ("--target", "0-0=1", "--lam", 1.5),
+            ("--target", "0-0=0.5,0-1=0.4"),
+            ("--target", "0-0=1.5,0-1=-0.5"),
+            ("--train", missing, "--target", "0-0"),
+            (),
+        ):
+            assert self.run("rerank", *rerank_inputs, *flags, "--out", tmp_path / "r.tsv") == 2
+            if "--lam" not in flags:
+                assert self.run(
+                    "eval", *inputs, "--ranking", missing, *flags, "--out", tmp_path / "e.json"
+                ) == 2
 
     def test_parse_helpers(self):
         target = parse_target("0-0=0.6,0-1=0.4")

@@ -18,9 +18,10 @@ from fairlink import (
     ndcg_at_k,
     ndkl,
     ndkl_upper_bound,
+    ndkl_curve,
     precision_at_k,
-    prefix_distributions,
     ranking_from_groups,
+    sequence_ndkl,
     stratified_split,
     top_k_proportions,
 )
@@ -97,17 +98,29 @@ class TestNdklProperties:
     @given(rankings_with_target())
     def test_prefix_fractions_sum_to_one(self, case):
         ranking, _ = case
-        for pd in prefix_distributions(ranking):
-            assert abs(math.fsum(pd.fractions.values()) - 1.0) <= 1e-12
-            assert sum(pd.counts.values()) == pd.k
+        for k in range(1, len(ranking) + 1):
+            fractions = top_k_proportions(ranking, k).probabilities
+            assert abs(math.fsum(fractions.values()) - 1.0) <= 1e-12
+            assert sum(round(f * k) for f in fractions.values()) == k
 
     @given(rankings_with_target())
     def test_top_k_proportions_agree_with_prefixes(self, case):
         ranking, _ = case
-        prefixes = prefix_distributions(ranking)
         k = len(ranking)
+        recount = {}
+        for group in ranking.group_sequence():
+            recount[group] = recount.get(group, 0) + 1
         dist = top_k_proportions(ranking, k)
-        assert dist.probabilities == dict(prefixes[k - 1].fractions)
+        assert dist.probabilities == {g: c / k for g, c in recount.items()}
+
+    @given(rankings_with_target(max_len=40))
+    def test_curve_agrees_with_the_oracle_on_every_prefix(self, case):
+        ranking, target = case
+        labels = ranking.group_sequence()
+        curve = ndkl_curve(ranking, target)
+        assert len(curve) == len(labels)
+        for k, value in enumerate(curve, start=1):
+            assert abs(value - sequence_ndkl(labels[:k], target)) <= 1e-12
 
 
 class TestUtilityProperties:
