@@ -93,7 +93,6 @@ from .scorers import (
     load_embeddings,
     score_candidates,
 )
-from .synth import biased_block_graph, write_graph_files
 
 __version__ = "0.1.0"
 

@@ -108,7 +108,7 @@ def _target_spec(args, config: dict) -> str | GroupDistribution:
     if isinstance(spec, str):
         spec = parse_target(spec)
     if spec != "empirical":
-        return resolve_target(spec, None, None)
+        return resolve_target(spec, None)
     if _pick(args, config, "train") is None:
         raise ConfigError("empirical target needs --train (or an explicit --target)")
     return spec
@@ -116,8 +116,10 @@ def _target_spec(args, config: dict) -> str | GroupDistribution:
 
 def _target(args, config: dict, spec, graph) -> GroupDistribution:
     """The explicit target, or the empirical proportions of the --train edges."""
-    train_edges = read_edge_list(_pick(args, config, "train")) if spec == "empirical" else None
-    return resolve_target(spec, graph, train_edges)
+    train_graph = None
+    if spec == "empirical":
+        train_graph = graph.subgraph_with_edges(read_edge_list(_pick(args, config, "train")))
+    return resolve_target(spec, train_graph)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -149,7 +151,7 @@ def cmd_score(args) -> int:
     graph = load_graph(run.edges_path, run.attrs_path)
     train = read_edge_list(_require(args, config, "train"))
     test = read_edge_list(_require(args, config, "test"))
-    candidates = build_candidates(run, graph, train, test, run.seed)
+    candidates = build_candidates(run, graph, graph.subgraph_with_edges(train), test, run.seed)
     write_scores(_require(args, config, "out"), candidates)
     print(f"scored {candidates.total()} candidates across {len(candidates.groups())} groups")
     return 0
@@ -159,11 +161,14 @@ def cmd_rerank(args) -> int:
     config = _load_config(args.config)
     spec = _target_spec(args, config)
     lam = check_lambda(_pick(args, config, "lam", 1.0))
+    n = _pick(args, config, "n")
+    if n is not None and n < 1:
+        raise ConfigError(f"output size must be >= 1, got {n}")
     graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
     test = read_edge_list(_require(args, config, "test"))
     candidates = ingest_scores(_require(args, config, "scores"), graph, test)
     target = _target(args, config, spec, graph)
-    n = _pick(args, config, "n") or candidates.total()
+    n = n or candidates.total()
     smoothing = bool(_pick(args, config, "smoothing", False))
     ranking, _ = kl_greedy_merge(candidates, target, n, lam, smoothing=smoothing)
     out = _require(args, config, "out")
@@ -176,10 +181,12 @@ def cmd_rerank(args) -> int:
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
     spec = _target_spec(args, config)
+    k_list = tuple(_pick(args, config, "k", (100,)))
+    if any(k < 1 for k in k_list):
+        raise ConfigError(f"cutoffs must be positive, got {list(k_list)}")
     graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
     ranking = read_ranking(_require(args, config, "ranking"))
     target = _target(args, config, spec, graph)
-    k_list = tuple(_pick(args, config, "k", (100,)))
     smoothing = bool(_pick(args, config, "smoothing", False))
     pool = GroupedCandidateSet.from_candidates(ranking.entries)
     naive = merge_by_score(pool, len(ranking))

@@ -63,10 +63,11 @@ class SensitiveGraph:
     """Undirected graph with a categorical sensitive attribute per node.
 
     Instances are immutable after construction and safe to share across
-    concurrent readers; adjacency is precomputed once.
+    concurrent readers. The adjacency, each edge's group (sorted edges per
+    group) and each attribute value's sorted nodes are computed once.
     """
 
-    __slots__ = ("node_count", "edges", "sensitive", "_adjacency")
+    __slots__ = ("node_count", "edges", "sensitive", "_adjacency", "_edge_groups", "_value_nodes")
 
     def __init__(
         self,
@@ -76,14 +77,17 @@ class SensitiveGraph:
     ):
         self.node_count = int(node_count)
         self.sensitive = dict(sensitive)
+        value_nodes: dict[int, list[int]] = {}
         for node, value in self.sensitive.items():
             if not (0 <= node < self.node_count):
                 raise UnknownNodeError(node)
             if value < 0:
                 raise ConfigError(f"attribute for node {node} must be non-negative")
+            value_nodes.setdefault(value, []).append(node)
 
         canonical: set[Edge] = set()
         adjacency: dict[int, set[int]] = {}
+        grouped: dict[GroupId, list[Edge]] = {}
         for u, v in edges:
             if u == v:
                 raise SelfLoopError(u)
@@ -98,8 +102,11 @@ class SensitiveGraph:
             canonical.add(e)
             adjacency.setdefault(e[0], set()).add(e[1])
             adjacency.setdefault(e[1], set()).add(e[0])
+            grouped.setdefault(edge_group(self, *e), []).append(e)
         self.edges = frozenset(canonical)
         self._adjacency = adjacency
+        self._edge_groups = {g: sorted(grouped[g]) for g in sorted(grouped)}
+        self._value_nodes = {v: sorted(value_nodes[v]) for v in sorted(value_nodes)}
 
     def __repr__(self) -> str:
         return (
@@ -121,37 +128,25 @@ class SensitiveGraph:
             raise UnknownNodeError(v)
         return self._adjacency.get(v, set())
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
-    def attribute_values(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.sensitive.values())))
-
     def group_universe(self) -> tuple[GroupId, ...]:
         """All groups expressible with this graph's attribute values."""
-        values = self.attribute_values()
-        return tuple(
-            GroupId.of(a, b) for a, b in itertools.combinations_with_replacement(values, 2)
-        )
+        pairs = itertools.combinations_with_replacement(self._value_nodes, 2)
+        return tuple(GroupId.of(a, b) for a, b in pairs)
 
     def nodes_with_attribute(self, value: int) -> list[int]:
-        return sorted(v for v, s in self.sensitive.items() if s == value)
+        return list(self._value_nodes.get(value, ()))
 
     def group_pair_capacity(self, group: GroupId) -> int:
         """Number of unordered node pairs (edges or not) in ``group``."""
-        na = len(self.nodes_with_attribute(group.lo))
+        na = len(self._value_nodes.get(group.lo, ()))
         if group.is_intra:
             return na * (na - 1) // 2
-        nb = len(self.nodes_with_attribute(group.hi))
+        nb = len(self._value_nodes.get(group.hi, ()))
         return na * nb
 
-    def edges_by_group(self, edges: Iterable[Edge] | None = None) -> dict[GroupId, list[Edge]]:
-        grouped: dict[GroupId, list[Edge]] = {}
-        for u, v in self.edges if edges is None else edges:
-            grouped.setdefault(edge_group(self, u, v), []).append(canonical_edge(u, v))
-        for bucket in grouped.values():
-            bucket.sort()
-        return grouped
+    def edges_by_group(self) -> dict[GroupId, list[Edge]]:
+        """Each non-empty group's sorted edges, as fresh lists the caller may reorder."""
+        return {group: list(bucket) for group, bucket in self._edge_groups.items()}
 
     def subgraph_with_edges(self, edges: Iterable[Edge]) -> "SensitiveGraph":
         """Same nodes and attributes, restricted to the given edges."""
@@ -223,19 +218,14 @@ class GroupDistribution:
         return cls(probabilities)
 
 
-def empirical_distribution(graph: SensitiveGraph, edges: Iterable[Edge]) -> GroupDistribution:
-    """Fraction of the given edges in each group of the graph's universe.
+def empirical_distribution(graph: SensitiveGraph) -> GroupDistribution:
+    """Fraction of the graph's edges in each group of its universe.
 
     Groups that receive no edges are kept with probability 0.
     """
-    counts = {g: 0 for g in graph.group_universe()}
-    total = 0
-    for u, v in edges:
-        counts[edge_group(graph, u, v)] += 1
-        total += 1
-    if total == 0:
-        raise EmptyEdgeSetError()
-    return GroupDistribution({g: c / total for g, c in counts.items()})
+    return GroupDistribution.from_counts(
+        {g: len(graph._edge_groups.get(g, ())) for g in graph.group_universe()}
+    )
 
 
 # --- stratified splitting ---------------------------------------------------
@@ -368,7 +358,6 @@ def sample_negatives(
     """
     rng = random.Random(seed)
     chosen: set[Edge] = set()
-    group_edge_counts = {g: len(es) for g, es in graph.edges_by_group().items()}
 
     for group, requested in sorted(per_group.items()):
         if requested < 0:
@@ -376,7 +365,7 @@ def sample_negatives(
         if requested == 0:
             continue
         capacity = graph.group_pair_capacity(group)
-        available = capacity - group_edge_counts.get(group, 0)
+        available = capacity - len(graph._edge_groups.get(group, ()))
         if requested > available:
             raise NotEnoughNonEdgesError(group, available, requested)
 
@@ -510,8 +499,9 @@ def write_split(
     for name, subset in split.subsets().items():
         paths[name] = out / f"{name}.tsv"
         write_edge_list(paths[name], subset)
-        for group, group_edges in sorted(graph.edges_by_group(subset).items()):
-            per_group.setdefault(group.label(), {})[name] = len(group_edges)
+        for group, group_edges in graph._edge_groups.items():
+            if count := sum(e in subset for e in group_edges):
+                per_group.setdefault(group.label(), {})[name] = count
     manifest = {
         "seed": split.seed,
         "ratios": list(split.ratios),

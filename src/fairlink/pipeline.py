@@ -210,12 +210,12 @@ class SeedRunResult:
         }
 
 
-def resolve_target(spec, graph: SensitiveGraph, train_edges) -> GroupDistribution:
+def resolve_target(spec, train_graph: SensitiveGraph | None) -> GroupDistribution:
     """The target a run ranks against.
 
-    ``spec`` is ``"empirical"`` (the group proportions of ``train_edges``
-    in ``graph``), a ``label -> mass`` mapping, or a GroupDistribution;
-    only the empirical target reads ``graph`` and ``train_edges``.
+    ``spec`` is ``"empirical"`` (the group proportions of the training
+    graph's edges), a ``label -> mass`` mapping, or a GroupDistribution;
+    only the empirical target reads ``train_graph``.
     """
     if isinstance(spec, GroupDistribution):
         return spec
@@ -223,24 +223,23 @@ def resolve_target(spec, graph: SensitiveGraph, train_edges) -> GroupDistributio
         return GroupDistribution.from_label_dict(spec)
     if spec != "empirical":
         raise ConfigError(f"unsupported target spec {spec!r}")
-    return empirical_distribution(graph, train_edges)
+    return empirical_distribution(train_graph)
 
 
 def build_candidates(
     config: RunConfig,
     graph: SensitiveGraph,
-    train_edges,
+    train_graph: SensitiveGraph,
     test_edges,
     seed: int,
 ) -> GroupedCandidateSet:
-    """Per-group pools: test positives plus sampled non-edge negatives."""
+    """Per-group pools: test positives plus sampled non-edges, scored on ``train_graph``."""
     positives = frozenset(test_edges)
     per_group = {
         g: round(len(edges) * config.negatives_per_positive)
-        for g, edges in graph.edges_by_group(positives).items()
+        for g, edges in graph.subgraph_with_edges(positives).edges_by_group().items()
     }
     negatives = sample_negatives(graph, per_group, seed=seed)
-    train_graph = graph.subgraph_with_edges(train_edges)
     embeddings = load_embeddings(config.embeddings_path) if config.embeddings_path else None
     return score_candidates(
         train_graph,
@@ -309,8 +308,9 @@ def run_single(config: RunConfig, seed: int, graph: SensitiveGraph | None = None
     if graph is None:
         graph = load_graph(config.edges_path, config.attrs_path)
     split = stratified_split(graph, config.ratios, seed=seed)
-    target = resolve_target(config.target, graph, split.train)
-    candidates = build_candidates(config, graph, split.train, split.test, seed)
+    train_graph = graph.subgraph_with_edges(split.train)
+    target = resolve_target(config.target, train_graph)
+    candidates = build_candidates(config, graph, train_graph, split.test, seed)
 
     n = config.output_size or min(candidates.total(), max(config.k_list, default=candidates.total()))
     greedy_ranking, _ = kl_greedy_merge(

@@ -128,29 +128,44 @@ class TestEdgeGroup:
             )
             assert graph.group_pair_capacity(group) == brute
 
+    def test_edges_by_group_lists_belong_to_the_caller(self):
+        rnd = random.Random(8)
+        attrs = {i: rnd.randint(0, 2) for i in range(20)}
+        edges = [tuple(rnd.sample(range(20), 2)) for _ in range(60)]
+        graph = SensitiveGraph(20, edges, attrs)
+        first = graph.edges_by_group()
+        for bucket in first.values():
+            rnd.shuffle(bucket)
+            bucket.pop()
+        first.clear()
+        brute: dict[GroupId, list] = {}
+        for u, v in graph.edges:
+            brute.setdefault(edge_group(graph, u, v), []).append((u, v))
+        assert graph.edges_by_group() == {g: sorted(bucket) for g, bucket in brute.items()}
+
 
 class TestEmpiricalDistribution:
     def test_point_mass(self):
         graph = SensitiveGraph(3, [(0, 1), (1, 2)], {0: 1, 1: 1, 2: 1})
-        dist = empirical_distribution(graph, graph.edges)
+        dist = empirical_distribution(graph)
         assert dist.mass(G11) == 1.0
 
     def test_direct_count(self):
         graph = graph_with_group_edge_counts({G00: 5, G01: 3, G11: 2})
-        dist = empirical_distribution(graph, graph.edges)
+        dist = empirical_distribution(graph)
         assert dist.mass(G00) == pytest.approx(0.5)
         assert dist.mass(G01) == pytest.approx(0.3)
         assert dist.mass(G11) == pytest.approx(0.2)
 
     def test_absent_group_stays_listed_with_zero(self):
         graph = SensitiveGraph(3, [(0, 1)], {0: 0, 1: 0, 2: 1})
-        dist = empirical_distribution(graph, graph.edges)
+        dist = empirical_distribution(graph)
         assert dist.mass(G01) == 0.0
         assert G01 in dist.groups() and G11 in dist.groups()
 
     def test_empty_edges(self, triangle_graph):
         with pytest.raises(EmptyEdgeSetError):
-            empirical_distribution(triangle_graph, [])
+            empirical_distribution(triangle_graph.subgraph_with_edges([]))
 
 
 class TestGroupDistribution:
@@ -207,9 +222,9 @@ class TestStratifiedSplit:
         # Exhaustively recount the test subset's per-group proportions.
         graph = graph_with_group_edge_counts({G00: 500, G01: 300, G11: 200})
         split = stratified_split(graph, (0.7, 0.1, 0.2), seed=4)
-        target = empirical_distribution(graph, graph.edges)
+        target = empirical_distribution(graph)
         for subset in (split.train, split.valid, split.test):
-            by_group = graph.edges_by_group(subset)
+            by_group = graph.subgraph_with_edges(subset).edges_by_group()
             for group in graph.group_universe():
                 got = len(by_group.get(group, []))
                 want = target.mass(group) * len(subset)
@@ -283,3 +298,17 @@ class TestSplitFiles:
         assert manifest["ratios"] == [0.7, 0.1, 0.2]
         total = sum(sum(v.values()) for v in manifest["per_group_counts"].values())
         assert total == len(graph.edges)
+
+    def test_manifest_counts_match_a_recount(self, tmp_path):
+        # Three 1-1 edges split 0.7/0.1/0.2 leave the valid subset none of them.
+        graph = graph_with_group_edge_counts({G00: 30, G01: 12, G11: 3})
+        split = stratified_split(graph, (0.7, 0.1, 0.2), seed=13)
+        paths = write_split(tmp_path, graph, split)
+        recount: dict[str, dict[str, int]] = {}
+        for name, subset in split.subsets().items():
+            for u, v in subset:
+                counts = recount.setdefault(edge_group(graph, u, v).label(), {})
+                counts[name] = counts.get(name, 0) + 1
+        manifest = json.loads(paths["manifest"].read_text())
+        assert manifest["per_group_counts"] == recount
+        assert "valid" not in manifest["per_group_counts"]["1-1"]

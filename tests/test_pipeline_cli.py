@@ -1,9 +1,14 @@
 import csv
 import json
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fairlink
 from fairlink import (
     GroupDistribution,
     GroupId,
@@ -396,6 +401,17 @@ class TestCli:
                 assert self.run(
                     "eval", *inputs, "--ranking", missing, *flags, "--out", tmp_path / "e.json"
                 ) == 2
+        # 2: an output size or a cutoff below 1 is reported before any input
+        # file is read
+        for n in (0, -1):
+            assert self.run(
+                "rerank", *rerank_inputs, "--target", "0-0=1", "--n", n, "--out", tmp_path / "r.tsv"
+            ) == 2
+        for cutoffs in ((0,), (10, -5), (-1, 20)):
+            assert self.run(
+                "eval", *inputs, "--ranking", missing, "--target", "0-0=1", "--k", *cutoffs,
+                "--out", tmp_path / "e.json",
+            ) == 2
 
     def test_parse_helpers(self):
         target = parse_target("0-0=0.6,0-1=0.4")
@@ -405,3 +421,17 @@ class TestCli:
         assert counts == {G00: 5.0, G11: 3.0}
         with pytest.raises(ConfigError):
             parse_group_map("0-0:5")
+
+
+def test_import_does_not_load_numpy():
+    # numpy is needed by fairlink.synth only; the package and its CLI run without it.
+    src = Path(fairlink.__file__).resolve().parents[1]
+    code = "import sys, fairlink, fairlink.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -190,9 +190,9 @@ class TestGraphProperties:
         second = stratified_split(graph, (0.7, 0.1, 0.2), seed=seed)
         assert first == second
         assert first.train | first.valid | first.test == graph.edges
-        dist = empirical_distribution(graph, graph.edges)
+        dist = empirical_distribution(graph)
         for subset in (first.train, first.valid, first.test):
-            by_group = graph.edges_by_group(subset)
+            by_group = graph.subgraph_with_edges(subset).edges_by_group()
             for group in graph.group_universe():
                 got = len(by_group.get(group, []))
                 assert abs(got - dist.mass(group) * len(subset)) <= 1.0
