@@ -82,15 +82,15 @@ def _out_dir(value: str) -> str:
     return os.environ.get(OUTPUT_DIR_ENV, value)
 
 
-def parse_group_map(text: str) -> dict[GroupId, float]:
-    """Parse `0-0=0.5,0-1=0.2,...` into a group -> number mapping."""
+def parse_group_map(text: str, number: type = float) -> dict[GroupId, float]:
+    """Parse `0-0=0.5,0-1=0.2,...` into a group -> ``number(value)`` mapping."""
     out: dict[GroupId, float] = {}
     for item in text.split(","):
         label, _, value = item.partition("=")
         if not value:
             raise ConfigError(f"expected LABEL=VALUE, got {item!r}")
         try:
-            out[GroupId.parse(label.strip())] = float(value)
+            out[GroupId.parse(label.strip())] = number(value)
         except ValueError as exc:
             raise ConfigError(f"cannot parse {item!r}: {exc}") from exc
     return out
@@ -196,7 +196,7 @@ def cmd_eval(args) -> int:
     }
     payload = {
         "target": target.as_label_dict(),
-        "bound": ndkl_upper_bound(target.smoothed() if smoothing else target.positive()),
+        "bound": reports["ranked"].bound,
         "methods": {name: rep.to_dict() for name, rep in sorted(reports.items())},
     }
     write_json(_require(args, config, "out"), payload)
@@ -217,7 +217,7 @@ def cmd_gap(args) -> int:
     k_grid = tuple(_pick(args, config, "k_grid", (10, 50, 100, 500, 1000)))
     pools_spec = _pick(args, config, "pools")
     if pools_spec:
-        pools = {g: int(c) for g, c in parse_group_map(str(pools_spec)).items()}
+        pools = parse_group_map(str(pools_spec), int)
     else:
         scale = 2 * max(k_grid)
         pools = {
@@ -232,7 +232,7 @@ def cmd_gap(args) -> int:
 
 def cmd_oracle(args) -> int:
     config = _load_config(args.config)
-    counts = {g: int(c) for g, c in parse_group_map(str(_require(args, config, "counts"))).items()}
+    counts = parse_group_map(str(_require(args, config, "counts")), int)
     target = parse_target(str(_require(args, config, "target")))
     if not isinstance(target, GroupDistribution):
         raise ConfigError("oracle needs an explicit --target distribution")
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output report JSON")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gap", help="greedy vs worst-case divergence at parity-optimal proportions")
+    p = sub.add_parser("gap", help="greedy vs block-ordering NDKL at parity-optimal proportions")
     common(p)
     p.add_argument("--target", help="explicit target, e.g. '0-0=0.61,0-1=0.2,1-1=0.19'")
     p.add_argument("--pools", help="per-group pool sizes, e.g. '0-0=1200,0-1=400,1-1=400'")

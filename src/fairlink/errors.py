@@ -56,6 +56,12 @@ class UnknownNodeError(DataError):
         self.node = node
 
 
+class UnknownEdgeError(DataError):
+    def __init__(self, edge):
+        super().__init__(f"{edge} is not an edge of the graph")
+        self.edge = edge
+
+
 class DuplicatePairError(DataError):
     def __init__(self, pair, line_no: int | None = None):
         where = f" (line {line_no})" if line_no is not None else ""

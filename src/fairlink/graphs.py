@@ -8,6 +8,7 @@ fairness reference used throughout the package.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import random
@@ -23,6 +24,7 @@ from .errors import (
     MissingAttributeError,
     NotEnoughNonEdgesError,
     SelfLoopError,
+    UnknownEdgeError,
     UnknownNodeError,
 )
 from .io import atomic_write, data_lines, write_json
@@ -62,9 +64,9 @@ def canonical_edge(u: int, v: int) -> Edge:
 class SensitiveGraph:
     """Undirected graph with a categorical sensitive attribute per node.
 
-    Instances are immutable after construction and safe to share across
-    concurrent readers. The adjacency, each edge's group (sorted edges per
-    group) and each attribute value's sorted nodes are computed once.
+    Immutable after construction and safe to share across concurrent
+    readers. Adjacency, sorted edges per group and sorted nodes per value
+    are computed once; a subgraph reuses its parent's attributes and groups.
     """
 
     __slots__ = ("node_count", "edges", "sensitive", "_adjacency", "_edge_groups", "_value_nodes")
@@ -84,29 +86,25 @@ class SensitiveGraph:
             if value < 0:
                 raise ConfigError(f"attribute for node {node} must be non-negative")
             value_nodes.setdefault(value, []).append(node)
+        self._value_nodes = {v: sorted(value_nodes[v]) for v in sorted(value_nodes)}
 
         canonical: set[Edge] = set()
-        adjacency: dict[int, set[int]] = {}
         grouped: dict[GroupId, list[Edge]] = {}
         for u, v in edges:
-            if u == v:
-                raise SelfLoopError(u)
-            for node in (u, v):
-                if not (0 <= node < self.node_count):
-                    raise UnknownNodeError(node)
-                if node not in self.sensitive:
-                    raise MissingAttributeError(node)
             e = canonical_edge(u, v)
-            if e in canonical:
-                continue
-            canonical.add(e)
-            adjacency.setdefault(e[0], set()).add(e[1])
-            adjacency.setdefault(e[1], set()).add(e[0])
-            grouped.setdefault(edge_group(self, *e), []).append(e)
-        self.edges = frozenset(canonical)
-        self._adjacency = adjacency
-        self._edge_groups = {g: sorted(grouped[g]) for g in sorted(grouped)}
-        self._value_nodes = {v: sorted(value_nodes[v]) for v in sorted(value_nodes)}
+            if e not in canonical:
+                canonical.add(e)
+                grouped.setdefault(edge_group(self, u, v), []).append(e)
+        self._index(grouped, canonical)
+
+    def _index(self, grouped: Mapping[GroupId, list[Edge]], edges: set[Edge]) -> None:
+        """Store the non-empty groups' sorted edges, the edge set and the adjacency."""
+        self._edge_groups = {g: sorted(grouped[g]) for g in sorted(grouped) if grouped[g]}
+        self.edges = frozenset(edges)  # copied from a set, its table is sized exactly
+        self._adjacency = {}
+        for a, b in itertools.chain.from_iterable(self._edge_groups.values()):
+            self._adjacency.setdefault(a, set()).add(b)
+            self._adjacency.setdefault(b, set()).add(a)
 
     def __repr__(self) -> str:
         return (
@@ -149,8 +147,13 @@ class SensitiveGraph:
         return {group: list(bucket) for group, bucket in self._edge_groups.items()}
 
     def subgraph_with_edges(self, edges: Iterable[Edge]) -> "SensitiveGraph":
-        """Same nodes and attributes, restricted to the given edges."""
-        return SensitiveGraph(self.node_count, edges, self.sensitive)
+        """Same nodes and attributes, restricted to ``edges``, each an edge of this graph."""
+        subset = {canonical_edge(u, v) for u, v in edges}
+        if foreign := subset - self.edges:
+            raise UnknownEdgeError(min(foreign))
+        sub = copy.copy(self)
+        sub._index({g: [e for e in b if e in subset] for g, b in self._edge_groups.items()}, subset)
+        return sub
 
 
 def edge_group(graph: SensitiveGraph, u: int, v: int) -> GroupId:
@@ -244,6 +247,8 @@ def apportion(
     """
     if total < 0:
         raise ValueError("total must be >= 0")
+    if total == 0:
+        return [0] * len(weights)
     if caps is not None and sum(caps) < total:
         raise ValueError(f"caps sum to {sum(caps)}, cannot hold {total}")
     weight_sum = math.fsum(weights)

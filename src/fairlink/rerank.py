@@ -12,9 +12,9 @@ A weight lam below 1 trades the per-step divergence against the head's
 within-group normalized score; weight 0 is per-step score greediness.
 
 Also here: the exact integer solver for the dyadic-parity-optimal
-intra/inter selection split, the block-ordered worst-case ranking
-(rarest target mass first), and the gap experiment that contrasts the
-greedy and worst-case rankings at identical group proportions.
+intra/inter selection split, the block ordering (rarest target mass
+first; a heuristic whose NDKL is a lower bound on the worst case), and
+the gap experiment that contrasts it with the greedy ranking.
 """
 
 from __future__ import annotations
@@ -236,12 +236,12 @@ def worst_case_ranking(
     target: GroupDistribution,
     candidates: GroupedCandidateSet | None = None,
 ) -> Ranking:
-    """Block ordering that maximizes prefix divergence at fixed proportions.
+    """Block ordering, a heuristic for the worst prefix divergence at fixed proportions.
 
     Emits each group as a contiguous block, rarest target mass first, so
-    early prefixes are dominated by the most over-exposed group. This is
-    a heuristic maximizer; on small instances it is certified against
-    exhaustive enumeration in the oracle module.
+    early prefixes are dominated by the most over-exposed group. Its NDKL
+    never exceeds the exact maximum but often falls short of it (see the
+    oracle): it is a lower bound on the true worst case.
     """
     positive_counts = {g: c for g, c in group_counts.items() if c > 0}
     for group in positive_counts:
@@ -276,7 +276,7 @@ class GapPoint:
 
 @dataclass(frozen=True)
 class GapCurve:
-    """Greedy-vs-worst divergence at parity-optimal group proportions."""
+    """Greedy vs block-ordering (``worst_ndkl``) divergence at parity-optimal proportions."""
 
     k_grid: tuple[int, ...]
     greedy_ndkl: tuple[float, ...]
@@ -339,8 +339,6 @@ def gap_point(target: GroupDistribution, pools: Mapping[GroupId, int], k: int) -
     group_counts: dict[GroupId, int] = {}
     for class_pools, class_total in ((intra_pools, x), (inter_pools, k - x)):
         groups = sorted(class_pools)
-        if not groups:
-            continue
         parts = apportion(
             class_total,
             [target.mass(g) for g in groups],

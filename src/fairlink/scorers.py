@@ -22,7 +22,6 @@ from .errors import (
     DuplicatePairError,
     MalformedLineError,
     MissingEmbeddingError,
-    SelfLoopError,
 )
 from .graphs import Edge, GroupId, SensitiveGraph, canonical_edge, edge_group
 from .io import atomic_write, data_lines
@@ -99,13 +98,6 @@ class GroupedCandidateSet:
 # --- topological heuristics --------------------------------------------------
 
 
-def _check_pair(graph: SensitiveGraph, u: int, v: int) -> None:
-    graph.attribute(u)
-    graph.attribute(v)
-    if u == v:
-        raise SelfLoopError(u)
-
-
 def _heuristic(scorer: str, neighbors: Callable[[int], set[int]], u: int, v: int) -> float:
     """Common-neighbors count or Adamic-Adar sum; ``neighbors(w)`` is w's neighbor set.
 
@@ -121,13 +113,13 @@ def _heuristic(scorer: str, neighbors: Callable[[int], set[int]], u: int, v: int
 
 def common_neighbors(graph: SensitiveGraph, u: int, v: int) -> float:
     """Number of shared neighbors of u and v."""
-    _check_pair(graph, u, v)
+    edge_group(graph, u, v)
     return _heuristic("common_neighbors", graph.neighbors, u, v)
 
 
 def adamic_adar(graph: SensitiveGraph, u: int, v: int) -> float:
     """Sum of 1/ln(deg(w)) over shared neighbors w of u and v."""
-    _check_pair(graph, u, v)
+    edge_group(graph, u, v)
     return _heuristic("adamic_adar", graph.neighbors, u, v)
 
 
@@ -209,13 +201,9 @@ def score_candidates(
                 adjacency.setdefault(a, set()).add(b)
                 adjacency.setdefault(b, set()).add(a)
     scored: list[ScoredCandidate] = []
-    seen: set[Edge] = set()
-
     for u, v in candidates:
         pair = canonical_edge(u, v)
-        if pair in seen:
-            raise DuplicatePairError(pair)
-        seen.add(pair)
+        # edge_group checks each caller's pair; GroupedCandidateSet rejects duplicates.
         group = edge_group(graph, *pair)
         if scorer == "embedding":
             value = embedding_dot(embeddings, *pair)
@@ -253,12 +241,11 @@ def ingest_scores(
             raise MalformedLineError(path, line_no, "non-numeric field") from None
         if not math.isfinite(value):
             raise MalformedLineError(path, line_no, "non-finite score")
-        if u == v:
-            raise SelfLoopError(u, line_no)
         pair = canonical_edge(u, v)
         if pair in seen:
             raise DuplicatePairError(pair, line_no)
         seen.add(pair)
+        # Pairs come from a file: edge_group checks each endpoint and groups the pair.
         group = edge_group(graph, *pair)
         scored.append(ScoredCandidate(pair[0], pair[1], value, group, pair in relevant))
     return GroupedCandidateSet.from_candidates(scored)

@@ -25,6 +25,8 @@ from fairlink.errors import (
     MissingAttributeError,
     NotEnoughNonEdgesError,
     SelfLoopError,
+    UnknownEdgeError,
+    UnknownNodeError,
 )
 from fairlink.graphs import apportion
 
@@ -144,6 +146,76 @@ class TestEdgeGroup:
         assert graph.edges_by_group() == {g: sorted(bucket) for g, bucket in brute.items()}
 
 
+def graph_view(graph: SensitiveGraph) -> dict:
+    """Everything a caller can read from a graph, as plain values."""
+    universe = graph.group_universe()
+    values = sorted({g.lo for g in universe} | {g.hi for g in universe})
+    return {
+        "edges": graph.edges,
+        "edges_by_group": graph.edges_by_group(),
+        "neighbors": [set(graph.neighbors(v)) for v in range(graph.node_count)],
+        "universe": universe,
+        "nodes_with_attribute": {value: graph.nodes_with_attribute(value) for value in values},
+        "capacity": {g: graph.group_pair_capacity(g) for g in universe},
+    }
+
+
+class TestSubgraph:
+    def parent(self) -> SensitiveGraph:
+        base = graph_with_group_edge_counts(
+            {G00: 40, G01: 25, G11: 15, GroupId.of(0, 2): 9, GroupId.of(2, 2): 6}
+        )
+        # Two unattributed nodes past the attributed ones.
+        return SensitiveGraph(base.node_count + 2, base.edges, base.sensitive)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_a_rebuilt_graph(self, seed):
+        graph = self.parent()
+        before = graph_view(graph)
+        rng = random.Random(seed)
+        edges = sorted(graph.edges)
+        subset = rng.sample(edges, rng.randint(0, len(edges)))
+        # Input orientation and repeats must not matter.
+        given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in subset]
+        given += given[: len(given) // 3]
+        sub = graph.subgraph_with_edges(given)
+        reference = SensitiveGraph(graph.node_count, subset, graph.sensitive)
+        assert graph_view(sub) == graph_view(reference)
+        assert graph_view(graph) == before
+
+    def test_full_and_empty_subsets(self):
+        graph = self.parent()
+        assert graph_view(graph.subgraph_with_edges(graph.edges)) == graph_view(graph)
+        empty = graph.subgraph_with_edges([])
+        assert empty.edges == frozenset() and empty.edges_by_group() == {}
+        assert empty.group_universe() == graph.group_universe()
+
+    def test_foreign_edge_rejected(self, triangle_graph):
+        path = triangle_graph.subgraph_with_edges([(0, 1), (2, 1)])
+        for foreign in ([(0, 2)], [(0, 1), (1, 1)], [(0, 3)], [(2, 0), (5, 7)]):
+            with pytest.raises(UnknownEdgeError):
+                path.subgraph_with_edges(foreign)
+
+    @pytest.mark.parametrize(
+        "edges, error, node",
+        [
+            ([(0, 1), (2, 2)], SelfLoopError, 2),
+            ([(9, 9)], SelfLoopError, 9),
+            ([(0, 9)], UnknownNodeError, 9),
+            ([(1, 3)], MissingAttributeError, 3),
+            # Both endpoints invalid: the first one given is reported.
+            ([(9, 3)], UnknownNodeError, 9),
+            ([(3, 9)], MissingAttributeError, 3),
+            ([(0, 1), (1, 0), (3, 0)], MissingAttributeError, 3),
+        ],
+    )
+    def test_constructor_errors(self, edges, error, node):
+        # Node 3 is a node without an attribute; 9 is out of range.
+        with pytest.raises(error) as exc:
+            SensitiveGraph(4, edges, {0: 0, 1: 0, 2: 1})
+        assert exc.value.node == node
+
+
 class TestEmpiricalDistribution:
     def test_point_mass(self):
         graph = SensitiveGraph(3, [(0, 1), (1, 2)], {0: 1, 1: 1, 2: 1})
@@ -191,6 +263,10 @@ class TestApportion:
     def test_largest_remainder(self):
         assert apportion(10, [0.5, 0.3, 0.2]) == [5, 3, 2]
         assert apportion(4, [0.5, 0.5]) == [2, 2]
+
+    def test_zero_total_needs_no_weight(self):
+        assert apportion(0, [0.0, 0.0]) == [0, 0]
+        assert apportion(0, [0.0], caps=[0]) == [0]
 
     def test_caps_respected(self):
         parts = apportion(10, [0.9, 0.1], caps=[4, 10])

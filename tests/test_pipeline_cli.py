@@ -104,6 +104,27 @@ class TestRunSingle:
         assert a.reports == b.reports
         assert a.rankings[GREEDY].entries == b.rankings[GREEDY].entries
 
+    def test_each_candidate_grouped_once(self, dataset, tmp_path, monkeypatch):
+        # The loaded graph groups its edges once; the train and test-positive
+        # subgraphs reuse those groups, so edge_group runs once per candidate.
+        graph = load_graph(dataset["edges"], dataset["attrs"])
+        calls = []
+        original = fairlink.graphs.edge_group
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fairlink") and getattr(module, "edge_group", None) is original:
+                monkeypatch.setattr(module, "edge_group", counted)
+        built = []
+        build = fairlink.pipeline.build_candidates
+        def recorded(*args):
+            built.append(build(*args))
+            return built[-1]
+        monkeypatch.setattr(fairlink.pipeline, "build_candidates", recorded)
+        run_single(small_config(dataset, tmp_path), seed=3, graph=graph)
+        assert len(calls) == built[0].total() > 0
+
     def test_zero_target_mass_surfaces(self, dataset, tmp_path):
         config = small_config(
             dataset, tmp_path, target={"0-0": 1.0, "0-1": 0.0, "1-1": 0.0}
@@ -401,6 +422,15 @@ class TestCli:
                 assert self.run(
                     "eval", *inputs, "--ranking", missing, *flags, "--out", tmp_path / "e.json"
                 ) == 2
+        # 2: a non-integral oracle count or gap pool is rejected before any work
+        assert self.run(
+            "oracle", "--counts", "0-0=2.5", "--target", "0-0=1", "--out", tmp_path / "o.json",
+        ) == 2
+        assert self.run(
+            "gap", "--target", "0-0=0.5,0-1=0.5", "--pools", "0-0=30.5,0-1=30",
+            "--k-grid", 10, "--out", tmp_path / "g.csv",
+        ) == 2
+        assert not (tmp_path / "o.json").exists() and not (tmp_path / "g.csv").exists()
         # 2: an output size or a cutoff below 1 is reported before any input
         # file is read
         for n in (0, -1):
@@ -412,6 +442,29 @@ class TestCli:
                 "eval", *inputs, "--ranking", missing, "--target", "0-0=1", "--k", *cutoffs,
                 "--out", tmp_path / "e.json",
             ) == 2
+
+    def test_gap_skips_an_empty_pool(self, tmp_path):
+        # A zero pool gives its dyadic class nothing to apportion.
+        common = ("--target", "0-0=1.0,0-1=0.0", "--k-grid", 10)
+        assert self.run("gap", *common, "--pools", "0-0=50,0-1=0", "--out", tmp_path / "a.csv") == 0
+        assert self.run("gap", *common, "--pools", "0-0=50", "--out", tmp_path / "b.csv") == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_score_rejects_a_train_edge_outside_the_graph(self, dataset, tmp_path):
+        graph = dataset["graph"]
+        non_edge = next(
+            (u, v) for u in range(graph.node_count) for v in range(u + 1, graph.node_count)
+            if (u, v) not in graph.edges
+        )
+        train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
+        train.write_text("%d\t%d\n" % non_edge)
+        test.write_text("%d\t%d\n" % min(graph.edges))
+        out = tmp_path / "scores.tsv"
+        assert self.run(
+            "score", "--edges", dataset["edges"], "--attrs", dataset["attrs"],
+            "--train", train, "--test", test, "--out", out,
+        ) == 3
+        assert not out.exists()
 
     def test_parse_helpers(self):
         target = parse_target("0-0=0.6,0-1=0.4")
