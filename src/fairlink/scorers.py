@@ -22,6 +22,7 @@ from .errors import (
     DuplicatePairError,
     MalformedLineError,
     MissingEmbeddingError,
+    SelfLoopError,
 )
 from .graphs import Edge, GroupId, SensitiveGraph, canonical_edge, edge_group
 from .io import atomic_write, data_lines
@@ -241,6 +242,8 @@ def ingest_scores(
             raise MalformedLineError(path, line_no, "non-numeric field") from None
         if not math.isfinite(value):
             raise MalformedLineError(path, line_no, "non-finite score")
+        if u == v:
+            raise SelfLoopError(u, line_no)
         pair = canonical_edge(u, v)
         if pair in seen:
             raise DuplicatePairError(pair, line_no)

@@ -18,6 +18,7 @@ from fairlink.errors import (
     DuplicatePairError,
     MalformedLineError,
     MissingEmbeddingError,
+    SelfLoopError,
     UnknownNodeError,
 )
 
@@ -209,3 +210,10 @@ class TestIngestScores:
         unknown.write_text("0\t42\t1.0\n")
         with pytest.raises(UnknownNodeError):
             ingest_scores(unknown, triangle_graph, [])
+
+    def test_self_loop_names_its_line(self, tmp_path, triangle_graph):
+        path = tmp_path / "loop.tsv"
+        path.write_text("# header\n0\t1\t0.9\n2\t2\t0.5\n")
+        with pytest.raises(SelfLoopError) as exc:
+            ingest_scores(path, triangle_graph, [])
+        assert exc.value.node == 2 and exc.value.line_no == 3
