@@ -45,15 +45,19 @@ class SelfLoopError(DataError):
 
 
 class MissingAttributeError(DataError):
-    def __init__(self, node: int):
-        super().__init__(f"node {node} has no sensitive attribute")
+    def __init__(self, node: int, line_no: int | None = None):
+        where = f" (line {line_no})" if line_no is not None else ""
+        super().__init__(f"node {node} has no sensitive attribute{where}")
         self.node = node
+        self.line_no = line_no
 
 
 class UnknownNodeError(DataError):
-    def __init__(self, node: int):
-        super().__init__(f"unknown node id {node}")
+    def __init__(self, node: int, line_no: int | None = None):
+        where = f" (line {line_no})" if line_no is not None else ""
+        super().__init__(f"unknown node id {node}{where}")
         self.node = node
+        self.line_no = line_no
 
 
 class UnknownEdgeError(DataError):

@@ -31,9 +31,9 @@ class MultisetSpec:
     group_counts: Mapping[GroupId, int]
 
     def __post_init__(self):
+        if any(c < 0 or c != int(c) for c in self.group_counts.values()):
+            raise ConfigError("group counts must be non-negative integers")
         counts = {g: int(c) for g, c in self.group_counts.items()}
-        if any(c < 0 for c in counts.values()):
-            raise ConfigError("group counts must be non-negative")
         if sum(counts.values()) == 0:
             raise ConfigError("at least one group must have a positive count")
         object.__setattr__(self, "group_counts", counts)

@@ -11,6 +11,17 @@ compared across groups (their scales are not assumed commensurable).
 A weight lam below 1 trades the per-step divergence against the head's
 within-group normalized score; weight 0 is per-step score greediness.
 
+The tentative divergence has a closed form. With counts c over the t-1
+items placed and S = sum_h c_h ln(c_h / p_h), placing one more item of
+group g gives KL_t(g) = (S + delta_g)/t - ln t, where
+delta_g = ln(c_g + 1) + c_g log1p(1/c_g) - ln p_g (the log1p form keeps
+precision at large c_g). Only the chosen group's delta changes per step,
+so a position costs one O(G) scan of lam*delta_g/t + (1-lam)*(1-shat_g),
+whose argmin is the objective's. Groups within ``NEAR_TIE`` of that
+minimum are re-scored with ``kl_divergence``, which keeps every choice
+and tie of scoring each group with it; trace values agree with it to
+1e-12, and ``oracle.verify_trace`` recomputes them independently.
+
 Also here: the exact integer solver for the dyadic-parity-optimal
 intra/inter selection split, the block ordering (rarest target mass
 first; a heuristic whose NDKL is a lower bound on the worst case), and
@@ -21,6 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -40,6 +52,17 @@ from .rank_metrics import RelevanceVector, precision_at_k
 from .scorers import GroupedCandidateSet, ScoredCandidate
 
 logger = logging.getLogger(__name__)
+
+# Approximate objectives within this distance of the best are re-scored
+# with kl_divergence. The closed form and kl_divergence's G-term sum each
+# err by at most about (G + 4)·ε·(ln G + ln(1/p_min) + 2) in the objective,
+# with ε = 2.2e-16 and p_min the least target mass of a non-empty group:
+# 7e-14 at G = 21 and p_min = 1e-3, 3.5e-13 at G = 55 and the 1e-9
+# smoothing floor. A group outside the window then scores worse than the
+# best in both computations as long as the window exceeds twice the sum of
+# the two bounds (1.4e-12 in the second case); where it would not, the merge
+# widens the window to that.
+NEAR_TIE = 1e-11
 
 
 class TraceStep(NamedTuple):
@@ -93,6 +116,13 @@ def kl_greedy_merge(
     within-group normalized score; lam=1 is the pure divergence greedy.
     Ties prefer the higher shat, then the lower group id. Returns the
     ranking (length min(n, total candidates)) and the per-step trace.
+
+    Each position costs O(G) for G groups: KL comes from the closed form
+    (module docstring), and only groups within ``NEAR_TIE`` of the best
+    are re-scored with ``kl_divergence``, so choices, ties and
+    ``tie_break_used`` are those of scoring every group with it. The
+    other trace values come from the closed form, clamped at 0, and
+    agree with ``kl_divergence`` to 1e-12.
     """
     check_lambda(lam)
     if n < 1:
@@ -105,37 +135,56 @@ def kl_greedy_merge(
     for g in groups:
         if lists[g] and masses.mass(g) <= 0.0:
             raise ZeroTargetMassError(g)
+    available = [g for g in groups if lists[g]]
     normalized = {g: _normalized_scores(lists[g]) for g in groups}
-    heads = {g: 0 for g in groups}
+    # counts[g] items of g are placed, so it is also the index of g's head.
     counts: dict[GroupId, int] = {g: 0 for g in groups}
+    log_mass = {g: math.log(masses.mass(g)) for g in available}
+    # terms[g] = c_g ln(c_g / p_g), so S is their sum; delta[g] is what S
+    # gains when g gets one more item; rest[g] is the head's score term.
+    terms = {g: 0.0 for g in available}
+    delta = {g: -log_mass[g] for g in available}
+    rest = {g: (1.0 - lam) * (1.0 - normalized[g][0]) for g in available}
+    size, log_inv_p_min = len(available), max(-v for v in log_mass.values())
+    bound = (size + 4) * sys.float_info.epsilon * (math.log(size) + log_inv_p_min + 2)
+    window = max(NEAR_TIE, 4 * bound)
 
     entries: list[ScoredCandidate] = []
     steps: list[TraceStep] = []
     for t in range(1, n + 1):
-        available = [g for g in groups if heads[g] < len(lists[g])]
         if not available:
             break
-        tentative: dict[GroupId, float] = {}
-        objectives: dict[GroupId, float] = {}
-        for g in available:
-            # counts sum to t-1, so incrementing one group makes the
-            # tentative fractions a proper distribution over t items.
-            fractions = {
-                h: (c + (1 if h == g else 0)) / t
-                for h, c in counts.items()
-                if c > 0 or h == g
-            }
-            kl = kl_divergence(fractions, masses)
-            tentative[g] = kl
-            shat = normalized[g][heads[g]]
-            objectives[g] = lam * kl + (1.0 - lam) * (1.0 - shat)
-        # Ties on the objective prefer the better-scored head, then the
-        # lower group id, keeping the merge fully deterministic.
-        best_group = min(available, key=lambda g: (objectives[g], -normalized[g][heads[g]], g))
-        tie = sum(1 for g in available if objectives[g] == objectives[best_group]) > 1
-        chosen = lists[best_group][heads[best_group]]
-        heads[best_group] += 1
-        counts[best_group] += 1
+        # KL_t(g) = (S + delta_g)/t - ln t, so lam*KL + rest ranks as below.
+        approx = [lam * delta[g] / t + rest[g] for g in available]
+        cutoff = min(approx) + window
+        near = [g for g, a in zip(available, approx) if a <= cutoff]
+        total, log_t = sum(terms.values()), math.log(t)
+        tentative = {g: max(0.0, (total + delta[g]) / t - log_t) for g in available}
+        best_group, tie = near[0], False
+        if len(near) > 1:
+            objectives: dict[GroupId, float] = {}
+            for g in near:
+                # counts sum to t-1, so incrementing one group makes the
+                # tentative fractions a proper distribution over t items.
+                fractions = {
+                    h: (c + (1 if h == g else 0)) / t
+                    for h, c in counts.items()
+                    if c > 0 or h == g
+                }
+                tentative[g] = kl_divergence(fractions, masses)
+                objectives[g] = lam * tentative[g] + rest[g]
+            # Ties on the objective prefer the better-scored head, then the
+            # lower group id, keeping the merge fully deterministic.
+            best_group = min(near, key=lambda g: (objectives[g], -normalized[g][counts[g]], g))
+            tie = sum(1 for g in near if objectives[g] == objectives[best_group]) > 1
+        chosen = lists[best_group][counts[best_group]]
+        counts[best_group] = c = counts[best_group] + 1
+        terms[best_group] = c * (math.log(c) - log_mass[best_group])
+        delta[best_group] = math.log(c + 1) + c * math.log1p(1 / c) - log_mass[best_group]
+        if c < len(lists[best_group]):
+            rest[best_group] = (1.0 - lam) * (1.0 - normalized[best_group][c])
+        else:
+            available.remove(best_group)
         entries.append(chosen)
         steps.append(TraceStep(t, best_group, tentative, chosen, tie))
 
@@ -156,7 +205,7 @@ def merge_by_score(candidates: GroupedCandidateSet, n: int | None = None) -> Ran
     The reference point the greedy merge is compared against; comparing
     raw scores across groups is exactly what it does.
     """
-    merged = sorted(candidates.all_candidates(), key=lambda c: (-c.score, c.pair))
+    merged = sorted(candidates.all_candidates(), key=lambda c: (-c.score, c.u, c.v))
     if n is not None:
         merged = merged[:n]
     return Ranking(tuple(merged))
@@ -325,8 +374,8 @@ def gap_point(target: GroupDistribution, pools: Mapping[GroupId, int], k: int) -
     are synthetic and all relevant, isolating exposure from utility.
     """
     for group, pool in pools.items():
-        if pool < 0:
-            raise ConfigError(f"negative pool for group {group}")
+        if pool < 0 or pool != int(pool):
+            raise ConfigError(f"pool for group {group} must be a non-negative integer: {pool!r}")
         if pool > 0 and target.mass(group) <= 0.0:
             raise ZeroTargetMassError(group)
     capacity = sum(pools.values())

@@ -21,8 +21,10 @@ from .errors import (
     DimensionMismatchError,
     DuplicatePairError,
     MalformedLineError,
+    MissingAttributeError,
     MissingEmbeddingError,
     SelfLoopError,
+    UnknownNodeError,
 )
 from .graphs import Edge, GroupId, SensitiveGraph, canonical_edge, edge_group
 from .io import atomic_write, data_lines
@@ -45,7 +47,7 @@ class ScoredCandidate(NamedTuple):
 
 def _sort_key(candidate: ScoredCandidate):
     # Descending score, ties broken by lexicographic pair for determinism.
-    return (-candidate.score, candidate.pair)
+    return (-candidate.score, candidate.u, candidate.v)
 
 
 @dataclass
@@ -249,7 +251,10 @@ def ingest_scores(
             raise DuplicatePairError(pair, line_no)
         seen.add(pair)
         # Pairs come from a file: edge_group checks each endpoint and groups the pair.
-        group = edge_group(graph, *pair)
+        try:
+            group = edge_group(graph, *pair)
+        except (UnknownNodeError, MissingAttributeError) as exc:
+            raise type(exc)(exc.node, line_no) from None
         scored.append(ScoredCandidate(pair[0], pair[1], value, group, pair in relevant))
     return GroupedCandidateSet.from_candidates(scored)
 

@@ -34,6 +34,11 @@ class TestMultisetPermutations:
         for seq in sequences:
             assert Counter(seq) == counts
 
+    def test_non_integral_count_rejected(self):
+        with pytest.raises(ConfigError):
+            MultisetSpec({G00: 2.5, G01: 1})
+        assert MultisetSpec({G00: 2.0, G01: 1}).group_counts == {G00: 2, G01: 1}
+
     def test_lexicographic_first(self):
         first = next(multiset_permutations({G01: 1, G00: 2}))
         assert first == (G00, G00, G01)

@@ -27,6 +27,7 @@ from fairlink import (
     write_ranking,
 )
 from fairlink.errors import (
+    ConfigError,
     EmptyInputError,
     InfeasibleKError,
     LambdaOutOfRangeError,
@@ -182,6 +183,127 @@ class TestWeightedMerge:
             kl_greedy_merge_weighted(cands, uniform_pair_target, 1, 1.5)
 
 
+# --- differential test against the O(G^2) merge --------------------------------
+
+
+def reference_merge(candidates, target, n, lam=1.0, *, smoothing=False):
+    """The merge as it was before the closed form: every available group is
+    scored with ``kl_divergence`` at every position. Returns the entries,
+    the trace steps and whether the output was truncated."""
+    masses = target.smoothed() if smoothing else target
+    groups = candidates.groups()
+    lists = {g: candidates.lists[g] for g in groups}
+    normalized = {g: [] for g in groups}
+    for g in groups:
+        bucket = lists[g]
+        if bucket and bucket[0].score != bucket[-1].score:
+            high, low = bucket[0].score, bucket[-1].score
+            normalized[g] = [(c.score - low) / (high - low) for c in bucket]
+        else:
+            normalized[g] = [1.0] * len(bucket)
+    heads = {g: 0 for g in groups}
+    counts = {g: 0 for g in groups}
+    entries, steps = [], []
+    for t in range(1, n + 1):
+        available = [g for g in groups if heads[g] < len(lists[g])]
+        if not available:
+            break
+        tentative, objectives = {}, {}
+        for g in available:
+            fractions = {
+                h: (c + (1 if h == g else 0)) / t
+                for h, c in counts.items()
+                if c > 0 or h == g
+            }
+            kl = kl_divergence(fractions, masses)
+            tentative[g] = kl
+            shat = normalized[g][heads[g]]
+            objectives[g] = lam * kl + (1.0 - lam) * (1.0 - shat)
+        best = min(available, key=lambda g: (objectives[g], -normalized[g][heads[g]], g))
+        tie = sum(1 for g in available if objectives[g] == objectives[best]) > 1
+        chosen = lists[best][heads[best]]
+        heads[best] += 1
+        counts[best] += 1
+        entries.append(chosen)
+        steps.append((t, best, tentative, chosen, tie))
+    return tuple(entries), steps, len(entries) < n
+
+
+def all_groups(values: int) -> list[GroupId]:
+    return [GroupId.of(a, b) for a in range(values) for b in range(a, values)]
+
+
+# Attribute values whose groups cover each group count (G = 2 takes 2 of 3).
+GROUP_SOURCES = {2: 2, 3: 2, 6: 3, 21: 6}
+
+
+def random_instance(rnd: random.Random, group_count: int):
+    """Rational target, coarse scores (ties in shat), empty lists, varied n."""
+    groups = all_groups(GROUP_SOURCES[group_count])[:group_count]
+    smoothing = rnd.random() < 0.2
+    weights = {g: rnd.randint(0 if smoothing else 1, 4) for g in groups}
+    if not any(weights.values()):
+        weights[groups[0]] = 1
+    total = sum(weights.values())
+    target = GroupDistribution({g: w / total for g, w in weights.items()})
+    spec = {}
+    for g in groups:
+        length = rnd.choice((0, 1, 3, 8, 20))
+        if length and (weights[g] or smoothing):
+            levels = rnd.choice(((1.0,), (1.0, 0.5, 0.0), None))
+            if levels is None:
+                scores = [rnd.random() for _ in range(length)]
+            else:
+                scores = [rnd.choice(levels) for _ in range(length)]
+            spec[g] = sorted(scores, reverse=True)
+    if not spec:
+        spec[groups[0]] = [1.0]
+        if not weights[groups[0]]:
+            smoothing = True
+    cands = make_lists(spec)
+    n = rnd.choice((1, 5, cands.total(), cands.total() + 7, 40))
+    return cands, target, n, smoothing
+
+
+def assert_same_merge(cands, target, n, lam, smoothing) -> int:
+    """The merge agrees with ``reference_merge``; returns the tie steps seen."""
+    ranking, trace = kl_greedy_merge(cands, target, n, lam, smoothing=smoothing)
+    entries, steps, truncated = reference_merge(cands, target, n, lam, smoothing=smoothing)
+    assert ranking.entries == entries
+    assert trace.truncated == truncated
+    assert len(trace.steps) == len(steps)
+    for step, (t, best, tentative, chosen, tie) in zip(trace.steps, steps):
+        assert (step.position, step.chosen_group, step.chosen) == (t, best, chosen)
+        assert step.tie_break_used == tie
+        assert step.tentative_kl.keys() == tentative.keys()
+        for g, kl in tentative.items():
+            assert abs(step.tentative_kl[g] - kl) <= 1e-12
+    return sum(1 for step in steps if step[4])
+
+
+class TestMergeMatchesReference:
+    @pytest.mark.parametrize("lam", [0.0, 0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("group_count", [2, 3, 6, 21])
+    def test_random_instances(self, group_count, lam):
+        rnd = random.Random(1000 * group_count + int(100 * lam))
+        ties = 0
+        for _ in range(30):
+            cands, target, n, smoothing = random_instance(rnd, group_count)
+            ties += assert_same_merge(cands, target, n, lam, smoothing)
+        assert ties > 0
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_long_run_where_the_gaps_shrink(self, lam):
+        # Deep into a long merge the increments of all groups crowd
+        # together; the closed form must still pick what kl_divergence picks.
+        rnd = random.Random(7)
+        spec = {
+            g: sorted((rnd.random() for _ in range(8000)), reverse=True) for g in (G00, G01, G11)
+        }
+        target = GroupDistribution({G00: 1 / 4, G01: 1 / 4, G11: 1 / 2})
+        assert assert_same_merge(make_lists(spec), target, 20_000, lam, False) > 0
+
+
 class TestMergeByScore:
     def test_global_score_order_with_lexicographic_ties(self):
         cands = make_lists({G00: [0.9, 0.5], G01: [0.7, 0.5]})
@@ -286,6 +408,10 @@ class TestGapExperiment:
     def test_infeasible_cutoff(self, three_group_target):
         with pytest.raises(InfeasibleKError):
             gap_experiment(three_group_target, {G00: 5, G01: 3, G11: 2}, (11,))
+
+    def test_non_integral_pool_rejected(self, three_group_target):
+        with pytest.raises(ConfigError):
+            gap_point(three_group_target, {G00: 30.5, G01: 20, G11: 10}, 10)
 
     def test_csv_layout(self, tmp_path, three_group_target):
         pools = {G00: 60, G01: 40, G11: 30}

@@ -17,6 +17,7 @@ from fairlink.errors import (
     DimensionMismatchError,
     DuplicatePairError,
     MalformedLineError,
+    MissingAttributeError,
     MissingEmbeddingError,
     SelfLoopError,
     UnknownNodeError,
@@ -217,3 +218,17 @@ class TestIngestScores:
         with pytest.raises(SelfLoopError) as exc:
             ingest_scores(path, triangle_graph, [])
         assert exc.value.node == 2 and exc.value.line_no == 3
+
+    @pytest.mark.parametrize(
+        "bad, error, node",
+        [("42\t0\t0.5", UnknownNodeError, 42), ("0\t3\t0.5", MissingAttributeError, 3)],
+    )
+    def test_unknown_or_unattributed_node_names_its_line(self, tmp_path, bad, error, node):
+        # Node 3 exists but has no attribute; node 42 does not exist.
+        graph = SensitiveGraph(4, [(0, 1), (1, 2)], {0: 1, 1: 1, 2: 0})
+        path = tmp_path / "scores.tsv"
+        path.write_text(f"# header\n0\t1\t0.9\n{bad}\n")
+        with pytest.raises(error) as exc:
+            ingest_scores(path, graph, [])
+        assert exc.value.node == node and exc.value.line_no == 3
+        assert "(line 3)" in str(exc.value)
