@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Time the oracle's exact enumeration on three-group multisets.
+
+Runs ``enumerate_ndkl_extremes`` on each multiset of the grid (counts of
+groups 0-0, 0-1 and 1-1 under the target 0.5 / 0.3 / 0.2) and prints one
+JSON object with the best wall time of each and the orderings examined
+per second at that time. The default grid ends at 6/5/3: 14 items, the
+enumeration guard, and 168,168 orderings. Standard library only; the
+code timed is whichever ``fairlink`` is on the path.
+
+Usage (from the repository root):
+  PYTHONPATH=src python scripts/bench_oracle.py
+  PYTHONPATH=src python scripts/bench_oracle.py --counts 5/4/2 4/4/4 --repeats 5
+"""
+
+import argparse
+import json
+import math
+import platform
+import time
+
+from fairlink import GroupDistribution, GroupId, MultisetSpec, enumerate_ndkl_extremes
+
+GROUPS = (GroupId.of(0, 0), GroupId.of(0, 1), GroupId.of(1, 1))
+TARGET = GroupDistribution(dict(zip(GROUPS, (0.5, 0.3, 0.2))))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--counts", nargs="+", default=["5/4/2", "4/4/4", "5/4/3", "6/5/3"],
+        help="multisets as A/B/C counts of groups 0-0, 0-1 and 1-1",
+    )
+    parser.add_argument("--repeats", type=int, default=3, help="runs per multiset; the best is kept")
+    args = parser.parse_args()
+
+    rows = []
+    for text in args.counts:
+        spec = MultisetSpec(dict(zip(GROUPS, (int(c) for c in text.split("/")))))
+        best = math.inf
+        for _ in range(args.repeats):
+            started = time.perf_counter()
+            result = enumerate_ndkl_extremes(spec, TARGET, guard=spec.total)
+            best = min(best, time.perf_counter() - started)
+        assert result.permutations_examined == spec.permutation_count()
+        rows.append({
+            "counts": text,
+            "orderings": result.permutations_examined,
+            "seconds": round(best, 4),
+            "orderings_per_s": round(result.permutations_examined / best),
+        })
+    print(
+        json.dumps(
+            {"python": platform.python_version(), "repeats": args.repeats, "rows": rows},
+            indent=2,
+        )
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -29,7 +29,7 @@ from .graphs import (
     write_split,
 )
 from .io import write_json
-from .oracle import MultisetSpec, enumerate_ndkl_extremes
+from .oracle import ENUMERATION_GUARD, MultisetSpec, enumerate_ndkl_extremes
 from .pipeline import (
     GREEDY,
     RunConfig,
@@ -236,7 +236,9 @@ def cmd_oracle(args) -> int:
     target = parse_target(str(_require(args, config, "target")))
     if not isinstance(target, GroupDistribution):
         raise ConfigError("oracle needs an explicit --target distribution")
-    guard = _pick(args, config, "guard", 14)
+    guard = _pick(args, config, "guard", ENUMERATION_GUARD)
+    if isinstance(guard, bool) or not isinstance(guard, int) or guard < 1:
+        raise ConfigError(f"guard must be an integer >= 1, got {guard!r}")
     result = enumerate_ndkl_extremes(MultisetSpec(counts), target, guard=guard)
     payload = result.as_dict()
     payload["bound"] = ndkl_upper_bound(target.positive())
@@ -380,7 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--counts", help="group counts, e.g. '0-0=5,0-1=3,1-1=2'")
     p.add_argument("--target")
-    p.add_argument("--guard", type=int, help="enumeration size guard (default 14)")
+    p.add_argument(
+        "--guard", type=int, help=f"enumeration size guard (default {ENUMERATION_GUARD})"
+    )
     p.add_argument("--out", help="output JSON report")
     p.set_defaults(func=cmd_oracle)
 

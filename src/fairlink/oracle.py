@@ -2,10 +2,12 @@
 
 Given the multiset of group labels a ranking is made of, every distinct
 permutation is enumerated and scored, yielding the exact minimum and
-maximum achievable divergence. The per-sequence score is recomputed here
-with a deliberately plain, from-scratch-per-prefix formula that shares
-no code with the incremental implementation in ``fairness``: agreement
-between the two paths is itself a checked property.
+maximum achievable divergence. Enumeration walks the permutations as a
+prefix tree and scores each shared prefix once, with the plain formula
+of ``sequence_ndkl``; neither shares code with the incremental
+implementation in ``fairness``, and agreement between the paths is
+itself a checked property. ``sequence_ndkl`` remains the from-scratch
+scorer of one sequence, recounting every prefix.
 
 ``verify_trace`` independently re-derives every step of a greedy merge
 trace and confirms the recorded choice attained the minimal divergence.
@@ -129,6 +131,16 @@ def enumerate_ndkl_extremes(
 ) -> ExtremeResult:
     """Exact divergence extremes over all orderings of the multiset.
 
+    One depth-first walk visits every ordering in the lexicographic
+    order of ``multiset_permutations`` and carries each prefix's
+    discounted divergence sum down to the orderings below it, so a
+    shared prefix is scored once, not once per ordering. A prefix's
+    term depends only on its group counts, so it is computed once per
+    count vector, with ``sequence_ndkl``'s arithmetic: groups in sorted
+    order, ``q * ln(q / p)``, clamped at 0, discounted by
+    ``1 / log2(k + 1)`` and summed in order of k. Each ordering thus
+    scores the same float as under ``sequence_ndkl``.
+
     Guarded at ``guard`` total items (default 14); pass a larger guard
     explicitly to force bigger enumerations. Ties keep the first
     (lexicographically smallest) sequence found.
@@ -139,18 +151,69 @@ def enumerate_ndkl_extremes(
         if count > 0 and target.mass(group) <= 0.0:
             raise ZeroTargetMassError(group)
 
+    groups = sorted(g for g, c in spec.group_counts.items() if c > 0)
+    limits = [spec.group_counts[g] for g in groups]
+    masses = [target.mass(g) for g in groups]
+    width, n = len(groups), spec.total
+    discounts = [1.0 / math.log2(k + 1) for k in range(1, n + 1)]
+    normalizer = 0.0
+    for discount in discounts:
+        normalizer += discount
+    # Count vectors are numbered in mixed radix; `terms` holds each one's
+    # discounted divergence once computed. Every vector within the limits
+    # is some prefix, so the table is never larger than the tree walked.
+    strides = []
+    size = 1
+    for limit in limits:
+        strides.append(size)
+        size *= limit + 1
+    terms: list[float | None] = [None] * size
+
+    counts = [0] * width
+    choice = [-1] * n  # group index placed at each position; -1 before the first
+    vector = [0] * (n + 1)  # count-vector number of each prefix length
+    weighted = [0.0] * (n + 1)  # discounted sum over each prefix length
     best = worst = None
     argmin = argmax = None
     examined = 0
-    for sequence in multiset_permutations(spec.group_counts):
-        value = sequence_ndkl(sequence, target)
+    depth = 0
+    while True:
+        g = choice[depth]
+        if g >= 0:
+            counts[g] -= 1
+        g += 1
+        while g < width and counts[g] == limits[g]:
+            g += 1
+        if g == width:
+            choice[depth] = -1
+            if depth == 0:
+                break
+            depth -= 1
+            continue
+        choice[depth] = g
+        counts[g] += 1
+        k = depth + 1
+        here = vector[k] = vector[depth] + strides[g]
+        term = terms[here]
+        if term is None:
+            kl = 0.0
+            for c, p in zip(counts, masses):
+                if c:
+                    q = c / k
+                    kl += q * math.log(q / p)
+            term = terms[here] = discounts[depth] * max(0.0, kl)
+        weighted[k] = weighted[depth] + term
+        if k < n:
+            depth = k
+            continue
+        value = weighted[n] / normalizer
         examined += 1
         if best is None or value < best:
             best = value
-            argmin = sequence
+            argmin = tuple(groups[j] for j in choice)
         if worst is None or value > worst:
             worst = value
-            argmax = sequence
+            argmax = tuple(groups[j] for j in choice)
     return ExtremeResult(
         min_value=best,
         max_value=worst,

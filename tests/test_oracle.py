@@ -6,6 +6,7 @@ import pytest
 
 from fairlink import (
     GroupDistribution,
+    GroupId,
     MultisetSpec,
     enumerate_ndkl_extremes,
     kl_greedy_merge,
@@ -19,9 +20,59 @@ from fairlink import (
     verify_trace,
 )
 from fairlink.errors import ConfigError, TooLargeError, ZeroTargetMassError
+from fairlink.oracle import ExtremeResult
 from fairlink.rerank import AggregationTrace, TraceStep
 
 from conftest import G00, G01, G11
+
+G02 = GroupId.of(0, 2)
+
+
+def reference_extremes(spec: MultisetSpec, target: GroupDistribution) -> ExtremeResult:
+    """Enumeration as it was before the prefix-sharing walk: every ordering scored from scratch."""
+    best = worst = None
+    argmin = argmax = None
+    examined = 0
+    for sequence in multiset_permutations(spec.group_counts):
+        value = sequence_ndkl(sequence, target)
+        examined += 1
+        if best is None or value < best:
+            best = value
+            argmin = sequence
+        if worst is None or value > worst:
+            worst = value
+            argmax = sequence
+    return ExtremeResult(best, worst, argmin, argmax, examined)
+
+
+def differential_cases() -> list[tuple[dict, GroupDistribution]]:
+    """Seeded multisets of 1-4 groups and up to 10 items, under three kinds of target.
+
+    Counts may be zero. Targets cycle through random masses, the uniform
+    target and integer weights 1-2 over their sum; the last two give
+    groups equal masses, so orderings tie exactly. Multisets with more
+    than 3,000 orderings are redrawn to keep the naive reference quick.
+    """
+    rnd = random.Random(20261018)
+    groups = (G00, G01, G02, G11)
+    cases = []
+    while len(cases) < 60:
+        width = 1 + len(cases) % 4
+        counts = {g: rnd.randint(0, 12 // width) for g in groups[:width]}
+        if not 0 < sum(counts.values()) <= 10:
+            continue
+        if MultisetSpec(counts).permutation_count() > 3000:
+            continue
+        kind = len(cases) % 3
+        if kind == 0:
+            weights = [rnd.random() + 0.05 for _ in range(width)]
+        elif kind == 1:
+            weights = [1.0] * width
+        else:
+            weights = [float(rnd.randint(1, 2)) for _ in range(width)]
+        total = sum(weights)
+        cases.append((counts, GroupDistribution({g: w / total for g, w in zip(groups, weights)})))
+    return cases
 
 
 class TestMultisetPermutations:
@@ -110,6 +161,33 @@ class TestEnumerateExtremes:
             MultisetSpec({G00: 8, G01: 7}), uniform_pair_target, guard=15
         )
         assert result.permutations_examined == math.comb(15, 7)
+
+
+class TestEnumerationMatchesReference:
+    """The prefix-sharing walk gives the naive loop's result, float for float."""
+
+    @pytest.mark.parametrize("counts, target", differential_cases())
+    def test_seeded_multisets(self, counts, target):
+        spec = MultisetSpec(counts)
+        assert enumerate_ndkl_extremes(spec, target) == reference_extremes(spec, target)
+
+    def test_at_the_guard(self):
+        # 14 items; the two rarer groups have equal counts and masses, so they tie.
+        spec = MultisetSpec({G00: 10, G01: 2, G11: 2})
+        target = GroupDistribution({G00: 0.5, G01: 0.25, G11: 0.25})
+        result = enumerate_ndkl_extremes(spec, target, guard=14)
+        assert result.permutations_examined == 6006
+        assert result == reference_extremes(spec, target)
+
+    def test_ties_keep_the_first_ordering_found(self):
+        # Two groups with equal counts and masses: each ordering ties with its mirror image.
+        target = GroupDistribution({G00: 0.5, G01: 0.5})
+        for count in range(1, 6):
+            result = enumerate_ndkl_extremes(MultisetSpec({G00: count, G01: count}), target)
+            for found, value in ((result.argmin, result.min_value), (result.argmax, result.max_value)):
+                mirror = tuple(G01 if g == G00 else G00 for g in found)
+                assert sequence_ndkl(mirror, target) == value
+                assert found < mirror
 
 
 class TestVerifyTrace:

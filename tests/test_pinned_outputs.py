@@ -3,7 +3,8 @@
 A small CLI session (split, score three ways, rerank at two weights,
 eval, pipeline) runs on a graph generated with the standard library's
 ``random`` only, so the input does not depend on numpy's generator
-stream. Every output file is hashed with its timestamp blanked and
+stream. A second session runs the oracle on two multisets, one of them
+at the enumeration guard. Every output file is hashed with its timestamp blanked and
 compared with the pinned digests below. A refactor that must not change
 outputs keeps this test green; a change that is meant to alter outputs
 re-pins the digests and says so.
@@ -51,6 +52,12 @@ PINNED = {
 }
 
 
+PINNED_ORACLE = {
+    "oracle_guard.json": "f9869908b644072388e5164650d086a0660792a7c07194d7eb9d728cc3d603ba",
+    "oracle_tied.json": "0f09afa6425ef3b739dd9219e1c52bde420de481de8a704fcd9be7415603e8e0",
+}
+
+
 def write_graph(root: Path) -> None:
     """Three attribute values (60/45/30 nodes), intra p = 0.12, inter p = 0.03."""
     rng = random.Random(20261018)
@@ -92,6 +99,24 @@ def session_digests(root: Path) -> dict[str, str]:
         "pipeline", *graph, "--seed", 3, "--repeats", 2, "--k", 20, 60,
         "--output-size", 100, "--out", "runs",
     )
+    return output_digests(root)
+
+
+def oracle_digests(root: Path) -> dict[str, str]:
+    # A uniform target over two equal counts ties every ordering with its
+    # mirror image, so the first-found argmin/argmax rule is pinned too.
+    run(
+        "oracle", "--counts", "0-0=3,0-1=3", "--target", "0-0=0.5,0-1=0.5",
+        "--out", "oracle_tied.json",
+    )
+    run(
+        "oracle", "--counts", "0-0=9,0-1=3,1-1=2", "--target", "0-0=0.6,0-1=0.25,1-1=0.15",
+        "--guard", 14, "--out", "oracle_guard.json",
+    )
+    return output_digests(root)
+
+
+def output_digests(root: Path) -> dict[str, str]:
     inputs = {"edges.tsv", "attrs.tsv"}
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(
@@ -108,3 +133,9 @@ def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch):
     write_graph(tmp_path)
     digests = session_digests(tmp_path)
     assert digests == PINNED
+
+
+def test_oracle_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    assert oracle_digests(tmp_path) == PINNED_ORACLE

@@ -431,6 +431,15 @@ class TestCli:
             "--k-grid", 10, "--out", tmp_path / "g.csv",
         ) == 2
         assert not (tmp_path / "o.json").exists() and not (tmp_path / "g.csv").exists()
+        # 2: an oracle guard that is not an integer >= 1, from a flag or a
+        # config file, is rejected before any enumeration
+        oracle = ("oracle", "--counts", "0-0=2,0-1=1", "--target", "0-0=0.5,0-1=0.5")
+        for guard in (-1, 0):
+            assert self.run(*oracle, "--guard", guard, "--out", tmp_path / "o.json") == 2
+        for guard in ("abc", 2.5, 3.0, True, None):
+            config_path.write_text(json.dumps({"guard": guard}))
+            assert self.run(*oracle, "--config", config_path, "--out", tmp_path / "o.json") == 2
+        assert not (tmp_path / "o.json").exists()
         # 2: an output size or a cutoff below 1 is reported before any input
         # file is read
         for n in (0, -1):
