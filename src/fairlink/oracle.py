@@ -157,7 +157,7 @@ def enumerate_ndkl_extremes(
     width, n = len(groups), spec.total
     discounts = [1.0 / math.log2(k + 1) for k in range(1, n + 1)]
     normalizer = 0.0
-    for discount in discounts:
+    for discount in discounts:  # not sum(): from Python 3.12 it compensates rounding
         normalizer += discount
     # Count vectors are numbered in mixed radix; `terms` holds each one's
     # discounted divergence once computed. Every vector within the limits

@@ -184,7 +184,8 @@ class TestEnumerationMatchesReference:
         target = GroupDistribution({G00: 0.5, G01: 0.5})
         for count in range(1, 6):
             result = enumerate_ndkl_extremes(MultisetSpec({G00: count, G01: count}), target)
-            for found, value in ((result.argmin, result.min_value), (result.argmax, result.max_value)):
+            extremes = ((result.argmin, result.min_value), (result.argmax, result.max_value))
+            for found, value in extremes:
                 mirror = tuple(G01 if g == G00 else G00 for g in found)
                 assert sequence_ndkl(mirror, target) == value
                 assert found < mirror

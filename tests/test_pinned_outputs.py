@@ -4,10 +4,10 @@ A small CLI session (split, score three ways, rerank at two weights,
 eval, pipeline) runs on a graph generated with the standard library's
 ``random`` only, so the input does not depend on numpy's generator
 stream. A second session runs the oracle on two multisets, one of them
-at the enumeration guard. Every output file is hashed with its timestamp blanked and
-compared with the pinned digests below. A refactor that must not change
-outputs keeps this test green; a change that is meant to alter outputs
-re-pins the digests and says so.
+at the enumeration guard. Every output file is hashed with its
+timestamp blanked and compared with the pinned digests below. A
+refactor that must not change outputs keeps this test green; a change
+that is meant to alter outputs re-pins the digests and says so.
 """
 
 import hashlib
