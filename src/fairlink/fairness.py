@@ -45,9 +45,10 @@ class Ranking:
         object.__setattr__(self, "entries", tuple(self.entries))
         seen = set()
         for cand in self.entries:
-            if cand.pair in seen:
-                raise DuplicatePairError(cand.pair)
-            seen.add(cand.pair)
+            pair = cand[:2]  # (u, v), as the ``pair`` property gives it, without the call
+            if pair in seen:
+                raise DuplicatePairError(pair)
+            seen.add(pair)
 
     def __len__(self) -> int:
         return len(self.entries)

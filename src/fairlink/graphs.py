@@ -12,6 +12,8 @@ import copy
 import itertools
 import math
 import random
+import threading
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -57,6 +59,12 @@ class GroupId(NamedTuple):
         return cls.of(int(lo), int(hi))
 
 
+# Guards every graph's lazily built adjacency. One lock for all graphs keeps
+# a graph copyable and picklable; the builds are pure Python, so the
+# interpreter lock would serialize them anyway.
+_ADJACENCY_LOCK = threading.Lock()
+
+
 def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
 
@@ -65,11 +73,24 @@ class SensitiveGraph:
     """Undirected graph with a categorical sensitive attribute per node.
 
     Immutable after construction and safe to share across concurrent
-    readers. Adjacency, sorted edges per group and sorted nodes per value
-    are computed once; a subgraph reuses its parent's attributes and groups.
+    readers. Sorted edges per group and sorted nodes per value are
+    computed once, at construction; a subgraph reuses its parent's
+    attributes and groups. The adjacency of each group's edges, and the
+    pooled adjacency derived from those, are built on first use, under a
+    lock, so at most once per graph; each is published by one assignment
+    of a complete table. A graph used only for its groups builds no
+    adjacency.
     """
 
-    __slots__ = ("node_count", "edges", "sensitive", "_adjacency", "_edge_groups", "_value_nodes")
+    __slots__ = (
+        "node_count",
+        "edges",
+        "sensitive",
+        "_edge_groups",
+        "_value_nodes",
+        "_group_adjacency",
+        "_adjacency",
+    )
 
     def __init__(
         self,
@@ -95,16 +116,33 @@ class SensitiveGraph:
             if e not in canonical:
                 canonical.add(e)
                 grouped.setdefault(edge_group(self, u, v), []).append(e)
-        self._index(grouped, canonical)
+        self._index({g: sorted(grouped[g]) for g in sorted(grouped)}, canonical)
 
     def _index(self, grouped: Mapping[GroupId, list[Edge]], edges: set[Edge]) -> None:
-        """Store the non-empty groups' sorted edges, the edge set and the adjacency."""
-        self._edge_groups = {g: sorted(grouped[g]) for g in sorted(grouped) if grouped[g]}
+        """Store the non-empty groups' edges (given sorted) and the edge set; no adjacency yet."""
+        self._edge_groups = {g: bucket for g, bucket in grouped.items() if bucket}
         self.edges = frozenset(edges)  # copied from a set, its table is sized exactly
-        self._adjacency = {}
-        for a, b in itertools.chain.from_iterable(self._edge_groups.values()):
-            self._adjacency.setdefault(a, set()).add(b)
-            self._adjacency.setdefault(b, set()).add(a)
+        self._group_adjacency = self._adjacency = None
+
+    def adjacency(self, group: GroupId | None = None) -> Mapping[int, set[int]]:
+        """Neighbor sets by node, over ``group``'s edges alone or (``None``) all edges.
+
+        Nodes without such an edge are absent. Treat as read-only.
+        """
+        with _ADJACENCY_LOCK:
+            if self._group_adjacency is None:
+                self._group_adjacency = {
+                    g: _neighbor_sets(bucket) for g, bucket in self._edge_groups.items()
+                }
+            if group is not None:
+                return self._group_adjacency.get(group, {})
+            if self._adjacency is None:
+                pooled = defaultdict(set)
+                for table in self._group_adjacency.values():
+                    for node, neighbors in table.items():
+                        pooled[node] |= neighbors
+                self._adjacency = dict(pooled)
+            return self._adjacency
 
     def __repr__(self) -> str:
         return (
@@ -124,7 +162,7 @@ class SensitiveGraph:
         """Neighbor set of ``v``; treat as read-only."""
         if not (0 <= v < self.node_count):
             raise UnknownNodeError(v)
-        return self._adjacency.get(v, set())
+        return self.adjacency().get(v, set())
 
     def group_universe(self) -> tuple[GroupId, ...]:
         """All groups expressible with this graph's attribute values."""
@@ -152,8 +190,17 @@ class SensitiveGraph:
         if foreign := subset - self.edges:
             raise UnknownEdgeError(min(foreign))
         sub = copy.copy(self)
+        # Filtering a sorted bucket keeps it sorted.
         sub._index({g: [e for e in b if e in subset] for g, b in self._edge_groups.items()}, subset)
         return sub
+
+
+def _neighbor_sets(edges: Iterable[Edge]) -> dict[int, set[int]]:
+    table = defaultdict(set)
+    for a, b in edges:
+        table[a].add(b)
+        table[b].add(a)
+    return dict(table)
 
 
 def edge_group(graph: SensitiveGraph, u: int, v: int) -> GroupId:
@@ -354,20 +401,24 @@ def sample_negatives(
     graph: SensitiveGraph,
     per_group: Mapping[GroupId, int],
     seed: int = 0,
-) -> frozenset[Edge]:
+) -> dict[GroupId, frozenset[Edge]]:
     """Uniformly sample the requested number of non-edges for each group.
 
-    No duplicates, deterministic per seed. Rejection sampling is used when
-    the request is a small fraction of the available non-edges; otherwise
-    the group's non-edges are enumerated and sampled directly.
+    Returns each requested group's canonical non-edges, keyed by group
+    (an empty set for a request of 0). No duplicates, deterministic per
+    seed: groups draw from one ``random.Random(seed)`` in sorted order.
+    Rejection sampling is used when the request is a small fraction of
+    the available non-edges; otherwise the group's non-edges are
+    enumerated and sampled directly.
     """
     rng = random.Random(seed)
-    chosen: set[Edge] = set()
+    chosen: dict[GroupId, frozenset[Edge]] = {}
 
     for group, requested in sorted(per_group.items()):
         if requested < 0:
             raise ConfigError(f"negative request {requested} for group {group}")
         if requested == 0:
+            chosen[group] = frozenset()
             continue
         capacity = graph.group_pair_capacity(group)
         available = capacity - len(graph._edge_groups.get(group, ()))
@@ -379,7 +430,7 @@ def sample_negatives(
 
         if capacity <= _ENUMERATION_LIMIT and requested * 3 > available:
             pool = _enumerate_non_edges(graph, group, bucket_lo, bucket_hi)
-            chosen.update(rng.sample(pool, requested))
+            chosen[group] = frozenset(rng.sample(pool, requested))
             continue
 
         picked: set[Edge] = set()
@@ -403,9 +454,9 @@ def sample_negatives(
                 if p not in picked
             ]
             picked.update(rng.sample(pool, requested - len(picked)))
-        chosen.update(picked)
+        chosen[group] = frozenset(picked)
 
-    return frozenset(chosen)
+    return chosen
 
 
 def _enumerate_non_edges(
@@ -418,7 +469,7 @@ def _enumerate_non_edges(
         pairs = itertools.combinations(bucket_lo, 2)
     else:
         pairs = itertools.product(bucket_lo, bucket_hi)
-    return [canonical_edge(u, v) for u, v in pairs if canonical_edge(u, v) not in graph.edges]
+    return [e for e in itertools.starmap(canonical_edge, pairs) if e not in graph.edges]
 
 
 # --- file formats -----------------------------------------------------------

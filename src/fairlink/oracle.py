@@ -73,26 +73,40 @@ class ExtremeResult:
 
 
 def multiset_permutations(counts: Mapping[GroupId, int]) -> Iterator[tuple[GroupId, ...]]:
-    """All distinct orderings of the multiset, in lexicographic order."""
+    """All distinct orderings of the multiset, in lexicographic order.
+
+    A depth-first walk with an explicit stack, as in
+    ``enumerate_ndkl_extremes``: ``choice[d]`` is the index of the group
+    at position d, advanced to the next group with items left.
+    """
     items = sorted(g for g, c in counts.items() if c > 0)
-    remaining = {g: counts[g] for g in items}
-    total = sum(remaining.values())
-    prefix: list[GroupId] = []
-
-    def recurse() -> Iterator[tuple[GroupId, ...]]:
-        if len(prefix) == total:
-            yield tuple(prefix)
-            return
-        for g in items:
-            if remaining[g] == 0:
-                continue
-            remaining[g] -= 1
-            prefix.append(g)
-            yield from recurse()
-            prefix.pop()
-            remaining[g] += 1
-
-    yield from recurse()
+    limits = [counts[g] for g in items]
+    width, total = len(items), sum(limits)
+    if total == 0:
+        yield ()
+        return
+    placed = [0] * width
+    choice = [-1] * total
+    depth = 0
+    while True:
+        g = choice[depth]
+        if g >= 0:
+            placed[g] -= 1
+        g += 1
+        while g < width and placed[g] == limits[g]:
+            g += 1
+        if g == width:
+            choice[depth] = -1
+            if depth == 0:
+                return
+            depth -= 1
+            continue
+        choice[depth] = g
+        placed[g] += 1
+        if depth + 1 < total:
+            depth += 1
+        else:
+            yield tuple(map(items.__getitem__, choice))
 
 
 def sequence_ndkl(labels: Sequence[GroupId], target: GroupDistribution) -> float:

@@ -233,20 +233,24 @@ def build_candidates(
     test_edges,
     seed: int,
 ) -> GroupedCandidateSet:
-    """Per-group pools: test positives plus sampled non-edges, scored on ``train_graph``."""
-    positives = frozenset(test_edges)
-    per_group = {
-        g: round(len(edges) * config.negatives_per_positive)
-        for g, edges in graph.subgraph_with_edges(positives).edges_by_group().items()
-    }
-    negatives = sample_negatives(graph, per_group, seed=seed)
+    """Per-group pools: test positives plus sampled non-edges, scored on ``train_graph``.
+
+    Each pair is born in its group: the positives come from the graph's
+    own group buckets and the negatives are sampled per group.
+    """
+    positives = graph.subgraph_with_edges(test_edges).edges_by_group()
+    negatives = sample_negatives(
+        graph,
+        {g: round(len(edges) * config.negatives_per_positive) for g, edges in positives.items()},
+        seed=seed,
+    )
     embeddings = load_embeddings(config.embeddings_path) if config.embeddings_path else None
     return score_candidates(
         train_graph,
-        sorted(positives | negatives),
+        {g: edges + list(negatives[g]) for g, edges in positives.items()},
         config.scorer,
         decoupled=config.decoupled,
-        positives=positives,
+        positives=frozenset(test_edges),
         embeddings=embeddings,
     )
 

@@ -64,17 +64,17 @@ class GroupedCandidateSet:
         seen: set[Edge] = set()
         for group, candidates in self.lists.items():
             previous = math.inf
-            for cand in candidates:
-                if cand.group != group:
-                    raise ConfigError(f"candidate {cand.pair} routed to wrong group {group}")
-                if not math.isfinite(cand.score):
-                    raise ConfigError(f"non-finite score for {cand.pair}")
-                if cand.score > previous:
+            for u, v, score, cand_group, _ in candidates:
+                if cand_group != group:
+                    raise ConfigError(f"candidate {(u, v)} routed to wrong group {group}")
+                if not math.isfinite(score):
+                    raise ConfigError(f"non-finite score for {(u, v)}")
+                if score > previous:
                     raise ConfigError(f"list for group {group} is not sorted by score")
-                previous = cand.score
-                if cand.pair in seen:
-                    raise DuplicatePairError(cand.pair)
-                seen.add(cand.pair)
+                previous = score
+                if (u, v) in seen:
+                    raise DuplicatePairError((u, v))
+                seen.add((u, v))
 
     @classmethod
     def from_candidates(cls, candidates: Iterable[ScoredCandidate]) -> "GroupedCandidateSet":
@@ -101,29 +101,33 @@ class GroupedCandidateSet:
 # --- topological heuristics --------------------------------------------------
 
 
-def _heuristic(scorer: str, neighbors: Callable[[int], set[int]], u: int, v: int) -> float:
-    """Common-neighbors count or Adamic-Adar sum; ``neighbors(w)`` is w's neighbor set.
+def _pair_scorer(scorer: str, adjacency: Mapping[int, set[int]]) -> Callable[[int, int], float]:
+    """Common-neighbors count or Adamic-Adar sum of a pair, over ``adjacency``.
 
     A shared neighbor is adjacent to both endpoints, so its degree is at
-    least 2 and the logarithm is strictly positive. ``math.fsum`` is
-    exactly rounded, so the sum does not depend on set iteration order.
+    least 2 and the logarithm is strictly positive: the Adamic-Adar weight
+    1/ln(deg) is taken once per node of degree 2 or more. ``math.fsum`` is
+    exactly rounded, so the sum does not depend on set iteration order,
+    and equals the one ``adamic_adar`` gives for the same neighbor sets.
     """
-    shared = neighbors(u) & neighbors(v)
+    empty: frozenset[int] = frozenset()
     if scorer == "common_neighbors":
-        return float(len(shared))
-    return math.fsum(1.0 / math.log(len(neighbors(w))) for w in shared)
+        return lambda u, v: float(len(adjacency.get(u, empty) & adjacency.get(v, empty)))
+    weight = {w: 1.0 / math.log(len(ns)) for w, ns in adjacency.items() if len(ns) > 1}.__getitem__
+    return lambda u, v: math.fsum(map(weight, adjacency.get(u, empty) & adjacency.get(v, empty)))
 
 
 def common_neighbors(graph: SensitiveGraph, u: int, v: int) -> float:
     """Number of shared neighbors of u and v."""
     edge_group(graph, u, v)
-    return _heuristic("common_neighbors", graph.neighbors, u, v)
+    return float(len(graph.neighbors(u) & graph.neighbors(v)))
 
 
 def adamic_adar(graph: SensitiveGraph, u: int, v: int) -> float:
     """Sum of 1/ln(deg(w)) over shared neighbors w of u and v."""
     edge_group(graph, u, v)
-    return _heuristic("adamic_adar", graph.neighbors, u, v)
+    shared = graph.neighbors(u) & graph.neighbors(v)
+    return math.fsum(1.0 / math.log(len(graph.neighbors(w))) for w in shared)
 
 
 # --- embedding scoring --------------------------------------------------------
@@ -174,20 +178,25 @@ def load_embeddings(path: str | Path) -> dict[int, tuple[float, ...]]:
 
 def score_candidates(
     graph: SensitiveGraph,
-    candidates: Iterable[Edge],
+    candidates: Mapping[GroupId, Iterable[Edge]],
     scorer: str = "adamic_adar",
     *,
     decoupled: bool = False,
     positives: frozenset[Edge] | set[Edge] = frozenset(),
     embeddings: Mapping[int, Sequence[float]] | None = None,
 ) -> GroupedCandidateSet:
-    """Score candidate pairs and route each to its group's sorted list.
+    """Score each group's candidate pairs into that group's sorted list.
 
+    ``candidates`` maps a group to the pairs filed under it. Each pair
+    is checked with ``edge_group`` against its key: an unknown or
+    unattributed endpoint, a self-loop or a pair filed under the wrong
+    group is rejected; ``GroupedCandidateSet`` rejects duplicates.
     ``graph`` supplies the structure the heuristics read (pass the
     training graph to avoid leakage). With ``decoupled=True`` a heuristic
-    sees only edges of the candidate's own group, mirroring one scorer
-    per group; embedding scores are unaffected by the flag because the
-    vectors are ingested as-is.
+    sees only the graph's adjacency of the candidate's own group,
+    mirroring one scorer per group; embedding scores are unaffected by
+    the flag because the vectors are ingested as-is. A pair is relevant
+    when it is in ``positives``.
     """
     if scorer not in SCORERS:
         raise ConfigError(f"unknown scorer {scorer!r}; choose one of {SCORERS}")
@@ -195,29 +204,27 @@ def score_candidates(
         raise ConfigError("scorer 'embedding' requires embeddings")
 
     positives = {canonical_edge(u, v) for u, v in positives}
-    # Decoupled heuristics read each group's own adjacency, built in one pass.
-    restricted: dict[GroupId, dict[int, set[int]]] = {}
-    if decoupled and scorer in HEURISTIC_SCORERS:
-        for group, edges in graph.edges_by_group().items():
-            adjacency = restricted[group] = {}
-            for a, b in edges:
-                adjacency.setdefault(a, set()).add(b)
-                adjacency.setdefault(b, set()).add(a)
-    scored: list[ScoredCandidate] = []
-    for u, v in candidates:
-        pair = canonical_edge(u, v)
-        # edge_group checks each caller's pair; GroupedCandidateSet rejects duplicates.
-        group = edge_group(graph, *pair)
-        if scorer == "embedding":
-            value = embedding_dot(embeddings, *pair)
-        elif decoupled:
-            own = restricted.get(group, {})
-            value = _heuristic(scorer, lambda node: own.get(node, set()), *pair)
-        else:
-            value = _heuristic(scorer, graph.neighbors, *pair)
-        scored.append(ScoredCandidate(pair[0], pair[1], value, group, pair in positives))
-
-    return GroupedCandidateSet.from_candidates(scored)
+    groups = sorted(candidates)
+    if scorer == "embedding":
+        scores = dict.fromkeys(groups, lambda u, v: embedding_dot(embeddings, u, v))
+    elif decoupled:
+        scores = {group: _pair_scorer(scorer, graph.adjacency(group)) for group in groups}
+    else:
+        scores = dict.fromkeys(groups, _pair_scorer(scorer, graph.adjacency()))
+    lists: dict[GroupId, list[ScoredCandidate]] = {}
+    for group in groups:
+        score = scores[group]
+        bucket = []
+        for u, v in candidates[group]:
+            u, v = canonical_edge(u, v)
+            # edge_group checks each caller's pair against the group it is filed under.
+            if (actual := edge_group(graph, u, v)) != group:
+                raise ConfigError(f"pair {(u, v)} of group {actual} filed under group {group}")
+            bucket.append(ScoredCandidate(u, v, score(u, v), group, (u, v) in positives))
+        if bucket:
+            bucket.sort(key=_sort_key)
+            lists[group] = bucket
+    return GroupedCandidateSet(lists)
 
 
 def ingest_scores(

@@ -1,7 +1,11 @@
+import hashlib
 import itertools
 import json
 import math
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -154,6 +158,7 @@ def graph_view(graph: SensitiveGraph) -> dict:
         "edges": graph.edges,
         "edges_by_group": graph.edges_by_group(),
         "neighbors": [set(graph.neighbors(v)) for v in range(graph.node_count)],
+        "adjacency": {g: dict(graph.adjacency(g)) for g in (None, *universe)},
         "universe": universe,
         "nodes_with_attribute": {value: graph.nodes_with_attribute(value) for value in values},
         "capacity": {g: graph.group_pair_capacity(g) for g in universe},
@@ -182,6 +187,58 @@ class TestSubgraph:
         reference = SensitiveGraph(graph.node_count, subset, graph.sensitive)
         assert graph_view(sub) == graph_view(reference)
         assert graph_view(graph) == before
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subgraph_of_a_graph_with_filled_adjacencies(self, seed):
+        # The parent's lazily built tables must neither leak into the
+        # subgraph nor be changed by it.
+        graph = self.parent()
+        graph.adjacency()
+        for group in graph.group_universe():
+            graph.adjacency(group)
+        rng = random.Random(seed)
+        subset = rng.sample(sorted(graph.edges), rng.randint(0, len(graph.edges)))
+        sub = graph.subgraph_with_edges(subset)
+        reference = SensitiveGraph(graph.node_count, subset, graph.sensitive)
+        assert graph_view(sub) == graph_view(reference)
+        assert graph_view(graph) == graph_view(self.parent())
+        assert graph_view(pickle.loads(pickle.dumps(sub))) == graph_view(reference)
+
+    def test_pooled_adjacency_is_the_union_of_the_groups(self):
+        graph = self.parent()
+        pooled = {}
+        for u, v in graph.edges:
+            pooled.setdefault(u, set()).add(v)
+            pooled.setdefault(v, set()).add(u)
+        assert graph.adjacency() == pooled
+        for group, edges in graph.edges_by_group().items():
+            assert sum(map(len, graph.adjacency(group).values())) == 2 * len(edges)
+        assert graph.adjacency(GroupId.of(1, 2)) == {}
+
+    @pytest.mark.parametrize("round_", range(5))
+    def test_adjacency_is_built_once_under_concurrent_readers(self, round_):
+        # A second build would publish a second table, which some reader would hold.
+        graph = graph_with_group_edge_counts({G00: 3000, G01: 2000, G11: 1000})
+        results = []
+        barrier = threading.Barrier(8)
+
+        def read():
+            barrier.wait(timeout=10)
+            results.append((graph.adjacency(), graph.adjacency(G01)))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        assert all(pooled is results[0][0] and own is results[0][1] for pooled, own in results)
 
     def test_full_and_empty_subsets(self):
         graph = self.parent()
@@ -316,6 +373,11 @@ class TestStratifiedSplit:
             stratified_split(triangle_graph, (0.5, 0.5, 0.5), seed=0)
 
 
+def union(keyed: dict) -> frozenset:
+    """All pairs of a group-keyed sample."""
+    return frozenset().union(*keyed.values())
+
+
 class TestSampleNegatives:
     def test_complete_graph_has_no_non_edges(self):
         nodes = {i: 0 for i in range(5)}
@@ -325,7 +387,7 @@ class TestSampleNegatives:
 
     def test_only_candidate_pair(self):
         graph = SensitiveGraph(4, [], {0: 1, 1: 1, 2: 0, 3: 0})
-        got = sample_negatives(graph, {G11: 1}, seed=0)
+        got = union(sample_negatives(graph, {G11: 1}, seed=0))
         assert got == frozenset({(0, 1)})
 
     def test_membership_recheck_oracle(self):
@@ -338,7 +400,7 @@ class TestSampleNegatives:
             edges.add((min(u, v), max(u, v)))
         graph = SensitiveGraph(1000, edges, attrs)
         request = {G00: 500, G01: 500, G11: 500}
-        got = sample_negatives(graph, request, seed=21)
+        got = union(sample_negatives(graph, request, seed=21))
         assert len(got) == 1500
         counts = {g: 0 for g in request}
         for u, v in got:
@@ -353,11 +415,54 @@ class TestSampleNegatives:
         b = sample_negatives(graph, {G00: 7, G11: 3}, seed=5)
         assert a == b
 
+    @staticmethod
+    def random_graph(seed: int, nodes: int, edges: int, values: int) -> SensitiveGraph:
+        rnd = random.Random(seed)
+        attrs = {i: rnd.randrange(values) for i in range(nodes)}
+        chosen = set()
+        while len(chosen) < edges:
+            u, v = rnd.sample(range(nodes), 2)
+            chosen.add((min(u, v), max(u, v)))
+        return SensitiveGraph(nodes, chosen, attrs)
+
+    # sha256 prefixes of repr(sorted(pairs)) for the frozenset that
+    # sample_negatives returned before it keyed its pairs by group. Case 0
+    # samples by rejection; case 1 enumerates 0-0 and 0-1, rejects for
+    # 1-2 and requests nothing of 2-2.
+    PINNED = {
+        (0, 0): "2e55377d70b39aa3",
+        (0, 1): "4435d5e69725a39e",
+        (0, 17): "8c33843af5ad5ae4",
+        (1, 0): "fae034c7a02a4429",
+        (1, 1): "931582d4afa57bb5",
+        (1, 17): "bfbb41986f176429",
+    }
+
+    def pinned_cases(self):
+        return [
+            (self.random_graph(11, 1000, 3000, 2), {G00: 500, G01: 500, G11: 500}),
+            (
+                self.random_graph(12, 60, 700, 3),
+                {G00: 100, G01: 150, GroupId.of(1, 2): 40, GroupId.of(2, 2): 0},
+            ),
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_keyed_union_matches_the_flat_draws(self, seed):
+        for case, (graph, request) in enumerate(self.pinned_cases()):
+            got = sample_negatives(graph, request, seed=seed)
+            digest = hashlib.sha256(repr(sorted(union(got))).encode()).hexdigest()[:16]
+            assert digest == self.PINNED[case, seed]
+            assert got.keys() == request.keys()
+            for group, pairs in got.items():
+                assert len(pairs) == request[group]
+                assert all(edge_group(graph, u, v) == group for u, v in pairs)
+
     def test_exhaustive_request_succeeds(self):
         # Request every available non-edge; forces the enumeration path.
         graph = SensitiveGraph(6, [(0, 1)], {i: 0 for i in range(6)})
         available = 6 * 5 // 2 - 1
-        got = sample_negatives(graph, {G00: available}, seed=2)
+        got = union(sample_negatives(graph, {G00: available}, seed=2))
         assert len(got) == available
 
 

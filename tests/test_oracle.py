@@ -1,3 +1,5 @@
+import gc
+import itertools
 import math
 import random
 from collections import Counter
@@ -97,6 +99,31 @@ class TestMultisetPermutations:
     def test_zero_counts_skipped(self):
         sequences = list(multiset_permutations({G00: 2, G01: 0}))
         assert sequences == [(G00, G00)]
+
+    def test_equals_sorted_brute_force(self):
+        rnd = random.Random(8)
+        groups = (G00, G01, G02, G11)
+        for _ in range(40):
+            counts = {g: rnd.randint(0, 3) for g in groups[: rnd.randint(1, 4)]}
+            if sum(counts.values()) > 8:
+                continue
+            labels = [g for g, c in counts.items() for _ in range(c)]
+            brute = sorted(set(itertools.permutations(labels)))
+            assert list(multiset_permutations(counts)) == brute
+
+    def test_leaves_no_reference_cycle(self):
+        counts = {G00: 2, G01: 2, G11: 1}
+        gc.collect()
+        gc.disable()
+        try:
+            list(multiset_permutations(counts))
+            partial = multiset_permutations(counts)
+            next(partial)
+            del partial
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
 
 
 class TestSequenceNdkl:

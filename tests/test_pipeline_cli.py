@@ -125,6 +125,24 @@ class TestRunSingle:
         run_single(small_config(dataset, tmp_path), seed=3, graph=graph)
         assert len(calls) == built[0].total() > 0
 
+    @pytest.mark.parametrize("decoupled", [True, False])
+    def test_graphs_read_for_groups_build_no_adjacency(self, dataset, tmp_path, monkeypatch, decoupled):
+        # Only the train graph is scored; the loaded graph and the test
+        # positives are read for their group buckets alone.
+        graph = load_graph(dataset["edges"], dataset["attrs"])
+        subgraphs = []
+        restrict = fairlink.graphs.SensitiveGraph.subgraph_with_edges
+        def recorded(self, edges):
+            subgraphs.append(restrict(self, edges))
+            return subgraphs[-1]
+        monkeypatch.setattr(fairlink.graphs.SensitiveGraph, "subgraph_with_edges", recorded)
+        run_single(small_config(dataset, tmp_path, decoupled=decoupled), seed=3, graph=graph)
+        train, positives = subgraphs
+        for unscored in (graph, positives):
+            assert unscored._group_adjacency is None and unscored._adjacency is None
+        assert train._group_adjacency is not None
+        assert (train._adjacency is None) == decoupled
+
     def test_zero_target_mass_surfaces(self, dataset, tmp_path):
         config = small_config(
             dataset, tmp_path, target={"0-0": 1.0, "0-1": 0.0, "1-1": 0.0}

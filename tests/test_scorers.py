@@ -1,12 +1,17 @@
 import math
+import random
 
 import pytest
 
 from fairlink import (
+    GroupedCandidateSet,
     GroupId,
+    ScoredCandidate,
     SensitiveGraph,
     adamic_adar,
+    canonical_edge,
     common_neighbors,
+    edge_group,
     embedding_dot,
     ingest_scores,
     load_embeddings,
@@ -100,15 +105,23 @@ def mixed_graph() -> SensitiveGraph:
     )
 
 
+def keyed(graph: SensitiveGraph, pairs) -> dict[GroupId, list]:
+    """Pairs filed under their own groups, in input order."""
+    out: dict[GroupId, list] = {}
+    for u, v in pairs:
+        out.setdefault(edge_group(graph, u, v), []).append((u, v))
+    return out
+
+
 class TestScoreCandidates:
     def test_empty_candidates(self, triangle_graph):
-        result = score_candidates(triangle_graph, [])
+        result = score_candidates(triangle_graph, {})
         assert result.total() == 0
 
     def test_routing_and_sorting(self):
         graph = mixed_graph()
         result = score_candidates(
-            graph, [(0, 1), (2, 3), (0, 3)], scorer="common_neighbors"
+            graph, keyed(graph, [(0, 1), (2, 3), (0, 3)]), scorer="common_neighbors"
         )
         for group, bucket in result.lists.items():
             scores = [c.score for c in bucket]
@@ -121,8 +134,8 @@ class TestScoreCandidates:
             6, [(0, 1), (1, 2), (3, 4), (4, 5)], {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
         )
         pairs = [(0, 2), (3, 5)]
-        plain = score_candidates(graph, pairs, "common_neighbors", decoupled=False)
-        restricted = score_candidates(graph, pairs, "common_neighbors", decoupled=True)
+        plain = score_candidates(graph, keyed(graph, pairs), "common_neighbors", decoupled=False)
+        restricted = score_candidates(graph, keyed(graph, pairs), "common_neighbors", decoupled=True)
         for group in plain.groups():
             assert [c.score for c in plain.lists[group]] == [
                 c.score for c in restricted.lists[group]
@@ -137,8 +150,8 @@ class TestScoreCandidates:
             [(4, 5), (5, 6), (4, 0), (0, 6), (0, 1)],
             {0: 0, 1: 0, 4: 1, 5: 1, 6: 1, 2: 0, 3: 0},
         )
-        plain = score_candidates(graph, [(4, 6)], "common_neighbors", decoupled=False)
-        restricted = score_candidates(graph, [(4, 6)], "common_neighbors", decoupled=True)
+        plain = score_candidates(graph, {G11: [(4, 6)]}, "common_neighbors", decoupled=False)
+        restricted = score_candidates(graph, {G11: [(4, 6)]}, "common_neighbors", decoupled=True)
         assert plain.lists[G11][0].score == 2.0
         assert restricted.lists[G11][0].score == 1.0
 
@@ -146,13 +159,13 @@ class TestScoreCandidates:
         # With a binary attribute a shared neighbor cannot be reached from
         # both endpoints of an inter pair using inter edges alone.
         graph = mixed_graph()
-        restricted = score_candidates(graph, [(0, 3), (1, 2)], "adamic_adar", decoupled=True)
+        restricted = score_candidates(graph, {G01: [(0, 3), (1, 2)]}, "adamic_adar", decoupled=True)
         assert all(c.score == 0.0 for c in restricted.lists[G01])
 
     def test_relevance_flags(self):
         graph = mixed_graph()
         result = score_candidates(
-            graph, [(0, 1), (0, 3)], positives=frozenset({(0, 3)})
+            graph, {G11: [(0, 1)], G01: [(0, 3)]}, positives=frozenset({(0, 3)})
         )
         flags = {c.pair: c.relevance for c in result.all_candidates()}
         assert flags == {(0, 1): False, (0, 3): True}
@@ -160,23 +173,148 @@ class TestScoreCandidates:
     def test_purity(self):
         graph = mixed_graph()
         pairs = [(0, 1), (2, 3), (0, 3), (1, 2)]
-        first = score_candidates(graph, pairs, "adamic_adar", decoupled=True)
-        second = score_candidates(graph, pairs, "adamic_adar", decoupled=True)
+        first = score_candidates(graph, keyed(graph, pairs), "adamic_adar", decoupled=True)
+        second = score_candidates(graph, keyed(graph, pairs), "adamic_adar", decoupled=True)
         assert first.all_candidates() == second.all_candidates()
 
     def test_unknown_scorer(self, triangle_graph):
         with pytest.raises(ConfigError):
-            score_candidates(triangle_graph, [(0, 1)], scorer="katz")
+            score_candidates(triangle_graph, {G11: [(0, 1)]}, scorer="katz")
 
     def test_duplicate_candidates_rejected(self, triangle_graph):
         with pytest.raises(DuplicatePairError):
-            score_candidates(triangle_graph, [(0, 1), (1, 0)])
+            score_candidates(triangle_graph, {G11: [(0, 1), (1, 0)]})
 
     def test_tie_break_is_lexicographic(self):
         graph = SensitiveGraph(5, [], {i: 0 for i in range(5)})
-        result = score_candidates(graph, [(2, 3), (0, 1), (1, 4)], "common_neighbors")
+        result = score_candidates(graph, {G00: [(2, 3), (0, 1), (1, 4)]}, "common_neighbors")
         pairs = [c.pair for c in result.lists[G00]]
         assert pairs == [(0, 1), (1, 4), (2, 3)]  # all scores 0, sorted by pair
+
+
+def reference_score_candidates(graph, pairs, scorer, *, decoupled, positives, embeddings=None):
+    """Scoring as it was before candidates were keyed by group: pairs flat, regrouped.
+
+    Every pair is grouped through ``edge_group``, each Adamic-Adar term
+    takes its own logarithm, and decoupled scoring builds a per-group
+    adjacency from ``edges_by_group``.
+    """
+
+    def heuristic(neighbors, u, v):
+        shared = neighbors(u) & neighbors(v)
+        if scorer == "common_neighbors":
+            return float(len(shared))
+        return math.fsum(1.0 / math.log(len(neighbors(w))) for w in shared)
+
+    positives = {canonical_edge(u, v) for u, v in positives}
+    restricted = {}
+    if decoupled:
+        for group, edges in graph.edges_by_group().items():
+            adjacency = restricted[group] = {}
+            for a, b in edges:
+                adjacency.setdefault(a, set()).add(b)
+                adjacency.setdefault(b, set()).add(a)
+    scored = []
+    for u, v in pairs:
+        pair = canonical_edge(u, v)
+        group = edge_group(graph, *pair)
+        if scorer == "embedding":
+            value = embedding_dot(embeddings, *pair)
+        elif decoupled:
+            own = restricted.get(group, {})
+            value = heuristic(lambda node: own.get(node, set()), *pair)
+        else:
+            value = heuristic(graph.neighbors, *pair)
+        scored.append(ScoredCandidate(pair[0], pair[1], value, group, pair in positives))
+    return GroupedCandidateSet.from_candidates(scored)
+
+
+def seeded_instance(seed: int):
+    """A random graph over three attribute values, and candidate pairs drawn from it.
+
+    Two nodes carry no attribute and no edge. The pairs mix edges and
+    non-edges in random orientation; about a third are positives.
+    """
+    rnd = random.Random(seed)
+    nodes = rnd.randint(20, 80)
+    attrs = {i: rnd.randrange(3) for i in range(nodes)}
+    edges = set()
+    for _ in range(rnd.randint(nodes, 6 * nodes)):
+        u, v = rnd.sample(range(nodes), 2)
+        edges.add(canonical_edge(u, v))
+    graph = SensitiveGraph(nodes + 2, edges, attrs)
+    pairs = set()
+    for _ in range(rnd.randint(1, 4 * nodes)):
+        u, v = rnd.sample(range(nodes), 2)
+        pairs.add(canonical_edge(u, v))
+    pairs = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in sorted(pairs)]
+    positives = frozenset(p for p in pairs if rnd.random() < 0.3)
+    embeddings = {i: tuple(rnd.uniform(-1, 1) for _ in range(4)) for i in range(nodes)}
+    return graph, pairs, positives, embeddings
+
+
+class TestScoringDifferential:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize(
+        "scorer, decoupled",
+        [
+            ("common_neighbors", False),
+            ("common_neighbors", True),
+            ("adamic_adar", False),
+            ("adamic_adar", True),
+            ("embedding", False),
+        ],
+    )
+    def test_equals_reference(self, seed, scorer, decoupled):
+        graph, pairs, positives, embeddings = seeded_instance(seed)
+        want = reference_score_candidates(
+            graph, pairs, scorer, decoupled=decoupled, positives=positives, embeddings=embeddings
+        )
+        got = score_candidates(
+            graph,
+            keyed(graph, pairs),
+            scorer,
+            decoupled=decoupled,
+            positives=positives,
+            embeddings=embeddings,
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_pair_functions_agree(self, seed):
+        graph, pairs, _, _ = seeded_instance(seed)
+        got = score_candidates(graph, keyed(graph, pairs), "adamic_adar")
+        cn = score_candidates(graph, keyed(graph, pairs), "common_neighbors")
+        for cand in got.all_candidates():
+            assert cand.score == adamic_adar(graph, cand.u, cand.v)
+        for cand in cn.all_candidates():
+            assert cand.score == common_neighbors(graph, cand.u, cand.v)
+
+
+class TestScoringRejects:
+    # Node 3 is unattributed, node 9 does not exist; (0, 1) is a 1-1 pair.
+    GRAPH = SensitiveGraph(5, [(0, 1), (1, 2), (2, 4)], {0: 1, 1: 1, 2: 0, 4: 0})
+
+    @pytest.mark.parametrize("scorer", ["common_neighbors", "adamic_adar"])
+    @pytest.mark.parametrize("decoupled", [False, True])
+    @pytest.mark.parametrize(
+        "candidates, error",
+        [
+            ({G00: [(0, 1)]}, ConfigError),
+            ({G01: [(2, 4), (0, 2)]}, ConfigError),
+            ({G11: [(0, 9)]}, UnknownNodeError),
+            ({G01: [(3, 0)]}, MissingAttributeError),
+            ({G00: [(2, 2)]}, SelfLoopError),
+        ],
+    )
+    def test_rejected(self, scorer, decoupled, candidates, error):
+        with pytest.raises(error):
+            score_candidates(self.GRAPH, candidates, scorer, decoupled=decoupled)
+
+    def test_embedding_checks_the_key_too(self):
+        embeddings = {i: (1.0,) for i in range(5)}
+        with pytest.raises(ConfigError):
+            score_candidates(self.GRAPH, {G01: [(0, 1)]}, "embedding", embeddings=embeddings)
 
 
 class TestIngestScores:
