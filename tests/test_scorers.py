@@ -291,7 +291,7 @@ class TestScoringDifferential:
             assert cand.score == common_neighbors(graph, cand.u, cand.v)
 
 
-class TestScoringRejects:
+class TestKeyedCandidates:
     # Node 3 is unattributed, node 9 does not exist; (0, 1) is a 1-1 pair.
     GRAPH = SensitiveGraph(5, [(0, 1), (1, 2), (2, 4)], {0: 1, 1: 1, 2: 0, 4: 0})
 
@@ -310,6 +310,10 @@ class TestScoringRejects:
     def test_rejected(self, scorer, decoupled, candidates, error):
         with pytest.raises(error):
             score_candidates(self.GRAPH, candidates, scorer, decoupled=decoupled)
+
+    def test_empty_group_gets_no_list(self):
+        result = score_candidates(self.GRAPH, {G00: [], G11: [(1, 0)]}, "common_neighbors")
+        assert result.groups() == (G11,)
 
     def test_embedding_checks_the_key_too(self):
         embeddings = {i: (1.0,) for i in range(5)}
