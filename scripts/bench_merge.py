@@ -19,7 +19,8 @@ import math
 import platform
 import time
 
-from fairlink import GroupDistribution, GroupId, kl_greedy_merge, synthetic_candidate_set
+from fairlink.graphs import GroupDistribution, GroupId
+from fairlink.rerank import kl_greedy_merge, synthetic_candidate_set
 
 
 def groups_of(count: int) -> list[GroupId]:

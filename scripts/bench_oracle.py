@@ -19,7 +19,8 @@ import math
 import platform
 import time
 
-from fairlink import GroupDistribution, GroupId, MultisetSpec, enumerate_ndkl_extremes
+from fairlink.graphs import GroupDistribution, GroupId
+from fairlink.oracle import MultisetSpec, enumerate_ndkl_extremes
 
 GROUPS = (GroupId.of(0, 0), GroupId.of(0, 1), GroupId.of(1, 1))
 TARGET = GroupDistribution(dict(zip(GROUPS, (0.5, 0.3, 0.2))))

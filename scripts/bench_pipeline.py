@@ -27,8 +27,13 @@ import tempfile
 import time
 from pathlib import Path
 
-from fairlink import GroupId, SensitiveGraph
-from fairlink.graphs import sample_negatives, stratified_split, write_split
+from fairlink.graphs import (
+    GroupId,
+    SensitiveGraph,
+    sample_negatives,
+    stratified_split,
+    write_split,
+)
 from fairlink.pipeline import (
     GREEDY,
     NAIVE,

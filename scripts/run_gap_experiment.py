@@ -14,7 +14,8 @@ Usage:
 import argparse
 from pathlib import Path
 
-from fairlink import GroupDistribution, GroupId, gap_experiment
+from fairlink.graphs import GroupDistribution, GroupId
+from fairlink.rerank import gap_experiment
 
 G00, G01, G11 = GroupId.of(0, 0), GroupId.of(0, 1), GroupId.of(1, 1)
 

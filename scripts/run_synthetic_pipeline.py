@@ -14,8 +14,8 @@ Usage:
 import argparse
 from pathlib import Path
 
-from fairlink import GroupId, RunConfig, run_pipeline
-from fairlink.pipeline import GREEDY, NAIVE
+from fairlink.graphs import GroupId
+from fairlink.pipeline import GREEDY, NAIVE, RunConfig, run_pipeline
 from fairlink.synth import biased_block_graph, write_graph_files
 
 G00, G01, G11 = GroupId.of(0, 0), GroupId.of(0, 1), GroupId.of(1, 1)

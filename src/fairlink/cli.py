@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DataError, FairlinkError, InfeasibleError
+from .errors import ConfigError, DataError, FairlinkError, InfeasibleError, _check_number
 from .fairness import ndkl, ndkl_upper_bound
 from .graphs import (
     GroupDistribution,
@@ -34,6 +34,7 @@ from .pipeline import (
     GREEDY,
     RunConfig,
     build_candidates,
+    check_cutoffs,
     evaluate_ranking,
     resolve_target,
     run_pipeline,
@@ -83,16 +84,22 @@ def _out_dir(value: str) -> str:
 
 
 def parse_group_map(text: str, number: type = float) -> dict[GroupId, float]:
-    """Parse `0-0=0.5,0-1=0.2,...` into a group -> ``number(value)`` mapping."""
+    """Parse `0-0=0.5,0-1=0.2,...` into a group -> ``number(value)`` mapping.
+
+    ``1-0`` and ``0-1`` name one group; naming a group twice is an error.
+    """
     out: dict[GroupId, float] = {}
     for item in text.split(","):
         label, _, value = item.partition("=")
         if not value:
             raise ConfigError(f"expected LABEL=VALUE, got {item!r}")
         try:
-            out[GroupId.parse(label.strip())] = number(value)
+            group, parsed = GroupId.parse(label.strip()), number(value)
         except ValueError as exc:
             raise ConfigError(f"cannot parse {item!r}: {exc}") from exc
+        if group in out:
+            raise ConfigError(f"group {group.label()} is given twice in {text!r}")
+        out[group] = parsed
     return out
 
 
@@ -128,8 +135,8 @@ def _target(args, config: dict, spec, graph) -> GroupDistribution:
 def cmd_split(args) -> int:
     config = _load_config(args.config)
     ratios = check_ratios(_pick(args, config, "ratios", (0.7, 0.1, 0.2)))
+    seed = _check_number(_pick(args, config, "seed", 0), "seed", integer=True)
     graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
-    seed = _pick(args, config, "seed", 0)
     split = stratified_split(graph, ratios, seed=seed)
     out = Path(_out_dir(_require(args, config, "out")))
     paths = write_split(out, graph, split)
@@ -162,8 +169,8 @@ def cmd_rerank(args) -> int:
     spec = _target_spec(args, config)
     lam = check_lambda(_pick(args, config, "lam", 1.0))
     n = _pick(args, config, "n")
-    if n is not None and n < 1:
-        raise ConfigError(f"output size must be >= 1, got {n}")
+    if n is not None:
+        _check_number(n, "output size", integer=True, minimum=1)
     graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
     test = read_edge_list(_require(args, config, "test"))
     candidates = ingest_scores(_require(args, config, "scores"), graph, test)
@@ -181,9 +188,7 @@ def cmd_rerank(args) -> int:
 def cmd_eval(args) -> int:
     config = _load_config(args.config)
     spec = _target_spec(args, config)
-    k_list = tuple(_pick(args, config, "k", (100,)))
-    if any(k < 1 for k in k_list):
-        raise ConfigError(f"cutoffs must be positive, got {list(k_list)}")
+    k_list = check_cutoffs(_pick(args, config, "k", (100,)))
     graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
     ranking = read_ranking(_require(args, config, "ranking"))
     target = _target(args, config, spec, graph)
@@ -214,7 +219,9 @@ def cmd_gap(args) -> int:
     target = parse_target(str(_require(args, config, "target")))
     if not isinstance(target, GroupDistribution):
         raise ConfigError("gap needs an explicit --target distribution")
-    k_grid = tuple(_pick(args, config, "k_grid", (10, 50, 100, 500, 1000)))
+    k_grid = check_cutoffs(_pick(args, config, "k_grid", (10, 50, 100, 500, 1000)))
+    if not k_grid:
+        raise ConfigError("gap needs at least one --k-grid cutoff")
     pools_spec = _pick(args, config, "pools")
     if pools_spec:
         pools = parse_group_map(str(pools_spec), int)
@@ -236,9 +243,9 @@ def cmd_oracle(args) -> int:
     target = parse_target(str(_require(args, config, "target")))
     if not isinstance(target, GroupDistribution):
         raise ConfigError("oracle needs an explicit --target distribution")
-    guard = _pick(args, config, "guard", ENUMERATION_GUARD)
-    if isinstance(guard, bool) or not isinstance(guard, int) or guard < 1:
-        raise ConfigError(f"guard must be an integer >= 1, got {guard!r}")
+    guard = _check_number(
+        _pick(args, config, "guard", ENUMERATION_GUARD), "guard", integer=True, minimum=1
+    )
     result = enumerate_ndkl_extremes(MultisetSpec(counts), target, guard=guard)
     payload = result.as_dict()
     payload["bound"] = ndkl_upper_bound(target.positive())

@@ -4,9 +4,12 @@ Three broad families matter to callers (and to the CLI exit codes):
 configuration problems, unusable input data, and requests that are
 infeasible for the given instance. Concrete subclasses carry enough
 context (node id, group, line number) to make failures actionable.
+Numeric configuration values all go through one type check here.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class FairlinkError(Exception):
@@ -135,6 +138,25 @@ class LambdaOutOfRangeError(ConfigError):
     def __init__(self, value: float):
         super().__init__(f"weight must lie in [0, 1], got {value}")
         self.value = value
+
+
+def _check_number(value, name: str, *, integer: bool = False, minimum=None):
+    """``value`` if it is an int or a finite float (only an int with ``integer``), >= ``minimum``.
+
+    Raises ConfigError otherwise; ``bool`` is rejected although Python
+    counts it as an int, and a string is not parsed.
+    """
+    kind = int if integer else (int, float)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kind)
+        or not (isinstance(value, int) or math.isfinite(value))
+        or (minimum is not None and value < minimum)
+    ):
+        what = "an integer" if integer else "a number"
+        at_least = f" >= {minimum}" if minimum is not None else ""
+        raise ConfigError(f"{name} must be {what}{at_least}, got {value!r}")
+    return value
 
 
 class KOutOfRangeError(ConfigError):

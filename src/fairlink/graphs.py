@@ -28,6 +28,7 @@ from .errors import (
     SelfLoopError,
     UnknownEdgeError,
     UnknownNodeError,
+    _check_number,
 )
 from .io import atomic_write, data_lines, write_json
 
@@ -261,10 +262,16 @@ class GroupDistribution:
 
     @classmethod
     def from_label_dict(cls, mapping: Mapping[str, float]) -> "GroupDistribution":
+        """Parse ``{"0-1": 0.2, ...}``; ``"1-0"`` and ``"0-1"`` name one group, once."""
         try:
-            probabilities = {GroupId.parse(label): float(p) for label, p in mapping.items()}
+            probabilities = {
+                GroupId.parse(label): float(_check_number(p, f"mass of {label}"))
+                for label, p in mapping.items()
+            }
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"cannot parse distribution {dict(mapping)!r}: {exc}") from None
+        if len(probabilities) < len(mapping):
+            raise ConfigError(f"a group is given twice in distribution {dict(mapping)!r}")
         return cls(probabilities)
 
 
@@ -351,7 +358,9 @@ MIN_GROUP_EDGES = 3
 
 def check_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
     """Validated train/valid/test fractions: three positive numbers summing to 1."""
-    ratios = tuple(ratios)
+    if not isinstance(ratios, (list, tuple)):
+        raise ConfigError(f"ratios must be three positive numbers, got {ratios!r}")
+    ratios = tuple(_check_number(r, "each ratio") for r in ratios)
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise ConfigError(f"ratios must be three positive numbers, got {ratios}")
     if abs(math.fsum(ratios) - 1.0) > 1e-9:

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ConfigError, KOutOfRangeError
+from .errors import ConfigError, KOutOfRangeError, _check_number
 from .fairness import (
     INTER,
     INTRA,
@@ -62,6 +62,13 @@ GREEDY = "greedy"
 NAIVE = "naive"
 
 
+def check_cutoffs(k_list: Sequence[int]) -> tuple[int, ...]:
+    """Validated cutoffs: a list of integers, each at least 1."""
+    if not isinstance(k_list, (list, tuple)):
+        raise ConfigError(f"cutoffs must be a list of integers, got {k_list!r}")
+    return tuple(_check_number(k, "each cutoff", integer=True, minimum=1) for k in k_list)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a pipeline run depends on, except the wall clock."""
@@ -83,16 +90,15 @@ class RunConfig:
     output_size: int | None = None
 
     def __post_init__(self):
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
+        _check_number(self.seed, "seed", integer=True)
+        _check_number(self.repeats, "repeats", integer=True, minimum=1)
         # An empty k_list is allowed: reports then carry global metrics only.
-        if any(k < 1 for k in self.k_list):
-            raise ConfigError("k_list cutoffs must be positive")
-        object.__setattr__(self, "k_list", tuple(sorted(self.k_list)))
+        object.__setattr__(self, "k_list", tuple(sorted(check_cutoffs(self.k_list))))
         object.__setattr__(self, "ratios", check_ratios(self.ratios))
         check_lambda(self.lam)
-        if self.negatives_per_positive < 0:
-            raise ConfigError("negatives_per_positive must be >= 0")
+        _check_number(self.negatives_per_positive, "negatives_per_positive", minimum=0)
+        if self.output_size is not None:
+            _check_number(self.output_size, "output_size", integer=True, minimum=1)
         if self.scorer not in SCORERS:
             raise ConfigError(f"unknown scorer {self.scorer!r}; choose one of {SCORERS}")
         if self.scorer == "embedding" and not self.embeddings_path:
@@ -108,11 +114,7 @@ class RunConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        coerced = dict(data)
-        for key in ("ratios", "k_list"):
-            if key in coerced:
-                coerced[key] = tuple(coerced[key])
-        return cls(**coerced)
+        return cls(**data)
 
     def to_dict(self) -> dict:
         data = asdict(self)

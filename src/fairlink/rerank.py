@@ -44,6 +44,7 @@ from .errors import (
     LambdaOutOfRangeError,
     MalformedLineError,
     ZeroTargetMassError,
+    _check_number,
 )
 from .fairness import INTER, INTRA, Ranking, kl_divergence, ndkl
 from .graphs import GroupDistribution, GroupId, apportion
@@ -97,7 +98,7 @@ def _normalized_scores(candidates: Sequence[ScoredCandidate]) -> list[float]:
 
 def check_lambda(lam: float) -> float:
     """The merge weight, which must lie in [0, 1]."""
-    if not 0.0 <= lam <= 1.0:
+    if not 0.0 <= _check_number(lam, "weight") <= 1.0:
         raise LambdaOutOfRangeError(lam)
     return lam
 

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from fairlink import GroupDistribution, GroupId, SensitiveGraph
+from fairlink.graphs import GroupDistribution, GroupId, SensitiveGraph
 
 G00 = GroupId.of(0, 0)
 G01 = GroupId.of(0, 1)

@@ -13,32 +13,34 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from fairlink import (
-    GroupDistribution,
-    GroupId,
-    MultisetSpec,
-    RelevanceVector,
-    average_precision,
+from fairlink.cli import main as cli_main
+from fairlink.fairness import (
+    INTER,
+    INTRA,
+    Ranking,
     delta_dp_score,
     delta_dp_selection,
-    enumerate_ndkl_extremes,
     kl_divergence,
-    kl_greedy_merge,
-    ndcg_at_k,
     ndkl,
     ndkl_upper_bound,
-    optimal_dp_proportions,
+)
+from fairlink.graphs import GroupDistribution, GroupId
+from fairlink.oracle import MultisetSpec, enumerate_ndkl_extremes, verify_trace
+from fairlink.pipeline import GREEDY, NAIVE, RunConfig, run_pipeline
+from fairlink.rank_metrics import (
+    RelevanceVector,
+    average_precision,
+    ndcg_at_k,
     precision_at_k,
+)
+from fairlink.rerank import (
+    gap_point,
+    kl_greedy_merge,
+    optimal_dp_proportions,
     ranking_from_groups,
-    run_pipeline,
     synthetic_candidate_set,
-    verify_trace,
     worst_case_ranking,
 )
-from fairlink.cli import main as cli_main
-from fairlink.fairness import INTER, INTRA, Ranking
-from fairlink.pipeline import GREEDY, NAIVE, RunConfig
-from fairlink.rerank import gap_point
 from fairlink.scorers import GroupedCandidateSet, ScoredCandidate
 from fairlink.synth import biased_block_graph, write_graph_files
 

@@ -2,22 +2,6 @@ import math
 
 import pytest
 
-from fairlink import (
-    INTER,
-    INTRA,
-    GroupDistribution,
-    GroupId,
-    Ranking,
-    delta_dp_score,
-    delta_dp_selection,
-    delta_max,
-    kl_divergence,
-    ndkl,
-    ndkl_curve,
-    ndkl_upper_bound,
-    ranking_from_groups,
-    top_k_proportions,
-)
 from fairlink.errors import (
     EmptyGroupError,
     EmptyRankingError,
@@ -26,6 +10,21 @@ from fairlink.errors import (
     PoolSmallerThanSelectedError,
     ZeroTargetMassError,
 )
+from fairlink.fairness import (
+    INTER,
+    INTRA,
+    Ranking,
+    delta_dp_score,
+    delta_dp_selection,
+    delta_max,
+    kl_divergence,
+    ndkl,
+    ndkl_curve,
+    ndkl_upper_bound,
+    top_k_proportions,
+)
+from fairlink.graphs import GroupDistribution, GroupId
+from fairlink.rerank import ranking_from_groups
 
 from conftest import G00, G01, G11
 

@@ -9,18 +9,6 @@ import threading
 
 import pytest
 
-from fairlink import (
-    GroupDistribution,
-    GroupId,
-    SensitiveGraph,
-    edge_group,
-    empirical_distribution,
-    load_graph,
-    read_edge_list,
-    sample_negatives,
-    stratified_split,
-    write_split,
-)
 from fairlink.errors import (
     ConfigError,
     EmptyEdgeSetError,
@@ -32,7 +20,19 @@ from fairlink.errors import (
     UnknownEdgeError,
     UnknownNodeError,
 )
-from fairlink.graphs import apportion
+from fairlink.graphs import (
+    GroupDistribution,
+    GroupId,
+    SensitiveGraph,
+    apportion,
+    edge_group,
+    empirical_distribution,
+    load_graph,
+    read_edge_list,
+    sample_negatives,
+    stratified_split,
+    write_split,
+)
 
 from conftest import G00, G01, G11, graph_with_group_edge_counts
 
@@ -311,6 +311,18 @@ class TestGroupDistribution:
         smoothed = dist.smoothed()
         assert math.fsum(smoothed.probabilities.values()) == pytest.approx(1.0, abs=1e-15)
         assert smoothed.mass(G01) > 0
+
+    def test_label_dict_names_each_group_once(self):
+        dist = GroupDistribution.from_label_dict({"0-0": 0.5, "1-0": 0.5})
+        assert dist.probabilities == {G00: 0.5, G01: 0.5}
+        for repeated in ({"0-1": 0.5, "1-0": 0.5}, {"0-0": 0.4, "00-0": 0.4, "0-1": 0.2}):
+            with pytest.raises(ConfigError, match="given twice"):
+                GroupDistribution.from_label_dict(repeated)
+
+    def test_label_dict_masses_are_numbers(self):
+        for mass in ("1", True, None, [1.0]):
+            with pytest.raises(ConfigError):
+                GroupDistribution.from_label_dict({"0-0": mass})
 
 
 class TestApportion:

@@ -6,24 +6,25 @@ from collections import Counter
 
 import pytest
 
-from fairlink import (
-    GroupDistribution,
-    GroupId,
+from fairlink.errors import ConfigError, TooLargeError, ZeroTargetMassError
+from fairlink.fairness import ndkl, ndkl_upper_bound
+from fairlink.graphs import GroupDistribution, GroupId
+from fairlink.oracle import (
+    ExtremeResult,
     MultisetSpec,
     enumerate_ndkl_extremes,
-    kl_greedy_merge,
-    kl_greedy_merge_weighted,
     multiset_permutations,
-    ndkl,
-    ndkl_upper_bound,
-    ranking_from_groups,
     sequence_ndkl,
-    synthetic_candidate_set,
     verify_trace,
 )
-from fairlink.errors import ConfigError, TooLargeError, ZeroTargetMassError
-from fairlink.oracle import ExtremeResult
-from fairlink.rerank import AggregationTrace, TraceStep
+from fairlink.rerank import (
+    AggregationTrace,
+    TraceStep,
+    kl_greedy_merge,
+    kl_greedy_merge_weighted,
+    ranking_from_groups,
+    synthetic_candidate_set,
+)
 
 from conftest import G00, G01, G11
 

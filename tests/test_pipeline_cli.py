@@ -9,15 +9,10 @@ from pathlib import Path
 import pytest
 
 import fairlink
-from fairlink import (
-    GroupDistribution,
-    GroupId,
-    load_graph,
-    read_ranking,
-    top_k_proportions,
-)
 from fairlink.cli import main, parse_group_map, parse_target
 from fairlink.errors import ConfigError, ZeroTargetMassError
+from fairlink.fairness import top_k_proportions
+from fairlink.graphs import GroupDistribution, GroupId, load_graph
 from fairlink.pipeline import (
     GREEDY,
     NAIVE,
@@ -27,6 +22,7 @@ from fairlink.pipeline import (
     run_pipeline,
     run_single,
 )
+from fairlink.rerank import read_ranking
 from fairlink.synth import biased_block_graph, write_graph_files
 
 from conftest import G00, G01, G11
@@ -84,6 +80,16 @@ class TestRunConfig:
             {"ratios": (0.5, 0.5, 0.5)},
             {"scorer": "nope"},
             {"scorer": "embedding"},
+            {"repeats": 1.5},
+            {"seed": "3"},
+            {"output_size": 0},
+            {"output_size": 2.5},
+            {"k_list": [100, "x"]},
+            {"ratios": ["a", 0.1, 0.2]},
+            {"negatives_per_positive": "1"},
+            {"lam": "x"},
+            {"lam": float("nan")},
+            {"target": {"0-1": 0.5, "1-0": 0.5}},
         ],
     )
     def test_rejected_before_any_file_is_read(self, tmp_path, overrides):
@@ -469,6 +475,41 @@ class TestCli:
                 "eval", *inputs, "--ranking", missing, "--target", "0-0=1", "--k", *cutoffs,
                 "--out", tmp_path / "e.json",
             ) == 2
+        # 2: a pipeline output size below 1 is reported before any input file is read
+        for size in (0, -3):
+            assert self.run(
+                "pipeline", *inputs, "--output-size", size, "--out", tmp_path / "p"
+            ) == 2
+        # 2: a --config value of the wrong type is reported before any input
+        # file is read
+        for command, flags, values in (
+            ("pipeline", inputs, (
+                {"repeats": 1.5}, {"repeats": True}, {"seed": "3"}, {"output_size": 2.5},
+                {"k": [100, "x"]}, {"k": 5}, {"ratios": ["a", 0.1, 0.2]}, {"ratios": 0.5},
+                {"negatives_per_positive": "1"}, {"lam": "x"}, {"target": {"0-0": "1"}},
+            )),
+            ("rerank", rerank_inputs + ("--target", "0-0=1"), ({"lam": "x"}, {"n": 2.5})),
+            ("eval", inputs + ("--ranking", missing, "--target", "0-0=1"), ({"k": [10, "x"]},)),
+            ("split", inputs, ({"seed": "3"}, {"ratios": [0.7, "x", 0.2]})),
+            ("gap", ("--target", "0-0=1"), ({"k_grid": [10, "x"]}, {"k_grid": []})),
+        ):
+            for value in values:
+                config_path.write_text(json.dumps(value))
+                assert self.run(
+                    command, *flags, "--config", config_path, "--out", tmp_path / "typed"
+                ) == 2, (command, value)
+        assert not (tmp_path / "p").exists() and not (tmp_path / "typed").exists()
+        # 2: a group named twice, in either spelling, is reported before any work
+        assert self.run(
+            "oracle", "--counts", "0-0=2,0-1=1,1-0=3", "--target", "0-0=0.5,0-1=0.5",
+            "--out", tmp_path / "o.json",
+        ) == 2
+        assert self.run(
+            "rerank", *rerank_inputs, "--target", "0-1=0.5,1-0=0.5", "--out", tmp_path / "r.tsv"
+        ) == 2
+        config_path.write_text(json.dumps({"target": {"0-0": 0.5, "0-1": 0.2, "1-0": 0.3}}))
+        assert self.run("pipeline", *inputs, "--config", config_path, "--out", tmp_path / "p") == 2
+        assert not (tmp_path / "o.json").exists() and not (tmp_path / "p").exists()
 
     def test_gap_skips_an_empty_pool(self, tmp_path):
         # A zero pool gives its dyadic class nothing to apportion.
@@ -501,6 +542,9 @@ class TestCli:
         assert counts == {G00: 5.0, G11: 3.0}
         with pytest.raises(ConfigError):
             parse_group_map("0-0:5")
+        for repeated in ("0-0=1,0-0=2", "0-1=1,1-0=2"):
+            with pytest.raises(ConfigError, match="given twice"):
+                parse_group_map(repeated)
 
 
 def test_import_does_not_load_numpy():
@@ -515,3 +559,27 @@ def test_import_does_not_load_numpy():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_import_loads_only_what_it_names():
+    # The package re-exports nothing: `import fairlink` loads no submodule,
+    # and `import fairlink.graphs` loads graphs and what graphs imports.
+    src = Path(fairlink.__file__).resolve().parents[1]
+    code = (
+        "import sys, {0}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'fairlink'))"
+    )
+    loaded = {}
+    for module in ("fairlink", "fairlink.graphs"):
+        result = subprocess.run(
+            [sys.executable, "-c", code.format(module)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        loaded[module] = result.stdout.strip()
+    assert loaded["fairlink"] == "['fairlink']"
+    assert loaded["fairlink.graphs"] == (
+        "['fairlink', 'fairlink.errors', 'fairlink.graphs', 'fairlink.io']"
+    )

@@ -6,25 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairlink import (
+from fairlink.fairness import (
+    kl_divergence,
+    ndkl,
+    ndkl_curve,
+    ndkl_upper_bound,
+    top_k_proportions,
+)
+from fairlink.graphs import (
     GroupDistribution,
     GroupId,
-    RelevanceVector,
     SensitiveGraph,
     edge_group,
     empirical_distribution,
-    hits_at_k,
-    kl_divergence,
-    ndcg_at_k,
-    ndkl,
-    ndkl_upper_bound,
-    ndkl_curve,
-    precision_at_k,
-    ranking_from_groups,
-    sequence_ndkl,
     stratified_split,
-    top_k_proportions,
 )
+from fairlink.oracle import sequence_ndkl
+from fairlink.rank_metrics import RelevanceVector, hits_at_k, ndcg_at_k, precision_at_k
+from fairlink.rerank import ranking_from_groups
 
 GROUPS = [GroupId.of(0, 0), GroupId.of(0, 1), GroupId.of(1, 1), GroupId.of(1, 2)]
 
@@ -91,7 +90,7 @@ class TestNdklProperties:
         ranking, target = case
         k = max(1, len(ranking) // 2)
         swapped_tail = ranking.entries[:k] + tuple(reversed(ranking.entries[k:]))
-        from fairlink import Ranking
+        from fairlink.fairness import Ranking
 
         assert ndkl(ranking, target, k_max=k) == ndkl(Ranking(swapped_tail), target, k_max=k)
 

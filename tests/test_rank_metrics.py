@@ -2,14 +2,14 @@ import math
 
 import pytest
 
-from fairlink import (
+from fairlink.errors import ConfigError, KOutOfRangeError, NoPositivesError
+from fairlink.rank_metrics import (
     RelevanceVector,
     average_precision,
     hits_at_k,
     ndcg_at_k,
     precision_at_k,
 )
-from fairlink.errors import ConfigError, KOutOfRangeError, NoPositivesError
 
 
 def vec(*flags, total=None):

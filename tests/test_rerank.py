@@ -4,28 +4,6 @@ from collections import Counter
 
 import pytest
 
-from fairlink import (
-    GroupDistribution,
-    GroupId,
-    MultisetSpec,
-    RelevanceVector,
-    delta_dp_selection,
-    enumerate_ndkl_extremes,
-    gap_experiment,
-    gap_point,
-    kl_divergence,
-    kl_greedy_merge,
-    kl_greedy_merge_weighted,
-    merge_by_score,
-    ndkl,
-    optimal_dp_proportions,
-    precision_at_k,
-    ranking_from_groups,
-    read_ranking,
-    synthetic_candidate_set,
-    worst_case_ranking,
-    write_ranking,
-)
 from fairlink.errors import (
     ConfigError,
     EmptyInputError,
@@ -33,7 +11,23 @@ from fairlink.errors import (
     LambdaOutOfRangeError,
     ZeroTargetMassError,
 )
-from fairlink.fairness import INTER, INTRA
+from fairlink.fairness import INTER, INTRA, delta_dp_selection, kl_divergence, ndkl
+from fairlink.graphs import GroupDistribution, GroupId
+from fairlink.oracle import MultisetSpec, enumerate_ndkl_extremes
+from fairlink.rank_metrics import RelevanceVector, precision_at_k
+from fairlink.rerank import (
+    gap_experiment,
+    gap_point,
+    kl_greedy_merge,
+    kl_greedy_merge_weighted,
+    merge_by_score,
+    optimal_dp_proportions,
+    ranking_from_groups,
+    read_ranking,
+    synthetic_candidate_set,
+    worst_case_ranking,
+    write_ranking,
+)
 from fairlink.scorers import GroupedCandidateSet, ScoredCandidate
 
 from conftest import G00, G01, G11
@@ -438,7 +432,7 @@ class TestGapExperiment:
     def test_top_100_proportions_track_target(self):
         # Ample candidates: the greedy prefix at 100 lands on the target
         # proportions to within half a group share.
-        from fairlink import top_k_proportions
+        from fairlink.fairness import top_k_proportions
 
         target = GroupDistribution({G00: 0.61, G01: 0.20, G11: 0.19})
         cands = synthetic_candidate_set({G00: 200, G01: 200, G11: 200})

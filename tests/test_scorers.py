@@ -3,20 +3,6 @@ import random
 
 import pytest
 
-from fairlink import (
-    GroupedCandidateSet,
-    GroupId,
-    ScoredCandidate,
-    SensitiveGraph,
-    adamic_adar,
-    canonical_edge,
-    common_neighbors,
-    edge_group,
-    embedding_dot,
-    ingest_scores,
-    load_embeddings,
-    score_candidates,
-)
 from fairlink.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -26,6 +12,17 @@ from fairlink.errors import (
     MissingEmbeddingError,
     SelfLoopError,
     UnknownNodeError,
+)
+from fairlink.graphs import GroupId, SensitiveGraph, canonical_edge, edge_group
+from fairlink.scorers import (
+    GroupedCandidateSet,
+    ScoredCandidate,
+    adamic_adar,
+    common_neighbors,
+    embedding_dot,
+    ingest_scores,
+    load_embeddings,
+    score_candidates,
 )
 
 from conftest import G00, G01, G11
