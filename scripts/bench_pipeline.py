@@ -80,18 +80,18 @@ def one_seed(config: RunConfig, graph: SensitiveGraph, seed: int, out: Path):
 
     split = stratified_split(graph, config.ratios, seed=seed)
     lap("split")
-    train_graph = graph.subgraph_with_edges(split.train)
-    positives = graph.subgraph_with_edges(split.test).edges_by_group()
+    train_graph = split.train_graph(graph)
+    positives = split.slices["test"]
     lap("subgraphs")
     request = {g: round(len(e) * config.negatives_per_positive) for g, e in positives.items()}
     negatives = sample_negatives(graph, request, seed=seed)
     lap("negatives")
     candidates = score_candidates(
         train_graph,
-        {g: edges + list(negatives[g]) for g, edges in positives.items()},
+        {g: [*edges, *negatives[g]] for g, edges in positives.items()},
         config.scorer,
         decoupled=config.decoupled,
-        positives=split.test,
+        positives=frozenset().union(*positives.values()),
     )
     lap("scoring")
     target = resolve_target(config.target, train_graph)

@@ -156,9 +156,9 @@ def cmd_score(args) -> int:
         negatives_per_positive=_pick(args, config, "negatives_per_positive", 1.0),
     )
     graph = load_graph(run.edges_path, run.attrs_path)
-    train = read_edge_list(_require(args, config, "train"))
-    test = read_edge_list(_require(args, config, "test"))
-    candidates = build_candidates(run, graph, graph.subgraph_with_edges(train), test, run.seed)
+    train = graph.subgraph_with_edges(read_edge_list(_require(args, config, "train")))
+    test = graph.subgraph_with_edges(read_edge_list(_require(args, config, "test")))
+    candidates = build_candidates(run, graph, train, test.edges_by_group(), run.seed)
     write_scores(_require(args, config, "out"), candidates)
     print(f"scored {candidates.total()} candidates across {len(candidates.groups())} groups")
     return 0

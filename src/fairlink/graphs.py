@@ -119,11 +119,12 @@ class SensitiveGraph:
                 grouped.setdefault(edge_group(self, u, v), []).append(e)
         self._index({g: sorted(grouped[g]) for g in sorted(grouped)}, canonical)
 
-    def _index(self, grouped: Mapping[GroupId, list[Edge]], edges: set[Edge]) -> None:
-        """Store the non-empty groups' edges (given sorted) and the edge set; no adjacency yet."""
+    def _index(self, grouped: Mapping[GroupId, Sequence[Edge]], edges: Iterable[Edge]):
+        """Store the non-empty groups' edges (given sorted) and the edge set; return the graph."""
         self._edge_groups = {g: bucket for g, bucket in grouped.items() if bucket}
-        self.edges = frozenset(edges)  # copied from a set, its table is sized exactly
+        self.edges = frozenset(edges)
         self._group_adjacency = self._adjacency = None
+        return self
 
     def adjacency(self, group: GroupId | None = None) -> Mapping[int, set[int]]:
         """Neighbor sets by node, over ``group``'s edges alone or (``None``) all edges.
@@ -190,10 +191,9 @@ class SensitiveGraph:
         subset = {canonical_edge(u, v) for u, v in edges}
         if foreign := subset - self.edges:
             raise UnknownEdgeError(min(foreign))
-        sub = copy.copy(self)
         # Filtering a sorted bucket keeps it sorted.
-        sub._index({g: [e for e in b if e in subset] for g, b in self._edge_groups.items()}, subset)
-        return sub
+        grouped = {g: [e for e in b if e in subset] for g, b in self._edge_groups.items()}
+        return copy.copy(self)._index(grouped, subset)
 
 
 def _neighbor_sets(edges: Iterable[Edge]) -> dict[int, set[int]]:
@@ -341,16 +341,23 @@ def apportion(
 
 @dataclass(frozen=True)
 class SplitResult:
-    """Disjoint train/valid/test edge subsets covering the input edge set."""
+    """Disjoint train/valid/test edge subsets covering the input edge set, kept as cut.
 
-    train: frozenset[Edge]
-    valid: frozenset[Edge]
-    test: frozenset[Edge]
+    ``slices[name][group]`` is the sorted tuple of ``group``'s edges in subset
+    ``name`` (absent when empty); the flat subsets are derived from it.
+    """
+
+    slices: Mapping[str, Mapping[GroupId, tuple[Edge, ...]]]
     seed: int
     ratios: tuple[float, float, float]
 
-    def subsets(self) -> dict[str, frozenset[Edge]]:
-        return {"train": self.train, "valid": self.valid, "test": self.test}
+    train = property(lambda self: frozenset().union(*self.slices["train"].values()))
+    valid = property(lambda self: frozenset().union(*self.slices["valid"].values()))
+    test = property(lambda self: frozenset().union(*self.slices["test"].values()))
+
+    def train_graph(self, graph: SensitiveGraph) -> SensitiveGraph:
+        """The train subgraph of ``graph`` (the graph split), its buckets the train slices."""
+        return copy.copy(graph)._index(self.slices["train"], self.train)
 
 
 MIN_GROUP_EDGES = 3
@@ -377,28 +384,23 @@ def stratified_split(
 
     Each group's edges are shuffled and cut independently so every subset
     preserves the graph's group proportions to within one edge per group.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed: one ``random.Random(seed)`` shuffles
+    each group in sorted order.
     """
     ratios = check_ratios(ratios)
     rng = random.Random(seed)
-    buckets: dict[str, set[Edge]] = {"train": set(), "valid": set(), "test": set()}
-    for group, group_edges in sorted(graph.edges_by_group().items()):
-        if len(group_edges) < MIN_GROUP_EDGES:
-            raise GroupTooSmallError(group, len(group_edges), MIN_GROUP_EDGES)
-        rng.shuffle(group_edges)
-        n_train, n_valid, n_test = apportion(len(group_edges), ratios)
-        buckets["train"].update(group_edges[:n_train])
-        buckets["valid"].update(group_edges[n_train : n_train + n_valid])
-        buckets["test"].update(group_edges[n_train + n_valid :])
-        assert n_train + n_valid + n_test == len(group_edges)
-
-    return SplitResult(
-        train=frozenset(buckets["train"]),
-        valid=frozenset(buckets["valid"]),
-        test=frozenset(buckets["test"]),
-        seed=seed,
-        ratios=ratios,
-    )
+    slices: dict[str, dict[GroupId, tuple[Edge, ...]]] = {"train": {}, "valid": {}, "test": {}}
+    for group, bucket in sorted(graph._edge_groups.items()):
+        if len(bucket) < MIN_GROUP_EDGES:
+            raise GroupTooSmallError(group, len(bucket), MIN_GROUP_EDGES)
+        # Positions shuffle as the edges would; sorted, they give sorted edges.
+        order = list(range(len(bucket)))
+        rng.shuffle(order)
+        cuts = [0, *itertools.accumulate(apportion(len(bucket), ratios))]
+        for parts, start, stop in zip(slices.values(), cuts, cuts[1:]):
+            if stop > start:
+                parts[group] = tuple(map(bucket.__getitem__, sorted(order[start:stop])))
+    return SplitResult(slices=slices, seed=seed, ratios=ratios)
 
 
 # --- negative sampling ------------------------------------------------------
@@ -548,8 +550,7 @@ def load_graph(edge_file: str | Path, attribute_file: str | Path) -> SensitiveGr
 def write_edge_list(path: str | Path, edges: Iterable[Edge]) -> None:
     """Write edges as sorted `u<TAB>v` lines, atomically."""
     with atomic_write(path) as fh:
-        for u, v in sorted(edges):
-            fh.write(f"{u}\t{v}\n")
+        fh.writelines(f"{u}\t{v}\n" for u, v in sorted(edges))
 
 
 def write_split(
@@ -557,21 +558,19 @@ def write_split(
     graph: SensitiveGraph,
     split: SplitResult,
 ) -> dict[str, Path]:
-    """Write train/valid/test edge files plus a JSON manifest."""
+    """Write train/valid/test edge files plus a JSON manifest, all from the split's slices.
+
+    ``graph`` is not read; it stays so that positional callers keep working.
+    """
     out = Path(out_dir)
     paths: dict[str, Path] = {}
     per_group: dict[str, dict[str, int]] = {}
-    for name, subset in split.subsets().items():
+    for name, parts in split.slices.items():
         paths[name] = out / f"{name}.tsv"
-        write_edge_list(paths[name], subset)
-        for group, group_edges in graph._edge_groups.items():
-            if count := sum(e in subset for e in group_edges):
-                per_group.setdefault(group.label(), {})[name] = count
-    manifest = {
-        "seed": split.seed,
-        "ratios": list(split.ratios),
-        "per_group_counts": per_group,
-    }
+        write_edge_list(paths[name], itertools.chain.from_iterable(parts.values()))
+        for group, part in parts.items():
+            per_group.setdefault(group.label(), {})[name] = len(part)
+    manifest = {"seed": split.seed, "ratios": list(split.ratios), "per_group_counts": per_group}
     paths["manifest"] = out / "split.json"
     write_json(paths["manifest"], manifest)
     return paths

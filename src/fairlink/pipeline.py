@@ -232,15 +232,14 @@ def build_candidates(
     config: RunConfig,
     graph: SensitiveGraph,
     train_graph: SensitiveGraph,
-    test_edges,
+    positives,
     seed: int,
 ) -> GroupedCandidateSet:
     """Per-group pools: test positives plus sampled non-edges, scored on ``train_graph``.
 
-    Each pair is born in its group: the positives come from the graph's
-    own group buckets and the negatives are sampled per group.
+    Each pair is born in its group: the positives come keyed by group (a
+    split's test slices) and the negatives are sampled per group.
     """
-    positives = graph.subgraph_with_edges(test_edges).edges_by_group()
     negatives = sample_negatives(
         graph,
         {g: round(len(edges) * config.negatives_per_positive) for g, edges in positives.items()},
@@ -249,10 +248,10 @@ def build_candidates(
     embeddings = load_embeddings(config.embeddings_path) if config.embeddings_path else None
     return score_candidates(
         train_graph,
-        {g: edges + list(negatives[g]) for g, edges in positives.items()},
+        {g: [*edges, *negatives[g]] for g, edges in positives.items()},
         config.scorer,
         decoupled=config.decoupled,
-        positives=frozenset(test_edges),
+        positives=frozenset().union(*positives.values()),
         embeddings=embeddings,
     )
 
@@ -314,9 +313,9 @@ def run_single(config: RunConfig, seed: int, graph: SensitiveGraph | None = None
     if graph is None:
         graph = load_graph(config.edges_path, config.attrs_path)
     split = stratified_split(graph, config.ratios, seed=seed)
-    train_graph = graph.subgraph_with_edges(split.train)
+    train_graph = split.train_graph(graph)
     target = resolve_target(config.target, train_graph)
-    candidates = build_candidates(config, graph, train_graph, split.test, seed)
+    candidates = build_candidates(config, graph, train_graph, split.slices["test"], seed)
 
     n = config.output_size or min(candidates.total(), max(config.k_list, default=candidates.total()))
     greedy_ranking, _ = kl_greedy_merge(

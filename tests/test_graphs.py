@@ -189,6 +189,15 @@ class TestSubgraph:
         assert graph_view(graph) == before
 
     @pytest.mark.parametrize("seed", range(4))
+    def test_train_graph_of_a_split_matches_a_rebuilt_graph(self, seed):
+        # Indexed straight from the train slices, with no filter or regrouping.
+        graph = self.parent()
+        split = stratified_split(graph, (0.6, 0.1, 0.3), seed=seed)
+        reference = SensitiveGraph(graph.node_count, split.train, graph.sensitive)
+        assert graph_view(split.train_graph(graph)) == graph_view(reference)
+        assert graph_view(graph) == graph_view(self.parent())
+
+    @pytest.mark.parametrize("seed", range(4))
     def test_subgraph_of_a_graph_with_filled_adjacencies(self, seed):
         # The parent's lazily built tables must neither leak into the
         # subgraph nor be changed by it.
@@ -362,6 +371,18 @@ class TestStratifiedSplit:
         union = split.train | split.valid | split.test
         assert union == graph.edges
         assert len(split.train) + len(split.valid) + len(split.test) == len(graph.edges)
+        # Each subset is kept as cut: one sorted slice per group, of apportion's size.
+        assert list(split.slices) == ["train", "valid", "test"]
+        for group, edges in graph.edges_by_group().items():
+            parts = apportion(len(edges), (0.7, 0.1, 0.2))
+            for part, slices in zip(parts, split.slices.values()):
+                got = slices.get(group, ())
+                assert len(got) == part
+                assert list(got) == sorted(got)
+                assert all(edge_group(graph, u, v) == group for u, v in got)
+        for name, slices in split.slices.items():
+            assert all(slices.values())
+            assert frozenset().union(*slices.values()) == getattr(split, name)
 
     def test_group_proportions_preserved(self):
         # Exhaustively recount the test subset's per-group proportions.
@@ -498,8 +519,8 @@ class TestSplitFiles:
         split = stratified_split(graph, (0.7, 0.1, 0.2), seed=13)
         paths = write_split(tmp_path, graph, split)
         recount: dict[str, dict[str, int]] = {}
-        for name, subset in split.subsets().items():
-            for u, v in subset:
+        for name in ("train", "valid", "test"):
+            for u, v in getattr(split, name):
                 counts = recount.setdefault(edge_group(graph, u, v).label(), {})
                 counts[name] = counts.get(name, 0) + 1
         manifest = json.loads(paths["manifest"].read_text())

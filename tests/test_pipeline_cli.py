@@ -111,8 +111,9 @@ class TestRunSingle:
         assert a.rankings[GREEDY].entries == b.rankings[GREEDY].entries
 
     def test_each_candidate_grouped_once(self, dataset, tmp_path, monkeypatch):
-        # The loaded graph groups its edges once; the train and test-positive
-        # subgraphs reuse those groups, so edge_group runs once per candidate.
+        # The loaded graph groups its edges once; the split's slices, which
+        # become the train graph and the test positives, keep those groups,
+        # so edge_group runs once per candidate.
         graph = load_graph(dataset["edges"], dataset["attrs"])
         calls = []
         original = fairlink.graphs.edge_group
@@ -133,19 +134,18 @@ class TestRunSingle:
 
     @pytest.mark.parametrize("decoupled", [True, False])
     def test_graphs_read_for_groups_build_no_adjacency(self, dataset, tmp_path, monkeypatch, decoupled):
-        # Only the train graph is scored; the loaded graph and the test
-        # positives are read for their group buckets alone.
+        # Only the train graph is scored; the loaded graph is read for its
+        # group buckets alone.
         graph = load_graph(dataset["edges"], dataset["attrs"])
-        subgraphs = []
-        restrict = fairlink.graphs.SensitiveGraph.subgraph_with_edges
-        def recorded(self, edges):
-            subgraphs.append(restrict(self, edges))
-            return subgraphs[-1]
-        monkeypatch.setattr(fairlink.graphs.SensitiveGraph, "subgraph_with_edges", recorded)
+        trains = []
+        build = fairlink.pipeline.build_candidates
+        def recorded(config, graph, train_graph, *rest):
+            trains.append(train_graph)
+            return build(config, graph, train_graph, *rest)
+        monkeypatch.setattr(fairlink.pipeline, "build_candidates", recorded)
         run_single(small_config(dataset, tmp_path, decoupled=decoupled), seed=3, graph=graph)
-        train, positives = subgraphs
-        for unscored in (graph, positives):
-            assert unscored._group_adjacency is None and unscored._adjacency is None
+        [train] = trains
+        assert graph._group_adjacency is None and graph._adjacency is None
         assert train._group_adjacency is not None
         assert (train._adjacency is None) == decoupled
 

@@ -1,5 +1,6 @@
 """Every experiment script imports and parses its arguments."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,17 +12,29 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
+def run_script(script: Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(script), *args],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 def test_scripts_found():
     assert SCRIPTS
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.name)
 def test_help_exits_zero(script):
-    result = subprocess.run(
-        [sys.executable, str(script), "--help"],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    result = run_script(script, "--help")
     assert result.returncode == 0, result.stderr
+
+
+def test_bench_pipeline_stages_agree_with_run_single():
+    # The script exits non-zero when its stage-by-stage seed differs from run_single.
+    result = run_script(ROOT / "scripts" / "bench_pipeline.py", "--nodes", "200", "--repeats", "1")
+    assert result.returncode == 0, result.stderr
+    [row] = json.loads(result.stdout)["rows"]
+    assert (row["nodes"], row["edges"]) == (200, 4000)
