@@ -8,7 +8,9 @@ average degree of 40. On each graph it runs the stages of
 ``pipeline.run_single`` one by one (split, subgraphs, negatives,
 scoring, merges, evaluation) and then the seed's files (writes), as
 ``run_pipeline`` does, and prints one JSON object with the best wall
-time of each stage over the repeats. Decoupled Adamic-Adar,
+time of each stage over the repeats. "subgraphs" is the train graph,
+indexed from the split's train slices; the test slices are the
+positives as they are. Decoupled Adamic-Adar,
 k = (100, 1000), output size 1000. Each repeat is checked against
 ``run_single`` for the same seed. The code timed is whichever
 ``fairlink`` is on the path.

@@ -17,7 +17,15 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DataError, FairlinkError, InfeasibleError, _check_number
+from .errors import (
+    ConfigError,
+    DataError,
+    FairlinkError,
+    InfeasibleError,
+    _check_bool,
+    _check_number,
+    _check_path,
+)
 from .fairness import ndkl, ndkl_upper_bound
 from .graphs import (
     GroupDistribution,
@@ -50,6 +58,11 @@ from .rerank import (
 from .scorers import GroupedCandidateSet, ingest_scores, write_scores
 
 OUTPUT_DIR_ENV = "FAIRLINK_OUTPUT_DIR"
+# Config-file keys that name a file or directory, in any subcommand.
+_PATH_KEYS = (
+    "edges", "attrs", "train", "test", "scores", "ranking", "embeddings", "out",
+    "edges_path", "attrs_path", "embeddings_path", "out_dir",
+)
 
 
 def _load_config(path: str | None) -> dict:
@@ -61,6 +74,9 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
+    for key in _PATH_KEYS:
+        if data.get(key) is not None:
+            _check_path(data[key], key)
     return data
 
 
@@ -171,12 +187,12 @@ def cmd_rerank(args) -> int:
     n = _pick(args, config, "n")
     if n is not None:
         _check_number(n, "output size", integer=True, minimum=1)
+    smoothing = _check_bool(_pick(args, config, "smoothing", False), "smoothing")
     graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
     test = read_edge_list(_require(args, config, "test"))
     candidates = ingest_scores(_require(args, config, "scores"), graph, test)
     target = _target(args, config, spec, graph)
     n = n or candidates.total()
-    smoothing = bool(_pick(args, config, "smoothing", False))
     ranking, _ = kl_greedy_merge(candidates, target, n, lam, smoothing=smoothing)
     out = _require(args, config, "out")
     write_ranking(out, ranking)
@@ -189,10 +205,10 @@ def cmd_eval(args) -> int:
     config = _load_config(args.config)
     spec = _target_spec(args, config)
     k_list = check_cutoffs(_pick(args, config, "k", (100,)))
+    smoothing = _check_bool(_pick(args, config, "smoothing", False), "smoothing")
     graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
     ranking = read_ranking(_require(args, config, "ranking"))
     target = _target(args, config, spec, graph)
-    smoothing = bool(_pick(args, config, "smoothing", False))
     pool = GroupedCandidateSet.from_candidates(ranking.entries)
     naive = merge_by_score(pool, len(ranking))
     reports = {

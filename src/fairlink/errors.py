@@ -4,7 +4,8 @@ Three broad families matter to callers (and to the CLI exit codes):
 configuration problems, unusable input data, and requests that are
 infeasible for the given instance. Concrete subclasses carry enough
 context (node id, group, line number) to make failures actionable.
-Numeric configuration values all go through one type check here.
+Numeric, boolean and path configuration values go through one type
+check each, here.
 """
 
 from __future__ import annotations
@@ -156,6 +157,20 @@ def _check_number(value, name: str, *, integer: bool = False, minimum=None):
         what = "an integer" if integer else "a number"
         at_least = f" >= {minimum}" if minimum is not None else ""
         raise ConfigError(f"{name} must be {what}{at_least}, got {value!r}")
+    return value
+
+
+def _check_bool(value, name: str) -> bool:
+    """``value`` if it is ``True`` or ``False``; a number or a string raises ConfigError."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _check_path(value, name: str) -> str:
+    """``value`` if it is a string, as every path option must be; raises ConfigError otherwise."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a path string, got {value!r}")
     return value
 
 

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ConfigError, KOutOfRangeError, _check_number
+from .errors import ConfigError, KOutOfRangeError, _check_bool, _check_number, _check_path
 from .fairness import (
     INTER,
     INTRA,
@@ -90,6 +90,12 @@ class RunConfig:
     output_size: int | None = None
 
     def __post_init__(self):
+        for name in ("edges_path", "attrs_path", "out_dir"):
+            _check_path(getattr(self, name), name)
+        if self.embeddings_path is not None:
+            _check_path(self.embeddings_path, "embeddings_path")
+        _check_bool(self.decoupled, "decoupled")
+        _check_bool(self.smoothing, "smoothing")
         _check_number(self.seed, "seed", integer=True)
         _check_number(self.repeats, "repeats", integer=True, minimum=1)
         # An empty k_list is allowed: reports then carry global metrics only.

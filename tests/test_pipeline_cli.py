@@ -90,6 +90,11 @@ class TestRunConfig:
             {"lam": "x"},
             {"lam": float("nan")},
             {"target": {"0-1": 0.5, "1-0": 0.5}},
+            {"decoupled": "no"},
+            {"decoupled": 1},
+            {"smoothing": "false"},
+            {"out_dir": 0},
+            {"embeddings_path": ["e.tsv"]},
         ],
     )
     def test_rejected_before_any_file_is_read(self, tmp_path, overrides):
@@ -487,9 +492,17 @@ class TestCli:
                 {"repeats": 1.5}, {"repeats": True}, {"seed": "3"}, {"output_size": 2.5},
                 {"k": [100, "x"]}, {"k": 5}, {"ratios": ["a", 0.1, 0.2]}, {"ratios": 0.5},
                 {"negatives_per_positive": "1"}, {"lam": "x"}, {"target": {"0-0": "1"}},
+                {"decoupled": "no"}, {"smoothing": "false"}, {"edges_path": ["e.tsv"]},
             )),
-            ("rerank", rerank_inputs + ("--target", "0-0=1"), ({"lam": "x"}, {"n": 2.5})),
-            ("eval", inputs + ("--ranking", missing, "--target", "0-0=1"), ({"k": [10, "x"]},)),
+            ("rerank", rerank_inputs + ("--target", "0-0=1"), (
+                {"lam": "x"}, {"n": 2.5}, {"smoothing": "false"}, {"scores": 0},
+            )),
+            ("eval", inputs + ("--ranking", missing, "--target", "0-0=1"), (
+                {"k": [10, "x"]}, {"smoothing": 1},
+            )),
+            ("score", ("--attrs", missing, "--train", missing, "--test", missing), (
+                {"edges": 0}, {"decoupled": "no"},
+            )),
             ("split", inputs, ({"seed": "3"}, {"ratios": [0.7, "x", 0.2]})),
             ("gap", ("--target", "0-0=1"), ({"k_grid": [10, "x"]}, {"k_grid": []})),
         ):
