@@ -356,7 +356,7 @@ class SplitResult:
     test = property(lambda self: frozenset().union(*self.slices["test"].values()))
 
     def train_graph(self, graph: SensitiveGraph) -> SensitiveGraph:
-        """The train subgraph of ``graph`` (the graph split), its buckets the train slices."""
+        """``graph`` (the graph split) restricted to the train edges, indexed from the slices."""
         return copy.copy(graph)._index(self.slices["train"], self.train)
 
 
@@ -383,7 +383,8 @@ def stratified_split(
     """Per-group random split of the graph's edges into train/valid/test.
 
     Each group's edges are shuffled and cut independently so every subset
-    preserves the graph's group proportions to within one edge per group.
+    preserves the graph's group proportions to within one edge per group;
+    each cut part is kept, sorted, as that group's slice of the subset.
     Deterministic for a fixed seed: one ``random.Random(seed)`` shuffles
     each group in sorted order.
     """

@@ -238,7 +238,7 @@ def build_candidates(
     config: RunConfig,
     graph: SensitiveGraph,
     train_graph: SensitiveGraph,
-    positives,
+    positives: Mapping,
     seed: int,
 ) -> GroupedCandidateSet:
     """Per-group pools: test positives plus sampled non-edges, scored on ``train_graph``.

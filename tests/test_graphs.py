@@ -375,14 +375,14 @@ class TestStratifiedSplit:
         assert list(split.slices) == ["train", "valid", "test"]
         for group, edges in graph.edges_by_group().items():
             parts = apportion(len(edges), (0.7, 0.1, 0.2))
-            for part, slices in zip(parts, split.slices.values()):
-                got = slices.get(group, ())
+            for part, by_group in zip(parts, split.slices.values()):
+                got = by_group.get(group, ())
                 assert len(got) == part
                 assert list(got) == sorted(got)
                 assert all(edge_group(graph, u, v) == group for u, v in got)
-        for name, slices in split.slices.items():
-            assert all(slices.values())
-            assert frozenset().union(*slices.values()) == getattr(split, name)
+        for name, by_group in split.slices.items():
+            assert all(by_group.values())
+            assert frozenset().union(*by_group.values()) == getattr(split, name)
 
     def test_group_proportions_preserved(self):
         # Exhaustively recount the test subset's per-group proportions.

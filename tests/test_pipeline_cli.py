@@ -117,9 +117,10 @@ class TestRunSingle:
 
     def test_each_candidate_grouped_once(self, dataset, tmp_path, monkeypatch):
         # The loaded graph groups its edges once; the split's slices, which
-        # become the train graph and the test positives, keep those groups,
-        # so edge_group runs once per candidate.
+        # become the train graph and the test positives, keep those groups
+        # (no subgraph_with_edges), so edge_group runs once per candidate.
         graph = load_graph(dataset["edges"], dataset["attrs"])
+        monkeypatch.delattr(fairlink.graphs.SensitiveGraph, "subgraph_with_edges")
         calls = []
         original = fairlink.graphs.edge_group
         def counted(*args):

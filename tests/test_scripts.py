@@ -1,4 +1,5 @@
-"""Every experiment script imports and parses its arguments."""
+"""Every experiment script imports and parses its arguments; the pipeline
+benchmark also runs, small, so that its own check against run_single does."""
 
 import json
 import os
