@@ -5,8 +5,11 @@ Runs ``kl_greedy_merge`` on synthetic candidate lists for every
 G x n x lambda on the grid and prints one JSON object with the best wall
 time of each cell. Group g of G has target mass proportional to g + 1
 (rational masses, so exact ties occur) and about twice as many
-candidates as the merge takes from it, so no list runs out. Standard
-library only; the code timed is whichever ``fairlink`` is on the path.
+candidates as the merge takes from it, so no list runs out. Each
+cell's trace is then checked with ``oracle.verify_trace``, outside the
+timed region; the script exits 1 if any step breaks the merge's rule.
+Standard library only; the code timed is whichever ``fairlink`` is on
+the path.
 
 Usage (from the repository root):
   PYTHONPATH=src python scripts/bench_merge.py
@@ -17,9 +20,11 @@ import argparse
 import json
 import math
 import platform
+import sys
 import time
 
 from fairlink.graphs import GroupDistribution, GroupId
+from fairlink.oracle import verify_trace
 from fairlink.rerank import kl_greedy_merge, synthetic_candidate_set
 
 
@@ -48,7 +53,7 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=3, help="runs per cell; the best is kept")
     args = parser.parse_args()
 
-    rows = []
+    rows, failed = [], 0
     for group_count in args.groups:
         for n in args.n:
             candidates, target = instance(group_count, n)
@@ -56,9 +61,13 @@ def main() -> int:
                 best = math.inf
                 for _ in range(args.repeats):
                     started = time.perf_counter()
-                    ranking, _ = kl_greedy_merge(candidates, target, n, lam)
+                    ranking, trace = kl_greedy_merge(candidates, target, n, lam)
                     best = min(best, time.perf_counter() - started)
                 assert len(ranking) == n
+                violation = verify_trace(trace, target).first_violation
+                if violation is not None:
+                    failed += 1
+                    print(f"G={group_count} n={n} lam={lam}: {violation}", file=sys.stderr)
                 rows.append({"groups": group_count, "n": n, "lam": lam, "seconds": round(best, 4)})
     print(
         json.dumps(
@@ -66,7 +75,7 @@ def main() -> int:
             indent=2,
         )
     )
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Subcommands mirror the pipeline stages: split, score, rerank, eval, gap,
 oracle, and pipeline (all stages end to end). Every subcommand accepts
---seed and --config (a JSON file supplying defaults; explicit flags win).
+--seed and --config (a JSON file supplying defaults for the subcommand's
+own options; explicit flags win, and any other key is an error).
 FAIRLINK_OUTPUT_DIR overrides output directories, nothing else.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
@@ -65,7 +66,10 @@ _PATH_KEYS = (
 )
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(args, options=None) -> dict:
+    """The --config object; each key must be one of ``options``, by default
+    the subcommand's own options."""
+    path = args.config
     if not path:
         return {}
     try:
@@ -74,6 +78,10 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
+    options = options or set(vars(args)) - {"command", "func", "config"}
+    unknown = sorted(set(data) - options)
+    if unknown:
+        raise ConfigError(f"unknown {args.command} config key {unknown[0]!r}")
     for key in _PATH_KEYS:
         if data.get(key) is not None:
             _check_path(data[key], key)
@@ -149,7 +157,7 @@ def _target(args, config: dict, spec, graph) -> GroupDistribution:
 
 
 def cmd_split(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     ratios = check_ratios(_pick(args, config, "ratios", (0.7, 0.1, 0.2)))
     seed = _check_number(_pick(args, config, "seed", 0), "seed", integer=True)
     graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
@@ -161,7 +169,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_score(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     run = RunConfig(
         edges_path=_require(args, config, "edges"),
         attrs_path=_require(args, config, "attrs"),
@@ -181,7 +189,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_rerank(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     spec = _target_spec(args, config)
     lam = check_lambda(_pick(args, config, "lam", 1.0))
     n = _pick(args, config, "n")
@@ -202,7 +210,7 @@ def cmd_rerank(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     spec = _target_spec(args, config)
     k_list = check_cutoffs(_pick(args, config, "k", (100,)))
     smoothing = _check_bool(_pick(args, config, "smoothing", False), "smoothing")
@@ -231,7 +239,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     target = parse_target(str(_require(args, config, "target")))
     if not isinstance(target, GroupDistribution):
         raise ConfigError("gap needs an explicit --target distribution")
@@ -254,7 +262,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    config = _load_config(args.config)
+    config = _load_config(args)
     counts = parse_group_map(str(_require(args, config, "counts")), int)
     target = parse_target(str(_require(args, config, "target")))
     if not isinstance(target, GroupDistribution):
@@ -283,14 +291,9 @@ _PIPELINE_ALIASES = {
 
 
 def cmd_pipeline(args) -> int:
-    config = _load_config(args.config)
     known = set(RunConfig.__dataclass_fields__)  # type: ignore[attr-defined]
-    fields: dict = {}
-    for key, value in config.items():
-        name = _PIPELINE_ALIASES.get(key, key)
-        if name not in known:
-            raise ConfigError(f"unknown pipeline config key {key!r}")
-        fields[name] = value
+    config = _load_config(args, known | set(_PIPELINE_ALIASES))
+    fields = {_PIPELINE_ALIASES.get(key, key): value for key, value in config.items()}
     cli_values = {
         "edges_path": args.edges,
         "attrs_path": args.attrs,

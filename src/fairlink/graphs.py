@@ -222,13 +222,13 @@ class GroupDistribution:
     probabilities: Mapping[GroupId, float]
 
     def __post_init__(self):
-        probs = dict(self.probabilities)
+        probs = {
+            g: float(_check_number(p, f"mass of {g.label()}", minimum=0))
+            for g, p in self.probabilities.items()
+        }
         total = math.fsum(probs.values())
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ConfigError(f"probabilities sum to {total!r}, expected 1")
-        for group, p in probs.items():
-            if p < 0:
-                raise ConfigError(f"negative probability {p!r} for group {group}")
         object.__setattr__(self, "probabilities", probs)
 
     @classmethod
@@ -264,10 +264,7 @@ class GroupDistribution:
     def from_label_dict(cls, mapping: Mapping[str, float]) -> "GroupDistribution":
         """Parse ``{"0-1": 0.2, ...}``; ``"1-0"`` and ``"0-1"`` name one group, once."""
         try:
-            probabilities = {
-                GroupId.parse(label): float(_check_number(p, f"mass of {label}"))
-                for label, p in mapping.items()
-            }
+            probabilities = {GroupId.parse(label): p for label, p in mapping.items()}
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"cannot parse distribution {dict(mapping)!r}: {exc}") from None
         if len(probabilities) < len(mapping):

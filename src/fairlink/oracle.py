@@ -3,19 +3,21 @@
 Given the multiset of group labels a ranking is made of, every distinct
 permutation is enumerated and scored, yielding the exact minimum and
 maximum achievable divergence. Enumeration walks the permutations as a
-prefix tree and scores each shared prefix once, with the plain formula
-of ``sequence_ndkl``; neither shares code with the incremental
-implementation in ``fairness``, and agreement between the paths is
-itself a checked property. ``sequence_ndkl`` remains the from-scratch
-scorer of one sequence, recounting every prefix.
+prefix tree and scores each shared prefix once; ``sequence_ndkl``
+remains the from-scratch scorer of one sequence, recounting every
+prefix. Both score a prefix with one plain formula, ``_prefix_kl``,
+which shares no code with the incremental implementation in
+``fairness``; agreement between the paths is itself a checked property.
 
-``verify_trace`` independently re-derives every step of a greedy merge
-trace and confirms the recorded choice attained the minimal divergence.
+``verify_trace`` certifies each step of a greedy merge under the merge's
+own rule at any weight lam, from the merge's inputs alone: a per-step
+certificate, not global optimality.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -109,6 +111,25 @@ def multiset_permutations(counts: Mapping[GroupId, int]) -> Iterator[tuple[Group
             yield tuple(map(items.__getitem__, choice))
 
 
+def _prefix_kl(counts: Mapping[GroupId, int], k: int, target: GroupDistribution) -> float:
+    """KL divergence from ``target`` of the proportions ``counts / k``.
+
+    The sum of q ln(q / p) over the groups in sorted order, zero counts
+    skipped, clamped at 0: the one formula every path of this module
+    scores a prefix with.
+    """
+    kl = 0.0
+    for g in sorted(counts):
+        c = counts[g]
+        if c:
+            q = c / k
+            p = target.mass(g)
+            if p <= 0.0:
+                raise ZeroTargetMassError(g)
+            kl += q * math.log(q / p)
+    return max(0.0, kl)
+
+
 def sequence_ndkl(labels: Sequence[GroupId], target: GroupDistribution) -> float:
     """Divergence score of a label sequence, from scratch at every prefix.
 
@@ -121,19 +142,9 @@ def sequence_ndkl(labels: Sequence[GroupId], target: GroupDistribution) -> float
     weighted = 0.0
     normalizer = 0.0
     for k in range(1, len(labels) + 1):
-        tally: dict[GroupId, int] = {}
-        for g in labels[:k]:
-            tally[g] = tally.get(g, 0) + 1
-        kl = 0.0
-        for g in sorted(tally):
-            q = tally[g] / k
-            p = target.mass(g)
-            if p <= 0.0:
-                raise ZeroTargetMassError(g)
-            kl += q * math.log(q / p)
         discount = 1.0 / math.log2(k + 1)
         normalizer += discount
-        weighted += discount * max(0.0, kl)
+        weighted += discount * _prefix_kl(Counter(labels[:k]), k, target)
     return weighted / normalizer
 
 
@@ -150,10 +161,9 @@ def enumerate_ndkl_extremes(
     discounted divergence sum down to the orderings below it, so a
     shared prefix is scored once, not once per ordering. A prefix's
     term depends only on its group counts, so it is computed once per
-    count vector, with ``sequence_ndkl``'s arithmetic: groups in sorted
-    order, ``q * ln(q / p)``, clamped at 0, discounted by
-    ``1 / log2(k + 1)`` and summed in order of k. Each ordering thus
-    scores the same float as under ``sequence_ndkl``.
+    count vector, with ``sequence_ndkl``'s arithmetic: ``_prefix_kl``
+    discounted by ``1 / log2(k + 1)`` and summed in order of k. Each
+    ordering thus scores the same float as under ``sequence_ndkl``.
 
     Guarded at ``guard`` total items (default 14); pass a larger guard
     explicitly to force bigger enumerations. Ties keep the first
@@ -167,7 +177,6 @@ def enumerate_ndkl_extremes(
 
     groups = sorted(g for g, c in spec.group_counts.items() if c > 0)
     limits = [spec.group_counts[g] for g in groups]
-    masses = [target.mass(g) for g in groups]
     width, n = len(groups), spec.total
     discounts = [1.0 / math.log2(k + 1) for k in range(1, n + 1)]
     normalizer = 0.0
@@ -210,12 +219,7 @@ def enumerate_ndkl_extremes(
         here = vector[k] = vector[depth] + strides[g]
         term = terms[here]
         if term is None:
-            kl = 0.0
-            for c, p in zip(counts, masses):
-                if c:
-                    q = c / k
-                    kl += q * math.log(q / p)
-            term = terms[here] = discounts[depth] * max(0.0, kl)
+            term = terms[here] = discounts[depth] * _prefix_kl(dict(zip(groups, counts)), k, target)
         weighted[k] = weighted[depth] + term
         if k < n:
             depth = k
@@ -241,6 +245,14 @@ def enumerate_ndkl_extremes(
 
 
 class TraceViolation(NamedTuple):
+    """A step that broke the merge's rule.
+
+    ``chosen_kl`` and ``best_kl`` hold the objective
+    lam*KL + (1-lam)*(1-shat) of the chosen and of the best available
+    group, which at lam = 1 is the KL divergence itself; ``chosen_kl`` is
+    infinite when the chosen group had no candidate left.
+    """
+
     position: int
     chosen_group: GroupId
     chosen_kl: float
@@ -261,22 +273,6 @@ class TraceVerification:
     def first_violation(self) -> TraceViolation | None:
         return self.violations[0] if self.violations else None
 
-    def as_dict(self) -> dict:
-        return {
-            "steps_checked": self.steps_checked,
-            "ok": self.ok,
-            "violations": [
-                {
-                    "position": v.position,
-                    "chosen_group": v.chosen_group.label(),
-                    "chosen_kl": v.chosen_kl,
-                    "best_group": v.best_group.label(),
-                    "best_kl": v.best_kl,
-                }
-                for v in self.violations
-            ],
-        }
-
 
 KL_TOLERANCE = 1e-9
 
@@ -287,36 +283,39 @@ def verify_trace(
     *,
     smoothing: bool = False,
 ) -> TraceVerification:
-    """Recompute each step's tentative divergences and check minimality.
+    """Re-check every step of a merge against the merge's own rule.
 
-    Group counts are reconstructed from the chosen groups alone; the
-    recorded divergence values are not trusted. A step violates the
-    greedy rule when some available group's recomputed divergence beats
-    the chosen group's by more than a small tolerance.
+    Only the inputs the trace carries are trusted, its candidate lists and
+    lam; the counts are this function's own. At each step, every group
+    with candidates left scores lam*KL + (1-lam)*(1-shat), with KL the
+    divergence of the prefix plus that group's head and shat the head's
+    min-max normalized score within its group (1.0 when all are equal).
+    A step is a violation when the chosen group had no candidate left,
+    the chosen candidate is not its group's head, or the chosen group's
+    objective is worse than the best by more than ``KL_TOLERANCE``.
     """
     masses = target.smoothed() if smoothing else target
-    counts: dict[GroupId, int] = {}
+    lam, lists = trace.lam, trace.candidates.lists
+    ranges = {g: (max(c.score for c in b), min(c.score for c in b)) for g, b in lists.items() if b}
+    counts: Counter[GroupId] = Counter()
     violations: list[TraceViolation] = []
-    for step in trace.steps:
-        t = step.position
-        recomputed: dict[GroupId, float] = {}
-        for g in step.tentative_kl:
-            kl = 0.0
-            for h in sorted(set(counts) | {g}):
-                c = counts.get(h, 0) + (1 if h == g else 0)
-                if c == 0:
-                    continue
-                q = c / t
-                p = masses.mass(h)
-                if p <= 0.0:
-                    raise ZeroTargetMassError(h)
-                kl += q * math.log(q / p)
-            recomputed[g] = max(0.0, kl)
-        best_group = min(recomputed, key=lambda g: (recomputed[g], g))
-        chosen_kl = recomputed[step.chosen_group]
-        if chosen_kl > recomputed[best_group] + KL_TOLERANCE:
-            violations.append(
-                TraceViolation(t, step.chosen_group, chosen_kl, best_group, recomputed[best_group])
-            )
-        counts[step.chosen_group] = counts.get(step.chosen_group, 0) + 1
+    for t, step in enumerate(trace.steps, start=1):
+        objective: dict[GroupId, float] = {}
+        for g, (high, low) in ranges.items():
+            head = counts[g]
+            if head < len(lists[g]):
+                shat = 1.0 if high == low else (lists[g][head].score - low) / (high - low)
+                kl = _prefix_kl({**counts, g: head + 1}, t, masses)
+                objective[g] = lam * kl + (1.0 - lam) * (1.0 - shat)
+        group = step.chosen_group
+        best = min(objective, key=lambda g: (objective[g], g), default=group)
+        chosen_value = objective.get(group, math.inf)
+        best_value = objective.get(best, math.inf)
+        if (
+            group not in objective
+            or step.chosen != lists[group][counts[group]]
+            or chosen_value > best_value + KL_TOLERANCE
+        ):
+            violations.append(TraceViolation(t, group, chosen_value, best, best_value))
+        counts[group] += 1
     return TraceVerification(steps_checked=len(trace.steps), violations=tuple(violations))

@@ -19,8 +19,9 @@ precision at large c_g). Only the chosen group's delta changes per step,
 so a position costs one O(G) scan of lam*delta_g/t + (1-lam)*(1-shat_g),
 whose argmin is the objective's. Groups within ``NEAR_TIE`` of that
 minimum are re-scored with ``kl_divergence``, which keeps every choice
-and tie of scoring each group with it; trace values agree with it to
-1e-12, and ``oracle.verify_trace`` recomputes them independently.
+and tie of scoring each group with it. The trace records decisions, not
+divergences; ``oracle.verify_trace`` recomputes every step's objectives
+from the merge's inputs, which the trace carries.
 
 Also here: the exact integer solver for the dyadic-parity-optimal
 intra/inter selection split, the block ordering (rarest target mass
@@ -33,7 +34,7 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -69,26 +70,23 @@ NEAR_TIE = 1e-11
 class TraceStep(NamedTuple):
     position: int
     chosen_group: GroupId
-    tentative_kl: dict[GroupId, float]
     chosen: ScoredCandidate
     tie_break_used: bool
 
 
 @dataclass(frozen=True)
 class AggregationTrace:
-    """Per-step record of the greedy merge, for independent re-checking."""
+    """The greedy merge's per-step decisions, and its candidate set (not a
+    copy) and weight, so that the steps can be re-checked."""
 
     steps: tuple[TraceStep, ...]
+    candidates: GroupedCandidateSet = field(repr=False)
+    lam: float
     truncated: bool = False
-
-    def __len__(self) -> int:
-        return len(self.steps)
 
 
 def _normalized_scores(candidates: Sequence[ScoredCandidate]) -> list[float]:
-    """Min-max normalize a group's scores to [0, 1]; 1.0 when all equal."""
-    if not candidates:
-        return []
+    """Min-max normalize a non-empty group's scores to [0, 1]; 1.0 when all equal."""
     high = candidates[0].score
     low = candidates[-1].score
     if high == low:
@@ -121,9 +119,7 @@ def kl_greedy_merge(
     Each position costs O(G) for G groups: KL comes from the closed form
     (module docstring), and only groups within ``NEAR_TIE`` of the best
     are re-scored with ``kl_divergence``, so choices, ties and
-    ``tie_break_used`` are those of scoring every group with it. The
-    other trace values come from the closed form, clamped at 0, and
-    agree with ``kl_divergence`` to 1e-12.
+    ``tie_break_used`` are those of scoring every group with it.
     """
     check_lambda(lam)
     if n < 1:
@@ -137,13 +133,12 @@ def kl_greedy_merge(
         if lists[g] and masses.mass(g) <= 0.0:
             raise ZeroTargetMassError(g)
     available = [g for g in groups if lists[g]]
-    normalized = {g: _normalized_scores(lists[g]) for g in groups}
+    normalized = {g: _normalized_scores(lists[g]) for g in available}
     # counts[g] items of g are placed, so it is also the index of g's head.
     counts: dict[GroupId, int] = {g: 0 for g in groups}
     log_mass = {g: math.log(masses.mass(g)) for g in available}
-    # terms[g] = c_g ln(c_g / p_g), so S is their sum; delta[g] is what S
-    # gains when g gets one more item; rest[g] is the head's score term.
-    terms = {g: 0.0 for g in available}
+    # delta[g] is what S gains when g gets one more item; rest[g] is the
+    # head's score term.
     delta = {g: -log_mass[g] for g in available}
     rest = {g: (1.0 - lam) * (1.0 - normalized[g][0]) for g in available}
     size, log_inv_p_min = len(available), max(-v for v in log_mass.values())
@@ -159,8 +154,6 @@ def kl_greedy_merge(
         approx = [lam * delta[g] / t + rest[g] for g in available]
         cutoff = min(approx) + window
         near = [g for g, a in zip(available, approx) if a <= cutoff]
-        total, log_t = sum(terms.values()), math.log(t)
-        tentative = {g: max(0.0, (total + delta[g]) / t - log_t) for g in available}
         best_group, tie = near[0], False
         if len(near) > 1:
             objectives: dict[GroupId, float] = {}
@@ -172,27 +165,25 @@ def kl_greedy_merge(
                     for h, c in counts.items()
                     if c > 0 or h == g
                 }
-                tentative[g] = kl_divergence(fractions, masses)
-                objectives[g] = lam * tentative[g] + rest[g]
+                objectives[g] = lam * kl_divergence(fractions, masses) + rest[g]
             # Ties on the objective prefer the better-scored head, then the
             # lower group id, keeping the merge fully deterministic.
             best_group = min(near, key=lambda g: (objectives[g], -normalized[g][counts[g]], g))
             tie = sum(1 for g in near if objectives[g] == objectives[best_group]) > 1
         chosen = lists[best_group][counts[best_group]]
         counts[best_group] = c = counts[best_group] + 1
-        terms[best_group] = c * (math.log(c) - log_mass[best_group])
         delta[best_group] = math.log(c + 1) + c * math.log1p(1 / c) - log_mass[best_group]
         if c < len(lists[best_group]):
             rest[best_group] = (1.0 - lam) * (1.0 - normalized[best_group][c])
         else:
             available.remove(best_group)
         entries.append(chosen)
-        steps.append(TraceStep(t, best_group, tentative, chosen, tie))
+        steps.append(TraceStep(t, best_group, chosen, tie))
 
     truncated = len(entries) < n
     if truncated:
         logger.warning("candidates exhausted at %d of %d requested positions", len(entries), n)
-    return Ranking(tuple(entries)), AggregationTrace(tuple(steps), truncated)
+    return Ranking(tuple(entries)), AggregationTrace(tuple(steps), candidates, lam, truncated)
 
 
 # Second name of the same function; the benchmark harness (perfbench/)

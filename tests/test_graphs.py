@@ -333,6 +333,24 @@ class TestGroupDistribution:
             with pytest.raises(ConfigError):
                 GroupDistribution.from_label_dict({"0-0": mass})
 
+    def test_masses_are_finite(self):
+        for masses in (
+            {G00: math.nan, G01: 1.0},
+            {G00: math.nan, G01: 0.5, G11: 0.5},
+            {G00: math.inf, G01: -math.inf, G11: 1.0},
+            {G00: math.inf, G01: 0.0},
+        ):
+            with pytest.raises(ConfigError, match="mass of"):
+                GroupDistribution(masses)
+            labels = {g.label(): p for g, p in masses.items()}
+            with pytest.raises(ConfigError, match="mass of"):
+                GroupDistribution.from_label_dict(labels)
+
+    def test_masses_stored_as_floats(self):
+        dist = GroupDistribution({G00: 1, G01: 0})
+        assert dist.probabilities == {G00: 1.0, G01: 0.0}
+        assert all(type(p) is float for p in dist.probabilities.values())
+
 
 class TestApportion:
     def test_exact_total(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -7,7 +8,7 @@ from collections import Counter
 import pytest
 
 from fairlink.errors import ConfigError, TooLargeError, ZeroTargetMassError
-from fairlink.fairness import ndkl, ndkl_upper_bound
+from fairlink.fairness import kl_divergence, ndkl, ndkl_upper_bound
 from fairlink.graphs import GroupDistribution, GroupId
 from fairlink.oracle import (
     ExtremeResult,
@@ -18,8 +19,6 @@ from fairlink.oracle import (
     verify_trace,
 )
 from fairlink.rerank import (
-    AggregationTrace,
-    TraceStep,
     kl_greedy_merge,
     kl_greedy_merge_weighted,
     ranking_from_groups,
@@ -219,6 +218,32 @@ class TestEnumerationMatchesReference:
                 assert found < mirror
 
 
+def tentative_kls(trace, target) -> list[dict[GroupId, float]]:
+    """Each step's ``kl_divergence`` of the prefix plus every group's head."""
+    counts, out = Counter(), []
+    for t, step in enumerate(trace.steps, start=1):
+        kls = {}
+        for g, bucket in trace.candidates.lists.items():
+            if counts[g] < len(bucket):
+                placed = counts + Counter({g: 1})
+                kls[g] = kl_divergence({h: c / t for h, c in placed.items()}, target)
+        out.append(kls)
+        counts[step.chosen_group] += 1
+    return out
+
+
+def taken_before(trace, victim: int, group: GroupId) -> int:
+    return sum(1 for s in trace.steps[:victim] if s.chosen_group == group)
+
+
+def plant(trace, victim: int, group: GroupId, chosen):
+    """The trace with step ``victim`` recording ``chosen`` from ``group``."""
+    planted = trace.steps[victim]._replace(chosen_group=group, chosen=chosen)
+    return dataclasses.replace(
+        trace, steps=trace.steps[:victim] + (planted,) + trace.steps[victim + 1 :]
+    )
+
+
 class TestVerifyTrace:
     def test_clean_trace_passes(self, three_group_target):
         cands = synthetic_candidate_set({G00: 5, G01: 4, G11: 3})
@@ -230,40 +255,65 @@ class TestVerifyTrace:
     def test_planted_fault_detected(self, three_group_target):
         cands = synthetic_candidate_set({G00: 5, G01: 4, G11: 3})
         _, trace = kl_greedy_merge(cands, three_group_target, 12)
-        # Swap one step's choice to a group that did not attain the minimum.
-        victim = next(
-            i
-            for i, s in enumerate(trace.steps)
-            if len(s.tentative_kl) > 1
-            and max(s.tentative_kl.values()) - min(s.tentative_kl.values()) > 1e-6
+        # Swap one step's choice to the head of a group that did not attain
+        # the minimum.
+        victim, tentative = next(
+            (i, kl)
+            for i, kl in enumerate(tentative_kls(trace, three_group_target))
+            if len(kl) > 1 and max(kl.values()) - min(kl.values()) > 1e-6
         )
-        step = trace.steps[victim]
-        wrong = max(step.tentative_kl, key=step.tentative_kl.get)
-        corrupted = AggregationTrace(
-            trace.steps[:victim]
-            + (TraceStep(step.position, wrong, step.tentative_kl, step.chosen, step.tie_break_used),)
-            + trace.steps[victim + 1 :],
-            trace.truncated,
-        )
-        report = verify_trace(corrupted, three_group_target)
+        wrong = max(tentative, key=tentative.get)
+        head = cands.lists[wrong][taken_before(trace, victim, wrong)]
+        report = verify_trace(plant(trace, victim, wrong, head), three_group_target)
         assert not report.ok
-        assert report.first_violation.position == step.position
-        assert report.first_violation.chosen_group == wrong
+        first = report.first_violation
+        assert (first.position, first.chosen_group) == (victim + 1, wrong)
+        assert first.best_group == trace.steps[victim].chosen_group
+        assert first.chosen_kl == pytest.approx(tentative[wrong], abs=1e-12)
+
+    def test_planted_non_head_detected(self, three_group_target):
+        cands = synthetic_candidate_set({G00: 5, G01: 4, G11: 3})
+        _, trace = kl_greedy_merge(cands, three_group_target, 12)
+        # The right group, but its second candidate instead of its head.
+        victim = 4
+        group = trace.steps[victim].chosen_group
+        skipped = cands.lists[group][taken_before(trace, victim, group) + 1]
+        report = verify_trace(plant(trace, victim, group, skipped), three_group_target)
+        assert [v.position for v in report.violations] == [victim + 1]
+        assert report.first_violation.chosen_group == group
+
+    def test_planted_exhausted_group_detected(self, three_group_target):
+        cands = synthetic_candidate_set({G00: 1, G01: 6, G11: 6})
+        _, trace = kl_greedy_merge(cands, three_group_target, 12)
+        # G00 has one candidate; a G00 step after it was taken is a fault.
+        victim = next(i for i, s in enumerate(trace.steps) if s.chosen_group == G00) + 1
+        report = verify_trace(plant(trace, victim, G00, cands.lists[G00][0]), three_group_target)
+        first = report.first_violation
+        assert (first.position, first.chosen_group) == (victim + 1, G00)
+        assert first.chosen_kl == math.inf
+        assert first.best_group == trace.steps[victim].chosen_group
+
+    def test_weighted_merges_pass(self, three_group_target):
+        cands = synthetic_candidate_set({G00: 30, G01: 30, G11: 30})
+        for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
+            _, trace = kl_greedy_merge(cands, three_group_target, 90, lam)
+            report = verify_trace(trace, three_group_target)
+            assert report.ok and report.steps_checked == 90, (lam, report.first_violation)
 
     def test_score_greedy_trace_fails_fairness_rule(self):
-        # A pure-score run checked against the divergence rule must be
-        # flagged exactly where score and fairness disagreed.
+        # A pure-score run checked as if it were a pure-divergence run must
+        # be flagged exactly where score and fairness disagreed.
         target = GroupDistribution({G00: 0.1, G01: 0.9})
         cands = synthetic_candidate_set({G00: 3, G01: 3})
         pure, _ = kl_greedy_merge(cands, target, 4)
         score_first, trace0 = kl_greedy_merge_weighted(cands, target, 4, 0.0)
         assert pure.group_sequence() != score_first.group_sequence()
-        report = verify_trace(trace0, target)
+        assert verify_trace(trace0, target).ok
+        report = verify_trace(dataclasses.replace(trace0, lam=1.0), target)
         assert not report.ok
         disagreements = {
             step.position
-            for step in trace0.steps
-            if step.chosen_group
-            != min(step.tentative_kl, key=lambda g: (step.tentative_kl[g], g))
+            for step, kl in zip(trace0.steps, tentative_kls(trace0, target))
+            if step.chosen_group != min(kl, key=lambda g: (kl[g], g))
         }
         assert {v.position for v in report.violations} == disagreements

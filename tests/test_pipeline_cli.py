@@ -524,6 +524,38 @@ class TestCli:
         config_path.write_text(json.dumps({"target": {"0-0": 0.5, "0-1": 0.2, "1-0": 0.3}}))
         assert self.run("pipeline", *inputs, "--config", config_path, "--out", tmp_path / "p") == 2
         assert not (tmp_path / "o.json").exists() and not (tmp_path / "p").exists()
+        # 2: a target mass that is not finite, in any subcommand, before any work
+        for target in ("0-0=nan,0-1=1", "0-0=nan,0-1=0.5,1-1=0.5", "0-0=inf,0-1=-inf,1-1=1"):
+            for command, *flags in (
+                ("oracle", "--counts", "0-0=2,0-1=2"),
+                ("gap", "--k-grid", 5),
+                ("rerank", *rerank_inputs),
+                ("eval", *inputs, "--ranking", missing),
+                ("pipeline", *inputs),
+            ):
+                assert self.run(
+                    command, *flags, "--target", target, "--out", tmp_path / "nan"
+                ) == 2, (command, target)
+        config_path.write_text('{"target": {"0-0": NaN, "0-1": 1.0}}')
+        assert self.run("pipeline", *inputs, "--config", config_path, "--out", tmp_path / "p") == 2
+        assert not (tmp_path / "nan").exists() and not (tmp_path / "p").exists()
+        # 2: a --config key that is not one of the subcommand's own options,
+        # before any file is read
+        for command, flags, value in (
+            ("oracle", oracle[1:], {"gaurd": 3}),
+            ("gap", ("--target", "0-0=0.5,0-1=0.5"), {"pool": "0-0=30,0-1=30"}),
+            ("pipeline", inputs, {"edgs": "e.tsv"}),
+            ("pipeline", inputs, {"config": "other.json"}),
+            ("rerank", rerank_inputs + ("--target", "0-0=1"), {"k": [10]}),
+            ("eval", inputs + ("--ranking", missing, "--target", "0-0=1"), {"lam": 0.5}),
+            ("score", inputs + ("--train", missing, "--test", missing), {"ratios": [0.7, 0.3, 0]}),
+            ("split", inputs, {"train": "t.tsv"}),
+        ):
+            config_path.write_text(json.dumps(value))
+            assert self.run(
+                command, *flags, "--config", config_path, "--out", tmp_path / "keys"
+            ) == 2, (command, value)
+        assert not (tmp_path / "keys").exists()
 
     def test_gap_skips_an_empty_pool(self, tmp_path):
         # A zero pool gives its dyadic class nothing to apportion.

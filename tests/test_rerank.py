@@ -13,7 +13,7 @@ from fairlink.errors import (
 )
 from fairlink.fairness import INTER, INTRA, delta_dp_selection, kl_divergence, ndkl
 from fairlink.graphs import GroupDistribution, GroupId
-from fairlink.oracle import MultisetSpec, enumerate_ndkl_extremes
+from fairlink.oracle import MultisetSpec, enumerate_ndkl_extremes, verify_trace
 from fairlink.rank_metrics import RelevanceVector, precision_at_k
 from fairlink.rerank import (
     gap_experiment,
@@ -75,9 +75,19 @@ class TestGreedyMerge:
     def test_per_step_local_optimality(self, three_group_target):
         cands = synthetic_candidate_set({G00: 6, G01: 4, G11: 4})
         _, trace = kl_greedy_merge(cands, three_group_target, 12)
-        for step in trace.steps:
-            chosen_kl = step.tentative_kl[step.chosen_group]
-            assert chosen_kl <= min(step.tentative_kl.values()) + 1e-15
+        report = verify_trace(trace, three_group_target)
+        assert report.ok and report.steps_checked == 12
+        # And with kl_divergence, every available group scored at every step.
+        counts = Counter()
+        for t, step in enumerate(trace.steps, start=1):
+            tentative = {}
+            for g, bucket in cands.lists.items():
+                if counts[g] < len(bucket):
+                    placed = counts + Counter({g: 1})
+                    fractions = {h: c / t for h, c in placed.items()}
+                    tentative[g] = kl_divergence(fractions, three_group_target)
+            assert tentative[step.chosen_group] <= min(tentative.values()) + 1e-15
+            counts[step.chosen_group] += 1
 
     def test_within_group_order_preserved(self, three_group_target):
         rnd = random.Random(17)
@@ -163,12 +173,15 @@ class TestWeightedMerge:
         step = half_trace.steps[1]
         kl_g00 = kl_divergence({G00: 0.5, G01: 0.5}, target)
         kl_g01 = kl_divergence({G01: 1.0}, target)
-        assert step.tentative_kl[G00] == pytest.approx(kl_g00, abs=1e-12)
-        assert step.tentative_kl[G01] == pytest.approx(kl_g01, abs=1e-12)
+        assert kl_g00 == pytest.approx(0.5 * math.log(5) + 0.5 * math.log(5 / 9), abs=1e-12)
+        assert kl_g01 == pytest.approx(math.log(1 / 0.9), abs=1e-12)
         obj_g00 = 0.5 * kl_g00 + 0.5 * (1 - 1.0)  # untouched head, s_hat = 1
         obj_g01 = 0.5 * kl_g01 + 0.5 * (1 - 0.5)  # second element, s_hat = 0.5
         assert obj_g00 < obj_g01
+        assert step.chosen_group == G00
+        assert verify_trace(half_trace, target).ok
         # And under the pure rule the same step keeps G01.
+        assert kl_g01 < kl_g00
         assert pure_trace.steps[1].chosen_group == G01
 
     def test_lambda_validation(self, uniform_pair_target):
@@ -183,7 +196,8 @@ class TestWeightedMerge:
 def reference_merge(candidates, target, n, lam=1.0, *, smoothing=False):
     """The merge as it was before the closed form: every available group is
     scored with ``kl_divergence`` at every position. Returns the entries,
-    the trace steps and whether the output was truncated."""
+    the trace steps (position, group, candidate, tie) and whether the
+    output was truncated."""
     masses = target.smoothed() if smoothing else target
     groups = candidates.groups()
     lists = {g: candidates.lists[g] for g in groups}
@@ -202,7 +216,7 @@ def reference_merge(candidates, target, n, lam=1.0, *, smoothing=False):
         available = [g for g in groups if heads[g] < len(lists[g])]
         if not available:
             break
-        tentative, objectives = {}, {}
+        objectives = {}
         for g in available:
             fractions = {
                 h: (c + (1 if h == g else 0)) / t
@@ -210,7 +224,6 @@ def reference_merge(candidates, target, n, lam=1.0, *, smoothing=False):
                 if c > 0 or h == g
             }
             kl = kl_divergence(fractions, masses)
-            tentative[g] = kl
             shat = normalized[g][heads[g]]
             objectives[g] = lam * kl + (1.0 - lam) * (1.0 - shat)
         best = min(available, key=lambda g: (objectives[g], -normalized[g][heads[g]], g))
@@ -219,7 +232,7 @@ def reference_merge(candidates, target, n, lam=1.0, *, smoothing=False):
         heads[best] += 1
         counts[best] += 1
         entries.append(chosen)
-        steps.append((t, best, tentative, chosen, tie))
+        steps.append((t, best, chosen, tie))
     return tuple(entries), steps, len(entries) < n
 
 
@@ -260,19 +273,20 @@ def random_instance(rnd: random.Random, group_count: int):
 
 
 def assert_same_merge(cands, target, n, lam, smoothing) -> int:
-    """The merge agrees with ``reference_merge``; returns the tie steps seen."""
+    """The merge agrees with ``reference_merge`` and its trace passes
+    ``verify_trace``; returns the tie steps seen."""
     ranking, trace = kl_greedy_merge(cands, target, n, lam, smoothing=smoothing)
     entries, steps, truncated = reference_merge(cands, target, n, lam, smoothing=smoothing)
     assert ranking.entries == entries
     assert trace.truncated == truncated
+    assert (trace.candidates, trace.lam) == (cands, lam)
     assert len(trace.steps) == len(steps)
-    for step, (t, best, tentative, chosen, tie) in zip(trace.steps, steps):
+    for step, (t, best, chosen, tie) in zip(trace.steps, steps):
         assert (step.position, step.chosen_group, step.chosen) == (t, best, chosen)
         assert step.tie_break_used == tie
-        assert step.tentative_kl.keys() == tentative.keys()
-        for g, kl in tentative.items():
-            assert abs(step.tentative_kl[g] - kl) <= 1e-12
-    return sum(1 for step in steps if step[4])
+    report = verify_trace(trace, target, smoothing=smoothing)
+    assert report.ok, report.first_violation
+    return sum(1 for step in steps if step[3])
 
 
 class TestMergeMatchesReference:

@@ -1,5 +1,5 @@
 """Every experiment script imports and parses its arguments; the pipeline
-benchmark also runs, small, so that its own check against run_single does."""
+and merge benchmarks also run, small, so that their own checks do."""
 
 import json
 import os
@@ -39,3 +39,13 @@ def test_bench_pipeline_stages_agree_with_run_single():
     assert result.returncode == 0, result.stderr
     [row] = json.loads(result.stdout)["rows"]
     assert (row["nodes"], row["edges"]) == (200, 4000)
+
+
+def test_bench_merge_traces_verify():
+    # The script exits non-zero when verify_trace flags a step of any cell.
+    result = run_script(
+        ROOT / "scripts" / "bench_merge.py", "--groups", "3", "21", "--n", "200", "--repeats", "1"
+    )
+    assert result.returncode == 0, result.stderr
+    rows = json.loads(result.stdout)["rows"]
+    assert [(r["groups"], r["lam"]) for r in rows] == [(3, 1.0), (3, 0.5), (21, 1.0), (21, 0.5)]
