@@ -247,10 +247,11 @@ def plant(trace, victim: int, group: GroupId, chosen):
 class TestVerifyTrace:
     def test_clean_trace_passes(self, three_group_target):
         cands = synthetic_candidate_set({G00: 5, G01: 4, G11: 3})
-        _, trace = kl_greedy_merge(cands, three_group_target, 12)
-        report = verify_trace(trace, three_group_target)
-        assert report.ok
-        assert report.steps_checked == 12
+        for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
+            _, trace = kl_greedy_merge(cands, three_group_target, 12, lam)
+            report = verify_trace(trace, three_group_target)
+            assert report.ok, (lam, report.first_violation)
+            assert report.steps_checked == 12
 
     def test_planted_fault_detected(self, three_group_target):
         cands = synthetic_candidate_set({G00: 5, G01: 4, G11: 3})
@@ -292,13 +293,13 @@ class TestVerifyTrace:
         assert (first.position, first.chosen_group) == (victim + 1, G00)
         assert first.chosen_kl == math.inf
         assert first.best_group == trace.steps[victim].chosen_group
-
-    def test_weighted_merges_pass(self, three_group_target):
-        cands = synthetic_candidate_set({G00: 30, G01: 30, G11: 30})
-        for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-            _, trace = kl_greedy_merge(cands, three_group_target, 90, lam)
-            report = verify_trace(trace, three_group_target)
-            assert report.ok and report.steps_checked == 90, (lam, report.first_violation)
+        # A step after every list ran out has no group to take from.
+        extra = trace.steps[0]._replace(position=len(trace.steps) + 1)
+        _, short = kl_greedy_merge(cands, three_group_target, cands.total())
+        report = verify_trace(
+            dataclasses.replace(short, steps=short.steps + (extra,)), three_group_target
+        )
+        assert [v.position for v in report.violations] == [cands.total() + 1]
 
     def test_score_greedy_trace_fails_fairness_rule(self):
         # A pure-score run checked as if it were a pure-divergence run must
