@@ -1,36 +1,34 @@
 #!/usr/bin/env python3
 """Time each stage of one pipeline seed, layer by layer.
 
-Builds a seeded graph with the standard library alone: a binary
-attribute over a 60/40 node split and edges in groups 0-0 / 0-1 / 1-1
-at 60/20/20, the recipe of ``scripts/run_synthetic_pipeline.py`` at an
-average degree of 40. On each graph it runs the stages of
-``pipeline.run_single`` one by one (split, subgraphs, negatives,
-scoring, merges, evaluation) and then the seed's files (writes), as
-``run_pipeline`` does, and prints one JSON object with the best wall
-time of each stage over the repeats. "subgraphs" is the train graph,
-indexed from the split's train slices; the test slices are the
-positives as they are. Decoupled Adamic-Adar,
-k = (100, 1000), output size 1000. Each repeat is checked against
-``run_single`` for the same seed. The code timed is whichever
+Each graph is the one ``scripts/run_synthetic_pipeline.py`` generates
+(its ``synthetic_graph``): a binary attribute over a 60/40 node split
+and edges in groups 0-0 / 0-1 / 1-1 at 60/20/20, average degree 40.
+On each graph it runs the stages of ``pipeline.run_single`` one by
+one (split, subgraphs, negatives, scoring, merges, evaluation) and
+then the seed's files (writes), as ``run_pipeline`` does, and prints
+one JSON object with the best wall time of each stage over the
+repeats. "subgraphs" is the train graph, indexed from the split's train
+slices; the test slices are the positives as they are. Decoupled
+Adamic-Adar, k = (100, 1000), output size 1000. Each repeat is checked
+against ``run_single`` for the same seed. The code timed is whichever
 ``fairlink`` is on the path.
 
 Usage (from the repository root):
   PYTHONPATH=src python scripts/bench_pipeline.py
   PYTHONPATH=src python scripts/bench_pipeline.py --nodes 1000 --repeats 3
+  PYTHONPATH=src python scripts/bench_pipeline.py --nodes 20000 --repeats 1
 """
 
 import argparse
 import json
 import math
 import platform
-import random
 import tempfile
 import time
 from pathlib import Path
 
 from fairlink.graphs import (
-    GroupId,
     SensitiveGraph,
     sample_negatives,
     stratified_split,
@@ -48,25 +46,9 @@ from fairlink.pipeline import (
 )
 from fairlink.rerank import kl_greedy_merge, merge_by_score
 from fairlink.scorers import score_candidates
+from run_synthetic_pipeline import synthetic_graph
 
 STAGES = ("split", "subgraphs", "negatives", "scoring", "merges", "evaluation", "writes")
-GROUP_SHARES = {GroupId.of(0, 0): 0.6, GroupId.of(0, 1): 0.2, GroupId.of(1, 1): 0.2}
-
-
-def synthetic_graph(nodes: int, seed: int) -> SensitiveGraph:
-    """``nodes`` nodes, 20 edges per node, drawn uniformly within each group."""
-    rng = random.Random(seed)
-    first = math.floor(0.6 * nodes)
-    blocks = {0: range(first), 1: range(first, nodes)}
-    attrs = {node: value for value, block in blocks.items() for node in block}
-    edges: set[tuple[int, int]] = set()
-    for group, share in GROUP_SHARES.items():
-        wanted = len(edges) + round(20 * nodes * share)
-        while len(edges) < wanted:
-            u, v = rng.choice(blocks[group.lo]), rng.choice(blocks[group.hi])
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
-    return SensitiveGraph(nodes, edges, attrs)
 
 
 def one_seed(config: RunConfig, graph: SensitiveGraph, seed: int, out: Path):

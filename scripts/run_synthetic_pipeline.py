@@ -1,24 +1,43 @@
 #!/usr/bin/env python3
 """Generate a homophilic synthetic graph and run the full pipeline on it.
 
-Builds a two-block attributed graph (~40k edges, group proportions near
-0.6/0.2/0.2), writes the dataset files, then runs the seeded pipeline
-with decoupled Adamic-Adar scoring and compares the exposure-aware
-greedy ranking against the naive raw-score merge.
+Builds a two-block attributed graph (20 edges per node, so ~40k at the
+default 2,000 nodes; group proportions near 0.6/0.2/0.2), writes the
+dataset files, then runs the seeded pipeline with decoupled Adamic-Adar
+scoring and compares the exposure-aware greedy ranking against the
+naive raw-score merge.
 
 Usage:
   python scripts/run_synthetic_pipeline.py --out results/synthetic
   python scripts/run_synthetic_pipeline.py --seed 7 --repeats 3 --nodes 2000
+  python scripts/run_synthetic_pipeline.py --nodes 20000 --repeats 1
 """
 
 import argparse
 from pathlib import Path
 
-from fairlink.graphs import GroupId
+from fairlink.graphs import GroupId, SensitiveGraph
 from fairlink.pipeline import GREEDY, NAIVE, RunConfig, run_pipeline
 from fairlink.synth import biased_block_graph, write_graph_files
 
 G00, G01, G11 = GroupId.of(0, 0), GroupId.of(0, 1), GroupId.of(1, 1)
+
+
+def synthetic_graph(nodes: int, seed: int) -> SensitiveGraph:
+    """A 60/40 node split with about 20 edges per node in groups 0-0 / 0-1 / 1-1 at 60/20/20."""
+    majority = round(nodes * 0.6)
+    minority = nodes - majority
+    # Densities scale so group totals stay near 60/20/20 at any size.
+    edge_budget = 20 * nodes
+    return biased_block_graph(
+        {0: majority, 1: minority},
+        {
+            G00: 0.6 * edge_budget / (majority * (majority - 1) / 2),
+            G01: 0.2 * edge_budget / (majority * minority),
+            G11: 0.2 * edge_budget / (minority * (minority - 1) / 2),
+        },
+        seed=seed,
+    )
 
 
 def main() -> int:
@@ -33,19 +52,7 @@ def main() -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    majority = round(args.nodes * 0.6)
-    minority = args.nodes - majority
-    # Densities scale so group totals stay near 60/20/20 at any size.
-    edge_budget = 20 * args.nodes
-    graph = biased_block_graph(
-        {0: majority, 1: minority},
-        {
-            G00: 0.6 * edge_budget / (majority * (majority - 1) / 2),
-            G01: 0.2 * edge_budget / (majority * minority),
-            G11: 0.2 * edge_budget / (minority * (minority - 1) / 2),
-        },
-        seed=args.seed,
-    )
+    graph = synthetic_graph(args.nodes, args.seed)
     edges, attrs = out_dir / "edges.tsv", out_dir / "attrs.tsv"
     write_graph_files(graph, edges, attrs)
     print(f"generated graph: {graph.node_count} nodes, {len(graph.edges)} edges")

@@ -2,17 +2,17 @@
 
 Nodes are partitioned by attribute value; each group of node pairs gets
 its own independent edge probability, so group proportions (and the
-degree of homophily) are directly controllable. Generation is vectorized
-and deterministic per seed.
+degree of homophily) are directly controllable. Generation takes time
+and memory linear in the edge count and is deterministic per seed.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from typing import Mapping
 
-import numpy as np
-
-from .errors import ConfigError
+from .errors import ConfigError, _check_number
 from .graphs import GroupId, SensitiveGraph, write_edge_list
 from .io import atomic_write
 
@@ -26,43 +26,46 @@ def biased_block_graph(
 
     ``node_counts`` maps attribute value -> number of nodes (ids are
     assigned contiguously in attribute order); ``edge_probs`` maps a
-    group to its independent edge probability, defaulting to 0.
+    group of two of those values to its independent edge probability,
+    defaulting to 0. Blocks are drawn in sorted group order from one
+    ``random.Random(seed)``, each by geometric skipping over its pair
+    index (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005).
     """
     for value, count in node_counts.items():
-        if count < 0:
-            raise ConfigError(f"negative node count for attribute {value}")
+        _check_number(count, f"node count for attribute {value}", integer=True, minimum=0)
     for group, p in edge_probs.items():
-        if not 0.0 <= p <= 1.0:
+        if not set(group) <= node_counts.keys():
+            raise ConfigError(f"edge probability for {group} names a value with no node count")
+        if not 0.0 <= _check_number(p, f"edge probability for {group}") <= 1.0:
             raise ConfigError(f"edge probability for {group} must be in [0, 1], got {p}")
 
+    first: dict[int, int] = {}
     sensitive: dict[int, int] = {}
-    buckets: dict[int, np.ndarray] = {}
-    next_id = 0
     for value in sorted(node_counts):
-        ids = np.arange(next_id, next_id + node_counts[value])
-        buckets[value] = ids
-        for node in ids:
-            sensitive[int(node)] = value
-        next_id += node_counts[value]
+        first[value] = len(sensitive)
+        sensitive.update((first[value] + n, value) for n in range(node_counts[value]))
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     edges: list[tuple[int, int]] = []
-    values = sorted(buckets)
+    values = sorted(node_counts)
     for i, a in enumerate(values):
         for b in values[i:]:
-            p = edge_probs.get(GroupId.of(a, b), 0.0)
-            if p <= 0.0:
-                continue
-            if a == b:
-                us, vs = np.triu_indices(len(buckets[a]), k=1)
-                us, vs = buckets[a][us], buckets[a][vs]
-            else:
-                grid_u, grid_v = np.meshgrid(buckets[a], buckets[b], indexing="ij")
-                us, vs = grid_u.ravel(), grid_v.ravel()
-            mask = rng.random(len(us)) < p
-            edges.extend(zip(us[mask].tolist(), vs[mask].tolist()))
+            p, size = edge_probs.get(GroupId.of(a, b), 0.0), node_counts[b]
+            pairs = size * (size - 1) // 2 if a == b else node_counts[a] * size
+            log_q, k = math.log1p(-p) if p < 1.0 else 0.0, -1
+            # Pair index k is kept with probability p (at p = 1 every k, with no draw):
+            # the gap to the next kept k is 1 + floor(ln(1 - r) / ln(1 - p)), capped at tiny p.
+            while p > 0.0:
+                k += 1 if p == 1.0 else 1 + int(min(math.log(1.0 - rng.random()) / log_q, pairs))
+                if k >= pairs:
+                    break
+                if a == b:  # k = j(j-1)/2 + i with i < j
+                    j = (1 + math.isqrt(8 * k + 1)) // 2
+                    edges.append((first[a] + k - j * (j - 1) // 2, first[a] + j))
+                else:  # k = i * size + j
+                    edges.append((first[a] + k // size, first[b] + k % size))
 
-    return SensitiveGraph(next_id, edges, sensitive)
+    return SensitiveGraph(len(sensitive), edges, sensitive)
 
 
 def write_graph_files(graph: SensitiveGraph, edges_path, attrs_path) -> None:

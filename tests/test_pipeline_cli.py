@@ -594,7 +594,7 @@ class TestCli:
 
 
 def test_import_does_not_load_numpy():
-    # numpy is needed by fairlink.synth only; the package and its CLI run without it.
+    # The package and its CLI run without numpy, which only the tests use.
     src = Path(fairlink.__file__).resolve().parents[1]
     code = "import sys, fairlink, fairlink.cli; print('numpy' in sys.modules)"
     result = subprocess.run(
@@ -605,6 +605,24 @@ def test_import_does_not_load_numpy():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_synth_runs_without_numpy():
+    # A None entry in sys.modules makes any import of numpy raise ImportError.
+    src = Path(fairlink.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.modules['numpy'] = None; "
+        "from fairlink.graphs import GroupId; from fairlink.synth import biased_block_graph; "
+        "print(len(biased_block_graph({0: 90, 1: 60}, {GroupId.of(0, 1): 0.02}, seed=5).edges))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert int(result.stdout) > 0
 
 
 def test_import_loads_only_what_it_names():

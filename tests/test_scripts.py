@@ -38,7 +38,7 @@ def test_bench_pipeline_stages_agree_with_run_single():
     result = run_script(ROOT / "scripts" / "bench_pipeline.py", "--nodes", "200", "--repeats", "1")
     assert result.returncode == 0, result.stderr
     [row] = json.loads(result.stdout)["rows"]
-    assert (row["nodes"], row["edges"]) == (200, 4000)
+    assert (row["nodes"], row["edges"]) == (200, 3931)
 
 
 def test_bench_merge_traces_verify():
