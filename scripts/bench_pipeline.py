@@ -4,15 +4,14 @@
 Each graph is the one ``scripts/run_synthetic_pipeline.py`` generates
 (its ``synthetic_graph``): a binary attribute over a 60/40 node split
 and edges in groups 0-0 / 0-1 / 1-1 at 60/20/20, average degree 40.
-On each graph it runs the stages of ``pipeline.run_single`` one by
-one (split, subgraphs, negatives, scoring, merges, evaluation) and
-then the seed's files (writes), as ``run_pipeline`` does, and prints
-one JSON object with the best wall time of each stage over the
-repeats. "subgraphs" is the train graph, indexed from the split's train
-slices; the test slices are the positives as they are. Decoupled
-Adamic-Adar, k = (100, 1000), output size 1000. Each repeat is checked
-against ``run_single`` for the same seed. The code timed is whichever
-``fairlink`` is on the path.
+On each graph it runs ``pipeline.run_single`` and reads the stage times
+the result carries (split, subgraphs, negatives, scoring, merges,
+evaluation), then times the seed's files (writes) with the two calls
+``run_pipeline`` makes, and prints one JSON object with the best wall
+time of each stage over the repeats. "subgraphs" is the train graph,
+indexed from the split's train slices, and the target resolved on it.
+Decoupled Adamic-Adar, k = (100, 1000), output size 1000. The code
+timed is whichever ``fairlink`` is on the path.
 
 Usage (from the repository root):
   PYTHONPATH=src python scripts/bench_pipeline.py
@@ -28,72 +27,12 @@ import tempfile
 import time
 from pathlib import Path
 
-from fairlink.graphs import (
-    SensitiveGraph,
-    sample_negatives,
-    stratified_split,
-    write_split,
-)
-from fairlink.pipeline import (
-    GREEDY,
-    NAIVE,
-    RunConfig,
-    SeedRunResult,
-    emit_seed_report,
-    evaluate_ranking,
-    resolve_target,
-    run_single,
-)
-from fairlink.rerank import kl_greedy_merge, merge_by_score
-from fairlink.scorers import score_candidates
+from fairlink.errors import ConfigError
+from fairlink.graphs import write_split
+from fairlink.pipeline import RunConfig, emit_seed_report, run_single
 from run_synthetic_pipeline import synthetic_graph
 
 STAGES = ("split", "subgraphs", "negatives", "scoring", "merges", "evaluation", "writes")
-
-
-def one_seed(config: RunConfig, graph: SensitiveGraph, seed: int, out: Path):
-    """The stages of ``run_single`` plus the seed's files; returns the result and stage times."""
-    times = {}
-    clock = time.perf_counter()
-
-    def lap(stage: str) -> None:
-        nonlocal clock
-        now = time.perf_counter()
-        times[stage] = now - clock
-        clock = now
-
-    split = stratified_split(graph, config.ratios, seed=seed)
-    lap("split")
-    train_graph = split.train_graph(graph)
-    positives = split.slices["test"]
-    lap("subgraphs")
-    request = {g: round(len(e) * config.negatives_per_positive) for g, e in positives.items()}
-    negatives = sample_negatives(graph, request, seed=seed)
-    lap("negatives")
-    candidates = score_candidates(
-        train_graph,
-        {g: [*edges, *negatives[g]] for g, edges in positives.items()},
-        config.scorer,
-        decoupled=config.decoupled,
-        positives=frozenset().union(*positives.values()),
-    )
-    lap("scoring")
-    target = resolve_target(config.target, train_graph)
-    n = config.output_size
-    greedy, _ = kl_greedy_merge(candidates, target, n, config.lam, smoothing=config.smoothing)
-    naive = merge_by_score(candidates, n)
-    lap("merges")
-    rankings = {GREEDY: greedy, NAIVE: naive}
-    reports = {
-        name: evaluate_ranking(name, ranking, candidates, target, config.k_list)
-        for name, ranking in rankings.items()
-    }
-    lap("evaluation")
-    result = SeedRunResult(seed, config.config_hash(), target, reports, rankings, split)
-    emit_seed_report(result, out / f"seed_{seed}")
-    write_split(out / f"seed_{seed}" / "split", graph, split)
-    lap("writes")
-    return result, times
 
 
 def main() -> int:
@@ -105,9 +44,11 @@ def main() -> int:
 
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
         for nodes in args.nodes:
-            graph = synthetic_graph(nodes, args.seed)
+            try:
+                graph = synthetic_graph(nodes, args.seed)
+            except ConfigError as exc:
+                parser.error(f"--nodes: {exc}")
             config = RunConfig(
                 edges_path="-",
                 attrs_path="-",
@@ -119,12 +60,13 @@ def main() -> int:
             )
             best = dict.fromkeys(STAGES, math.inf)
             for seed in range(args.seed, args.seed + args.repeats):
-                result, times = one_seed(config, graph, seed, out)
-                reference = run_single(config, seed, graph)
-                if result.rankings != reference.rankings or result.reports != reference.reports:
-                    raise SystemExit(f"stages disagree with run_single at seed {seed}")
-                for stage, seconds in times.items():
-                    best[stage] = min(best[stage], seconds)
+                result = run_single(config, seed, graph)
+                start = time.perf_counter()
+                seed_dir = Path(tmp) / f"seed_{seed}"
+                emit_seed_report(result, seed_dir)
+                write_split(seed_dir / "split", graph, result.split)
+                times = {**result.seconds, "writes": time.perf_counter() - start}
+                best = {stage: min(best[stage], times[stage]) for stage in STAGES}
             rows.append(
                 {
                     "nodes": nodes,

@@ -15,7 +15,7 @@ import argparse
 from pathlib import Path
 
 from fairlink.graphs import GroupDistribution, GroupId
-from fairlink.rerank import gap_experiment
+from fairlink.rerank import default_gap_pools, gap_experiment
 
 G00, G01, G11 = GroupId.of(0, 0), GroupId.of(0, 1), GroupId.of(1, 1)
 
@@ -43,8 +43,7 @@ def main() -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, masses in REFERENCE_PROPORTIONS.items():
         target = GroupDistribution(masses)
-        pools = {g: max(1, round(2 * max(args.k_grid) * p)) for g, p in target.items()}
-        curve = gap_experiment(target, pools, args.k_grid)
+        curve = gap_experiment(target, default_gap_pools(target, args.k_grid), args.k_grid)
         path = out_dir / f"gap_{name}.csv"
         curve.write_csv(path)
         last = curve.rows()[-1]

@@ -14,8 +14,10 @@ Usage:
 """
 
 import argparse
+import math
 from pathlib import Path
 
+from fairlink.errors import ConfigError
 from fairlink.graphs import GroupId, SensitiveGraph
 from fairlink.pipeline import GREEDY, NAIVE, RunConfig, run_pipeline
 from fairlink.synth import biased_block_graph, write_graph_files
@@ -24,20 +26,29 @@ G00, G01, G11 = GroupId.of(0, 0), GroupId.of(0, 1), GroupId.of(1, 1)
 
 
 def synthetic_graph(nodes: int, seed: int) -> SensitiveGraph:
-    """A 60/40 node split with about 20 edges per node in groups 0-0 / 0-1 / 1-1 at 60/20/20."""
+    """A 60/40 node split with about 20 edges per node in groups 0-0 / 0-1 / 1-1 at 60/20/20.
+
+    Raises ConfigError when a group's density for ``nodes`` is not in [0, 1].
+    """
     majority = round(nodes * 0.6)
     minority = nodes - majority
     # Densities scale so group totals stay near 60/20/20 at any size.
     edge_budget = 20 * nodes
-    return biased_block_graph(
-        {0: majority, 1: minority},
-        {
-            G00: 0.6 * edge_budget / (majority * (majority - 1) / 2),
-            G01: 0.2 * edge_budget / (majority * minority),
-            G11: 0.2 * edge_budget / (minority * (minority - 1) / 2),
-        },
-        seed=seed,
-    )
+    densities = {
+        group: share * edge_budget / pairs if pairs else math.inf
+        for group, share, pairs in (
+            (G00, 0.6, majority * (majority - 1) / 2),
+            (G01, 0.2, majority * minority),
+            (G11, 0.2, minority * (minority - 1) / 2),
+        )
+    }
+    for group, density in densities.items():
+        if not 0 <= density <= 1:
+            raise ConfigError(
+                f"{nodes} nodes are too few for about 20 edges per node: "
+                f"group {group.label()} would need density {density:.3g}, outside [0, 1]"
+            )
+    return biased_block_graph({0: majority, 1: minority}, densities, seed=seed)
 
 
 def main() -> int:
@@ -49,10 +60,12 @@ def main() -> int:
     parser.add_argument("--k", type=int, nargs="+", default=[100, 1000])
     args = parser.parse_args()
 
+    try:
+        graph = synthetic_graph(args.nodes, args.seed)
+    except ConfigError as exc:
+        parser.error(f"--nodes: {exc}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    graph = synthetic_graph(args.nodes, args.seed)
     edges, attrs = out_dir / "edges.tsv", out_dir / "attrs.tsv"
     write_graph_files(graph, edges, attrs)
     print(f"generated graph: {graph.node_count} nodes, {len(graph.edges)} edges")

@@ -3,7 +3,9 @@
 Subcommands mirror the pipeline stages: split, score, rerank, eval, gap,
 oracle, and pipeline (all stages end to end). Every subcommand accepts
 --seed and --config (a JSON file supplying defaults for the subcommand's
-own options; explicit flags win, and any other key is an error).
+own options; explicit flags win, and any other key is an error). Only
+split, score and pipeline use the seed; rerank, eval, gap and oracle
+draw nothing at random and ignore it.
 FAIRLINK_OUTPUT_DIR overrides output directories, nothing else.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
@@ -50,6 +52,7 @@ from .pipeline import (
 )
 from .rerank import (
     check_lambda,
+    default_gap_pools,
     gap_experiment,
     kl_greedy_merge,
     merge_by_score,
@@ -250,10 +253,7 @@ def cmd_gap(args) -> int:
     if pools_spec:
         pools = parse_group_map(str(pools_spec), int)
     else:
-        scale = 2 * max(k_grid)
-        pools = {
-            g: max(1, round(scale * p)) for g, p in target.items() if p > 0
-        }
+        pools = default_gap_pools(target, k_grid)
     curve = gap_experiment(target, pools, k_grid)
     out = _require(args, config, "out")
     curve.write_csv(out)

@@ -13,10 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import statistics
+import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, KOutOfRangeError, _check_bool, _check_number, _check_path
 from .fairness import (
@@ -200,7 +201,10 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class SeedRunResult:
-    """One seed's rankings and reports, plus enough context to re-check."""
+    """One seed's rankings and reports, plus enough context to re-check.
+
+    ``seconds`` (stage wall times, see ``run_single``) is neither compared nor reported.
+    """
 
     seed: int
     config_hash: str
@@ -208,6 +212,7 @@ class SeedRunResult:
     reports: dict[str, EvalReport]
     rankings: dict[str, Ranking] = field(repr=False)
     split: SplitResult | None = field(repr=False, default=None)
+    seconds: dict[str, float] = field(repr=False, compare=False, default_factory=dict)
 
     def report_payload(self) -> dict:
         return {
@@ -240,19 +245,23 @@ def build_candidates(
     train_graph: SensitiveGraph,
     positives: Mapping,
     seed: int,
+    *,
+    lap: Callable[[str], None] = lambda stage: None,
 ) -> GroupedCandidateSet:
     """Per-group pools: test positives plus sampled non-edges, scored on ``train_graph``.
 
     Each pair is born in its group: the positives come keyed by group (a
     split's test slices) and the negatives are sampled per group.
+    ``lap`` is called with "negatives" and then "scoring" as each step ends.
     """
     negatives = sample_negatives(
         graph,
         {g: round(len(edges) * config.negatives_per_positive) for g, edges in positives.items()},
         seed=seed,
     )
+    lap("negatives")
     embeddings = load_embeddings(config.embeddings_path) if config.embeddings_path else None
-    return score_candidates(
+    candidates = score_candidates(
         train_graph,
         {g: [*edges, *negatives[g]] for g, edges in positives.items()},
         config.scorer,
@@ -260,6 +269,8 @@ def build_candidates(
         positives=frozenset().union(*positives.values()),
         embeddings=embeddings,
     )
+    lap("scoring")
+    return candidates
 
 
 def evaluate_ranking(
@@ -277,10 +288,7 @@ def evaluate_ranking(
     diagnostics are pool-level where the definition demands it
     (score-mean forms), and top-k based for the selection-rate form.
     """
-    pool_sizes, class_scores, group_scores = pool_statistics(candidates)
-    total_positives = sum(
-        1 for cand in candidates.all_candidates() if cand.relevance
-    )
+    pool_sizes, class_scores, group_scores, total_positives = pool_statistics(candidates)
     rel = RelevanceVector.from_ranking(ranking, total_positives)
 
     cutoffs = list(dict.fromkeys(min(k, len(ranking)) for k in k_list))
@@ -315,19 +323,33 @@ def evaluate_ranking(
 
 
 def run_single(config: RunConfig, seed: int, graph: SensitiveGraph | None = None) -> SeedRunResult:
-    """One fully deterministic pipeline pass for the given seed."""
+    """One fully deterministic pipeline pass for the given seed.
+
+    The result's ``seconds`` times the stages: load (only when ``graph``
+    is not given), split, subgraphs (train graph and target), negatives,
+    scoring, merges and evaluation.
+    """
+    marks = [("", time.perf_counter())]
+
+    def lap(stage: str) -> None:
+        marks.append((stage, time.perf_counter()))
+
     if graph is None:
         graph = load_graph(config.edges_path, config.attrs_path)
+        lap("load")
     split = stratified_split(graph, config.ratios, seed=seed)
+    lap("split")
     train_graph = split.train_graph(graph)
     target = resolve_target(config.target, train_graph)
-    candidates = build_candidates(config, graph, train_graph, split.slices["test"], seed)
+    lap("subgraphs")
+    candidates = build_candidates(config, graph, train_graph, split.slices["test"], seed, lap=lap)
 
     n = config.output_size or min(candidates.total(), max(config.k_list, default=candidates.total()))
     greedy_ranking, _ = kl_greedy_merge(
         candidates, target, n, config.lam, smoothing=config.smoothing
     )
     naive_ranking = merge_by_score(candidates, n)
+    lap("merges")
 
     reports = {
         name: evaluate_ranking(
@@ -335,6 +357,7 @@ def run_single(config: RunConfig, seed: int, graph: SensitiveGraph | None = None
         )
         for name, ranking in ((GREEDY, greedy_ranking), (NAIVE, naive_ranking))
     }
+    lap("evaluation")
     return SeedRunResult(
         seed=seed,
         config_hash=config.config_hash(),
@@ -342,6 +365,7 @@ def run_single(config: RunConfig, seed: int, graph: SensitiveGraph | None = None
         reports=reports,
         rankings={GREEDY: greedy_ranking, NAIVE: naive_ranking},
         split=split,
+        seconds={stage: end - start for (_, start), (stage, end) in zip(marks, marks[1:])},
     )
 
 

@@ -402,6 +402,11 @@ def gap_point(target: GroupDistribution, pools: Mapping[GroupId, int], k: int) -
     )
 
 
+def default_gap_pools(target: GroupDistribution, k_grid: Sequence[int]) -> dict[GroupId, int]:
+    """Pools of twice the largest cutoff, split by target mass; a zero-mass group gets none."""
+    return {g: max(1, round(2 * max(k_grid) * p)) for g, p in target.items() if p > 0}
+
+
 def gap_experiment(
     target: GroupDistribution,
     pools: Mapping[GroupId, int],
@@ -469,15 +474,17 @@ def read_ranking(path: str | Path) -> Ranking:
 
 def pool_statistics(
     candidates: GroupedCandidateSet,
-) -> tuple[dict[str, int], dict[str, list[float]], dict[GroupId, list[float]]]:
-    """Dyadic pool sizes, per-class score lists, and per-group score lists."""
+) -> tuple[dict[str, int], dict[str, list[float]], dict[GroupId, list[float]], int]:
+    """Dyadic pool sizes, per-class and per-group score lists, and the positive count."""
     sizes = {INTRA: 0, INTER: 0}
     class_scores: dict[str, list[float]] = {INTRA: [], INTER: []}
     group_scores: dict[GroupId, list[float]] = {}
+    positives = 0
     for group in candidates.groups():
         cls = INTRA if group.is_intra else INTER
         bucket = candidates.lists[group]
         sizes[cls] += len(bucket)
-        class_scores[cls].extend(c.score for c in bucket)
         group_scores[group] = [c.score for c in bucket]
-    return sizes, class_scores, group_scores
+        class_scores[cls].extend(group_scores[group])
+        positives += sum(c.relevance for c in bucket)
+    return sizes, class_scores, group_scores, positives

@@ -131,8 +131,8 @@ class TestRunSingle:
                 monkeypatch.setattr(module, "edge_group", counted)
         built = []
         build = fairlink.pipeline.build_candidates
-        def recorded(*args):
-            built.append(build(*args))
+        def recorded(*args, **kwargs):
+            built.append(build(*args, **kwargs))
             return built[-1]
         monkeypatch.setattr(fairlink.pipeline, "build_candidates", recorded)
         run_single(small_config(dataset, tmp_path), seed=3, graph=graph)
@@ -145,15 +145,34 @@ class TestRunSingle:
         graph = load_graph(dataset["edges"], dataset["attrs"])
         trains = []
         build = fairlink.pipeline.build_candidates
-        def recorded(config, graph, train_graph, *rest):
+        def recorded(config, graph, train_graph, *rest, **kwargs):
             trains.append(train_graph)
-            return build(config, graph, train_graph, *rest)
+            return build(config, graph, train_graph, *rest, **kwargs)
         monkeypatch.setattr(fairlink.pipeline, "build_candidates", recorded)
         run_single(small_config(dataset, tmp_path, decoupled=decoupled), seed=3, graph=graph)
         [train] = trains
         assert graph._group_adjacency is None and graph._adjacency is None
         assert train._group_adjacency is not None
         assert (train._adjacency is None) == decoupled
+
+    def test_seconds_time_each_stage_in_chain_order(self, dataset, tmp_path):
+        config = small_config(dataset, tmp_path)
+        stages = ["split", "subgraphs", "negatives", "scoring", "merges", "evaluation"]
+        loaded = run_single(config, 3)
+        given = run_single(config, 3, load_graph(dataset["edges"], dataset["attrs"]))
+        assert list(loaded.seconds) == ["load", *stages]
+        assert list(given.seconds) == stages
+        assert all(value >= 0 for value in [*loaded.seconds.values(), *given.seconds.values()])
+
+    def test_timings_neither_compared_nor_reported(self, dataset, tmp_path):
+        graph = load_graph(dataset["edges"], dataset["attrs"])
+        a = run_single(small_config(dataset, tmp_path), 3, graph)
+        b = run_single(small_config(dataset, tmp_path), 3, graph)
+        assert a.seconds != b.seconds
+        assert a == b
+        assert "seconds" not in repr(a)
+        assert set(a.report_payload()) == {"config_hash", "seed", "target", "methods"}
+        assert "seconds" not in json.dumps(a.report_payload())
 
     def test_zero_target_mass_surfaces(self, dataset, tmp_path):
         config = small_config(

@@ -16,6 +16,7 @@ from fairlink.graphs import GroupDistribution, GroupId
 from fairlink.oracle import MultisetSpec, enumerate_ndkl_extremes, verify_trace
 from fairlink.rank_metrics import RelevanceVector, precision_at_k
 from fairlink.rerank import (
+    default_gap_pools,
     gap_experiment,
     gap_point,
     kl_greedy_merge,
@@ -412,6 +413,13 @@ class TestGapExperiment:
         point = gap_point(three_group_target, pools, 60)
         assert Counter(point.greedy.group_sequence()) == Counter(point.worst.group_sequence())
         assert sum(point.group_counts.values()) == 60
+
+    def test_default_pools_skip_a_zero_mass_group(self):
+        target = GroupDistribution({G00: 0.7, G01: 0.3, G11: 0.0})
+        pools = default_gap_pools(target, (10, 100))
+        assert pools == {G00: 140, G01: 60}
+        # A pool for the zero-mass group would raise ZeroTargetMassError.
+        assert [row["k"] for row in gap_experiment(target, pools, (10, 100)).rows()] == [10, 100]
 
     def test_infeasible_cutoff(self, three_group_target):
         with pytest.raises(InfeasibleKError):

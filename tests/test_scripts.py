@@ -13,9 +13,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
-def run_script(script: Path, *args: str) -> subprocess.CompletedProcess:
+def run_script(script: Path, *args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(script), *args],
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,
@@ -33,12 +34,28 @@ def test_help_exits_zero(script):
     assert result.returncode == 0, result.stderr
 
 
-def test_bench_pipeline_stages_agree_with_run_single():
-    # The script exits non-zero when its stage-by-stage seed differs from run_single.
+def test_bench_pipeline_times_every_stage():
+    # The stage times are run_single's own, plus the seed's writes.
     result = run_script(ROOT / "scripts" / "bench_pipeline.py", "--nodes", "200", "--repeats", "1")
     assert result.returncode == 0, result.stderr
     [row] = json.loads(result.stdout)["rows"]
     assert (row["nodes"], row["edges"]) == (200, 3931)
+    assert list(row["seconds"]) == [
+        "split", "subgraphs", "negatives", "scoring", "merges", "evaluation", "writes"
+    ]
+    assert all(value >= 0 for value in row["seconds"].values())
+
+
+@pytest.mark.parametrize(
+    "script", ["run_synthetic_pipeline.py", "bench_pipeline.py"], ids=lambda name: name
+)
+def test_too_few_nodes_exit_two(script, tmp_path):
+    # 40 nodes cannot hold about 20 edges per node: the 0-0 density would exceed 1.
+    result = run_script(ROOT / "scripts" / script, "--nodes", "40", cwd=tmp_path)
+    assert result.returncode == 2, result.stderr
+    assert "--nodes" in result.stderr and "40 nodes" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not any(tmp_path.iterdir())
 
 
 def test_bench_merge_traces_verify():
