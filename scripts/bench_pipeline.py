@@ -41,6 +41,8 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5, help="seeds per graph; the best is kept")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error(f"--repeats must be at least 1, got {args.repeats}")
 
     rows = []
     with tempfile.TemporaryDirectory() as tmp:

@@ -60,27 +60,31 @@ def main() -> int:
     parser.add_argument("--k", type=int, nargs="+", default=[100, 1000])
     args = parser.parse_args()
 
+    out_dir = Path(args.out)
+    edges, attrs = out_dir / "edges.tsv", out_dir / "attrs.tsv"
+    # The config is checked (--repeats, --k) before anything is generated or written.
+    try:
+        config = RunConfig(
+            edges_path=str(edges),
+            attrs_path=str(attrs),
+            out_dir=str(out_dir / "runs"),
+            seed=args.seed,
+            repeats=args.repeats,
+            scorer="adamic_adar",
+            decoupled=True,
+            k_list=tuple(args.k),
+            output_size=max(args.k),
+        )
+    except ConfigError as exc:
+        parser.error(str(exc))
     try:
         graph = synthetic_graph(args.nodes, args.seed)
     except ConfigError as exc:
         parser.error(f"--nodes: {exc}")
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    edges, attrs = out_dir / "edges.tsv", out_dir / "attrs.tsv"
     write_graph_files(graph, edges, attrs)
     print(f"generated graph: {graph.node_count} nodes, {len(graph.edges)} edges")
 
-    config = RunConfig(
-        edges_path=str(edges),
-        attrs_path=str(attrs),
-        out_dir=str(out_dir / "runs"),
-        seed=args.seed,
-        repeats=args.repeats,
-        scorer="adamic_adar",
-        decoupled=True,
-        k_list=tuple(args.k),
-        output_size=max(args.k),
-    )
     summary = run_pipeline(config)
     k_top = max(config.k_list)
     for result in summary.results:

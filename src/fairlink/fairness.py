@@ -15,6 +15,7 @@ which is exactly the weakness the prefix-divergence metric addresses.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -112,7 +113,11 @@ def ndkl_curve(
     """``ndkl`` at every cutoff k = 1..k_max (default: the whole ranking).
 
     One pass over the prefix; entry k-1 is ``ndkl(ranking, target, k)``.
-    With ``smoothing`` the target is ``target.smoothed()``.
+    With ``smoothing`` the target is ``target.smoothed()``. The groups
+    seen so far are kept sorted, and each prefix's divergence sums
+    q ln(q/p) over them in that order, as ``kl_divergence`` does, so
+    every value is the one it gives. A group of zero target mass raises
+    ``ZeroTargetMassError`` at the first prefix that holds it.
     """
     if len(ranking) == 0:
         raise EmptyRankingError()
@@ -122,14 +127,25 @@ def ndkl_curve(
 
     target_masses = _masses(target.smoothed() if smoothing else target)
     counts: dict[GroupId, int] = {}
+    seen: list[GroupId] = []
     weighted = 0.0
     normalizer = 0.0
     curve: list[float] = []
     for k, cand in enumerate(ranking.entries[:limit], start=1):
-        counts[cand.group] = counts.get(cand.group, 0) + 1
+        group = cand.group
+        if group not in counts:
+            if target_masses.get(group, 0.0) <= 0.0:
+                raise ZeroTargetMassError(group)
+            bisect.insort(seen, group)
+        counts[group] = counts.get(group, 0) + 1
+        total = 0.0
+        for g in seen:
+            q = counts[g] / k
+            total += q * math.log(q / target_masses[g])
         discount = position_discount(k)
         normalizer += discount
-        weighted += discount * kl_divergence({g: c / k for g, c in counts.items()}, target_masses)
+        # As in kl_divergence, float dust below 0 is clamped.
+        weighted += discount * max(0.0, total)
         curve.append(weighted / normalizer)
     return curve
 

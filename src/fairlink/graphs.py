@@ -9,6 +9,7 @@ fairness reference used throughout the package.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 import random
@@ -204,11 +205,19 @@ def _neighbor_sets(edges: Iterable[Edge]) -> dict[int, set[int]]:
     return dict(table)
 
 
+# One GroupId per ordered pair of attribute values, shared by every edge and
+# candidate that has it; attributes are small categories, so it stays small.
+_interned_group = functools.cache(GroupId.of)
+
+
 def edge_group(graph: SensitiveGraph, u: int, v: int) -> GroupId:
-    """Group of the unordered pair (u, v); symmetric in its arguments."""
+    """Group of the unordered pair (u, v); symmetric in its arguments.
+
+    The ``GroupId`` is cached, not allocated per call.
+    """
     if u == v:
         raise SelfLoopError(u)
-    return GroupId.of(graph.attribute(u), graph.attribute(v))
+    return _interned_group(graph.attribute(u), graph.attribute(v))
 
 
 @dataclass(frozen=True)

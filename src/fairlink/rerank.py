@@ -31,6 +31,8 @@ the gap experiment that contrasts it with the greedy ranking.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import logging
 import math
 import sys
@@ -195,12 +197,14 @@ def merge_by_score(candidates: GroupedCandidateSet, n: int | None = None) -> Ran
     """Naive single ranking: all groups merged by raw score.
 
     The reference point the greedy merge is compared against; comparing
-    raw scores across groups is exactly what it does.
+    raw scores across groups is exactly what it does. Descending score,
+    ties by pair: a heap merge of the group lists, which are already in
+    that order, takes the first n in O(n log G) for G groups. (A list
+    built by hand may order its equal scores otherwise; they keep that
+    order, as in the greedy merge.)
     """
-    merged = sorted(candidates.all_candidates(), key=lambda c: (-c.score, c.u, c.v))
-    if n is not None:
-        merged = merged[:n]
-    return Ranking(tuple(merged))
+    merged = heapq.merge(*candidates.lists.values(), key=lambda c: (-c.score, c.u, c.v))
+    return Ranking(tuple(itertools.islice(merged, n)))
 
 
 # --- parity-optimal proportions ------------------------------------------------
@@ -484,7 +488,8 @@ def pool_statistics(
         cls = INTRA if group.is_intra else INTER
         bucket = candidates.lists[group]
         sizes[cls] += len(bucket)
-        group_scores[group] = [c.score for c in bucket]
+        # By index: fields 2 and 4 of a ScoredCandidate are score and relevance.
+        group_scores[group] = [c[2] for c in bucket]
         class_scores[cls].extend(group_scores[group])
-        positives += sum(c.relevance for c in bucket)
+        positives += sum(c[4] for c in bucket)
     return sizes, class_scores, group_scores, positives

@@ -55,10 +55,21 @@ class GroupedCandidateSet:
     """Score-sorted candidate lists, one per group.
 
     Within each list scores are non-increasing; a pair appears at most
-    once across all lists.
+    once across all lists. The public constructor checks all four
+    invariants (each candidate in its own group, finite scores, sorted
+    lists, no duplicate pair). ``score_candidates`` and ``ingest_scores``
+    check them while building and then construct through ``_built``,
+    which checks nothing, so each invariant is checked once per set.
     """
 
     lists: dict[GroupId, list[ScoredCandidate]] = field(default_factory=dict)
+
+    @classmethod
+    def _built(cls, lists: dict[GroupId, list[ScoredCandidate]]) -> "GroupedCandidateSet":
+        """A set over ``lists``, whose invariants the caller has already checked."""
+        built = cls.__new__(cls)
+        built.lists = lists
+        return built
 
     def __post_init__(self):
         seen: set[Edge] = set()
@@ -188,9 +199,12 @@ def score_candidates(
     """Score each group's candidate pairs into that group's sorted list.
 
     ``candidates`` maps a group to the pairs filed under it. Each pair
-    is checked with ``edge_group`` against its key: an unknown or
-    unattributed endpoint, a self-loop or a pair filed under the wrong
-    group is rejected; ``GroupedCandidateSet`` rejects duplicates.
+    is checked here, once: ``edge_group`` rejects an unknown or
+    unattributed endpoint and a self-loop, and a pair of another group
+    than its key raises ``ConfigError``; a pair filed twice, in either
+    orientation, raises ``DuplicatePairError``; a non-finite score
+    raises ``ConfigError``. Each list is then sorted by descending score,
+    ties by pair, so the set is built without the constructor's checks.
     ``graph`` supplies the structure the heuristics read (pass the
     training graph to avoid leakage). With ``decoupled=True`` a heuristic
     sees only the graph's adjacency of the candidate's own group,
@@ -215,16 +229,24 @@ def score_candidates(
     for group in groups:
         score = scores[group]
         bucket = []
+        # A pair has one group, so a duplicate is always within one group's pairs.
+        seen: set[Edge] = set()
         for u, v in candidates[group]:
-            u, v = canonical_edge(u, v)
+            pair = u, v = canonical_edge(u, v)
             # edge_group checks each caller's pair against the group it is filed under.
             if (actual := edge_group(graph, u, v)) != group:
-                raise ConfigError(f"pair {(u, v)} of group {actual} filed under group {group}")
-            bucket.append(ScoredCandidate(u, v, score(u, v), group, (u, v) in positives))
+                raise ConfigError(f"pair {pair} of group {actual} filed under group {group}")
+            if pair in seen:
+                raise DuplicatePairError(pair)
+            seen.add(pair)
+            value = score(u, v)
+            if not math.isfinite(value):
+                raise ConfigError(f"non-finite score for {pair}")
+            bucket.append(ScoredCandidate(u, v, value, group, pair in positives))
         if bucket:
             bucket.sort(key=_sort_key)
             lists[group] = bucket
-    return GroupedCandidateSet(lists)
+    return GroupedCandidateSet._built(lists)
 
 
 def ingest_scores(
@@ -235,12 +257,15 @@ def ingest_scores(
     """Read `u<TAB>v<TAB>score` lines into a grouped candidate set.
 
     Relevance is membership in ``test_edges``. Duplicate pairs are an
-    error: externally produced score files must be unambiguous.
+    error: externally produced score files must be unambiguous. Each
+    line is checked once, here, and its error names the line; the
+    per-group lists are filled directly and sorted, so the set is built
+    without the constructor's checks.
     """
     path = Path(score_file)
     relevant = {canonical_edge(u, v) for u, v in test_edges}
     seen: set[Edge] = set()
-    scored: list[ScoredCandidate] = []
+    lists: dict[GroupId, list[ScoredCandidate]] = {}
     for line_no, line in data_lines(path):
         tokens = line.replace(",", " ").split()
         if len(tokens) != 3:
@@ -262,8 +287,12 @@ def ingest_scores(
             group = edge_group(graph, *pair)
         except (UnknownNodeError, MissingAttributeError) as exc:
             raise type(exc)(exc.node, line_no) from None
-        scored.append(ScoredCandidate(pair[0], pair[1], value, group, pair in relevant))
-    return GroupedCandidateSet.from_candidates(scored)
+        lists.setdefault(group, []).append(
+            ScoredCandidate(pair[0], pair[1], value, group, pair in relevant)
+        )
+    for bucket in lists.values():
+        bucket.sort(key=_sort_key)
+    return GroupedCandidateSet._built(lists)
 
 
 def write_scores(path: str | Path, candidates: GroupedCandidateSet) -> None:

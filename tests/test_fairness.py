@@ -178,6 +178,39 @@ class TestNdklCurve:
                     assert value == reference_ndkl(ranking, target, k, smoothing)
                     assert value == ndkl(ranking, target, k_max=k, smoothing=smoothing)
 
+    @pytest.mark.parametrize("smoothing", [False, True])
+    def test_twenty_one_groups_equal_the_per_cutoff_loop(self, smoothing):
+        # Six attribute values give 21 groups; one of them has zero target
+        # mass and appears only when the target is smoothed.
+        import random
+
+        rnd = random.Random(21)
+        groups = [GroupId.of(a, b) for a in range(6) for b in range(a, 6)]
+        assert len(groups) == 21
+        weights = [0.0] + [rnd.random() for _ in groups[1:]]
+        target = GroupDistribution({g: w / math.fsum(weights) for g, w in zip(groups, weights)})
+        drawn = groups if smoothing else groups[1:]
+        for _ in range(5):
+            ranking = ranking_from_groups(
+                rnd.choices(drawn, weights=range(1, len(drawn) + 1), k=rnd.randint(50, 300))
+            )
+            curve = ndkl_curve(ranking, target, smoothing=smoothing)
+            assert curve == [
+                reference_ndkl(ranking, target, k, smoothing) for k in range(1, len(ranking) + 1)
+            ]
+
+    def test_zero_mass_group_raises_where_it_first_appears(self):
+        target = GroupDistribution({G00: 0.5, G01: 0.5, G11: 0.0})
+        ranking = ranking_from_groups([G00, G01, G00, G11, G01])
+        assert len(ndkl_curve(ranking, target, k_max=3)) == 3
+        with pytest.raises(ZeroTargetMassError) as exc:
+            ndkl_curve(ranking, target, k_max=4)
+        assert exc.value.group == G11
+        # A group the target does not list has zero mass too.
+        unlisted = GroupDistribution({G00: 1.0})
+        with pytest.raises(ZeroTargetMassError):
+            ndkl_curve(ranking_from_groups([G00, G01]), unlisted)
+
     def test_k_max_truncates(self, three_group_target):
         ranking = ranking_from_groups([G00, G01, G11, G00, G00])
         full = ndkl_curve(ranking, three_group_target)

@@ -12,7 +12,7 @@ from fairlink.errors import (
     ZeroTargetMassError,
 )
 from fairlink.fairness import INTER, INTRA, delta_dp_selection, kl_divergence, ndkl
-from fairlink.graphs import GroupDistribution, GroupId
+from fairlink.graphs import GroupDistribution, GroupId, canonical_edge
 from fairlink.oracle import MultisetSpec, enumerate_ndkl_extremes, verify_trace
 from fairlink.rank_metrics import RelevanceVector, precision_at_k
 from fairlink.rerank import (
@@ -325,6 +325,24 @@ class TestMergeByScore:
     def test_truncation(self):
         cands = make_lists({G00: [0.9, 0.5], G01: [0.7]})
         assert len(merge_by_score(cands, 2)) == 2
+
+    @pytest.mark.parametrize("n", [None, 0, 1, 7, 40, 1000])
+    def test_equals_one_sort_of_every_candidate(self, n):
+        # Six groups over three distinct scores, with pairs numbered in
+        # random order, so equal scores cross groups at every level.
+        rnd = random.Random(5)
+        groups = [GroupId.of(a, b) for a in range(3) for b in range(a, 3)]
+        nodes = list(range(80))
+        rnd.shuffle(nodes)
+        pairs = [canonical_edge(nodes[i], nodes[i + 1]) for i in range(0, 80, 2)]
+        cands = GroupedCandidateSet.from_candidates(
+            ScoredCandidate(u, v, rnd.choice([0.1, 0.5, 0.9]), rnd.choice(groups), True)
+            for u, v in pairs
+        )
+        want = sorted(cands.all_candidates(), key=lambda c: (-c.score, c.u, c.v))
+        if n is not None:
+            want = want[:n]
+        assert merge_by_score(cands, n).entries == tuple(want)
 
 
 class TestOptimalDpProportions:

@@ -312,6 +312,20 @@ class TestKeyedCandidates:
         result = score_candidates(self.GRAPH, {G00: [], G11: [(1, 0)]}, "common_neighbors")
         assert result.groups() == (G11,)
 
+    @pytest.mark.parametrize("second", [(1, 0), (0, 1)])
+    def test_pair_filed_twice(self, second):
+        with pytest.raises(DuplicatePairError) as exc:
+            score_candidates(self.GRAPH, {G11: [(0, 1), second]}, "common_neighbors")
+        assert str(exc.value) == "duplicate pair (0, 1)"
+
+    def test_non_finite_embedding_score(self, tmp_path):
+        # inf * 1.0 + 0.0 * 1.0 is inf: the pair (0, 1) scores non-finite.
+        path = tmp_path / "emb.txt"
+        path.write_text("5 2\n0 inf 0.0\n1 1.0 1.0\n2 1.0 0.0\n3 0.0 1.0\n4 1.0 0.0\n")
+        embeddings = load_embeddings(path)
+        with pytest.raises(ConfigError, match=r"non-finite score for \(0, 1\)"):
+            score_candidates(self.GRAPH, {G11: [(1, 0)]}, "embedding", embeddings=embeddings)
+
     def test_embedding_checks_the_key_too(self):
         embeddings = {i: (1.0,) for i in range(5)}
         with pytest.raises(ConfigError):
