@@ -53,7 +53,7 @@ from .fairness import INTER, INTRA, Ranking, kl_divergence, ndkl
 from .graphs import GroupDistribution, GroupId, apportion
 from .io import atomic_write, data_lines, write_csv
 from .rank_metrics import RelevanceVector, precision_at_k
-from .scorers import GroupedCandidateSet, ScoredCandidate
+from .scorers import GroupedCandidateSet, ScoredCandidate, _sort_key
 
 logger = logging.getLogger(__name__)
 
@@ -198,12 +198,12 @@ def merge_by_score(candidates: GroupedCandidateSet, n: int | None = None) -> Ran
 
     The reference point the greedy merge is compared against; comparing
     raw scores across groups is exactly what it does. Descending score,
-    ties by pair: a heap merge of the group lists, which are already in
-    that order, takes the first n in O(n log G) for G groups. (A list
-    built by hand may order its equal scores otherwise; they keep that
-    order, as in the greedy merge.)
+    ties by pair: a heap merge of the group lists, which the scorers
+    sort on this same key, takes the first n in O(n log G) for G groups.
+    (A list built by hand may order its equal scores otherwise; they
+    keep that order, as in the greedy merge.)
     """
-    merged = heapq.merge(*candidates.lists.values(), key=lambda c: (-c.score, c.u, c.v))
+    merged = heapq.merge(*candidates.lists.values(), key=_sort_key)
     return Ranking(tuple(itertools.islice(merged, n)))
 
 

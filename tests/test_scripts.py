@@ -49,14 +49,17 @@ def test_bench_pipeline_times_every_stage():
 @pytest.mark.parametrize("repeats", ["0", "-1"])
 def test_bench_pipeline_repeats_below_one_exit_two(repeats):
     # No seed would run: the best time of each stage would be Infinity, not JSON.
-    result = run_script(ROOT / "scripts" / "bench_pipeline.py", "--nodes", "200", "--repeats", repeats)
+    result = run_script(
+        ROOT / "scripts" / "bench_pipeline.py", "--nodes", "200", "--repeats", repeats
+    )
     assert result.returncode == 2, result.stderr
     assert "--repeats" in result.stderr and "Traceback" not in result.stderr
     assert result.stdout == ""
 
 
 def test_synthetic_pipeline_repeats_zero_exit_two_before_writing(tmp_path):
-    result = run_script(ROOT / "scripts" / "run_synthetic_pipeline.py", "--repeats", "0", cwd=tmp_path)
+    script = ROOT / "scripts" / "run_synthetic_pipeline.py"
+    result = run_script(script, "--repeats", "0", cwd=tmp_path)
     assert result.returncode == 2, result.stderr
     assert "repeats" in result.stderr and "Traceback" not in result.stderr
     assert not any(tmp_path.iterdir())
