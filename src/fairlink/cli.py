@@ -52,6 +52,7 @@ from .pipeline import (
 )
 from .rerank import (
     check_lambda,
+    check_ranking_groups,
     default_gap_pools,
     gap_experiment,
     kl_greedy_merge,
@@ -219,6 +220,7 @@ def cmd_eval(args) -> int:
     smoothing = _check_bool(_pick(args, config, "smoothing", False), "smoothing")
     graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
     ranking = read_ranking(_require(args, config, "ranking"))
+    check_ranking_groups(ranking, graph)
     target = _target(args, config, spec, graph)
     pool = GroupedCandidateSet.from_candidates(ranking.entries)
     naive = merge_by_score(pool, len(ranking))

@@ -78,6 +78,16 @@ class DuplicatePairError(DataError):
         self.line_no = line_no
 
 
+class RankingEntryError(DataError):
+    """A ranking entry that does not fit the graph: an unknown or
+    unattributed node, or a group label other than its pair's group."""
+
+    def __init__(self, rank: int, reason: str):
+        super().__init__(f"ranking entry at rank {rank}: {reason}")
+        self.rank = rank
+        self.reason = reason
+
+
 class MissingEmbeddingError(DataError):
     def __init__(self, node: int):
         super().__init__(f"no embedding for node {node}")

@@ -213,11 +213,17 @@ _interned_group = functools.cache(GroupId.of)
 def edge_group(graph: SensitiveGraph, u: int, v: int) -> GroupId:
     """Group of the unordered pair (u, v); symmetric in its arguments.
 
-    The ``GroupId`` is cached, not allocated per call.
+    The ``GroupId`` is cached, not allocated per call. A self-loop, then
+    an unknown or unattributed ``u``, then such a ``v`` raises.
     """
     if u == v:
         raise SelfLoopError(u)
-    return _interned_group(graph.attribute(u), graph.attribute(v))
+    try:
+        return _interned_group(graph.sensitive[u], graph.sensitive[v])
+    except KeyError:
+        graph.attribute(u)  # raises the exact error, for u before v
+        graph.attribute(v)
+        raise
 
 
 @dataclass(frozen=True)
@@ -491,52 +497,78 @@ def _enumerate_non_edges(
 
 
 # --- file formats -----------------------------------------------------------
-
-
-def _parse_int_pair(path, line_no: int, line: str) -> tuple[int, int]:
-    tokens = line.replace(",", " ").split()
-    if len(tokens) != 2:
-        raise MalformedLineError(path, line_no, f"expected two fields, got {len(tokens)}")
-    try:
-        return int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise MalformedLineError(path, line_no, f"non-integer field in {line.strip()!r}") from None
+#
+# Each reader parses a line in one loop body, with no helper call per line:
+# fields split on tabs, commas or spaces, ``int`` for ids and values.
 
 
 def read_edge_list(path: str | Path) -> list[Edge]:
-    """Read `u<TAB>v` (or comma-separated) edge lines, canonicalized.
+    """Read `u<TAB>v` (or comma- or space-separated) edge lines, canonicalized.
 
     Comment lines starting with ``#`` and blank lines are skipped;
-    duplicates are collapsed, input order otherwise preserved.
+    duplicates, in either orientation, are collapsed, input order
+    otherwise preserved.
     """
-    path = Path(path)
-    seen: set[Edge] = set()
     edges: list[Edge] = []
-    for line_no, line in data_lines(path):
-        u, v = _parse_int_pair(path, line_no, line)
-        if u < 0 or v < 0:
-            raise MalformedLineError(path, line_no, "negative node id")
-        if u == v:
-            raise SelfLoopError(u, line_no)
-        e = canonical_edge(u, v)
-        if e not in seen:
-            seen.add(e)
-            edges.append(e)
+    # Every node has value 0 here, so each distinct edge lands in this one list.
+    _read_edges(Path(path), defaultdict(int), {0: {0: edges}})
     return edges
 
 
+def _read_edges(
+    path: Path, sensitive: Mapping[int, int], buckets: Mapping[int, Mapping[int, list[Edge]]]
+) -> tuple[set[Edge], Edge | None]:
+    """Parse an edge file in one pass, each distinct canonical edge into its bucket.
+
+    Edge (u, v), u < v, is appended to ``buckets[sensitive[u]][sensitive[v]]``
+    in file order. Returns the set of distinct edges and the first edge
+    with an endpoint not in ``sensitive`` (filed nowhere), or None.
+    """
+    seen: set[Edge] = set()
+    unattributed = None
+    for line_no, line in data_lines(path):
+        tokens = line.replace(",", " ").split()
+        if len(tokens) != 2:
+            raise MalformedLineError(path, line_no, f"expected two fields, got {len(tokens)}")
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise MalformedLineError(path, line_no, f"non-integer field in {line!r}") from None
+        if u < 0 or v < 0:
+            raise MalformedLineError(path, line_no, "negative node id")
+        if u > v:
+            u, v = v, u
+        elif u == v:
+            raise SelfLoopError(u, line_no)
+        e = (u, v)
+        if e not in seen:
+            seen.add(e)
+            try:
+                buckets[sensitive[u]][sensitive[v]].append(e)
+            except KeyError:  # an endpoint without attribute
+                if unattributed is None:
+                    unattributed = e
+    return seen, unattributed
+
+
 def read_attributes(path: str | Path) -> dict[int, int]:
+    """Read `node<TAB>value` lines; a node may repeat only with the same value."""
     path = Path(path)
     attrs: dict[int, int] = {}
     for line_no, line in data_lines(path):
-        node, value = _parse_int_pair(path, line_no, line)
+        tokens = line.replace(",", " ").split()
+        if len(tokens) != 2:
+            raise MalformedLineError(path, line_no, f"expected two fields, got {len(tokens)}")
+        try:
+            node, value = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise MalformedLineError(path, line_no, f"non-integer field in {line!r}") from None
         if node < 0:
             raise MalformedLineError(path, line_no, "negative node id")
         if value < 0:
             raise MalformedLineError(path, line_no, "negative attribute value")
-        if node in attrs and attrs[node] != value:
+        if attrs.setdefault(node, value) != value:
             raise MalformedLineError(path, line_no, f"conflicting attribute for node {node}")
-        attrs[node] = value
     return attrs
 
 
@@ -545,13 +577,26 @@ def load_graph(edge_file: str | Path, attribute_file: str | Path) -> SensitiveGr
 
     The attribute file defines the node set; node_count is one past the
     largest attributed id. Every edge endpoint must carry an attribute.
+    The edge file is read as ``read_edge_list`` reads it, in one pass
+    that files each distinct edge straight into its group. Every error
+    of its lines wins over an unknown or unattributed endpoint, which is
+    reported, as ``edge_group`` reports it, for the first such edge in
+    file order.
     """
     attrs = read_attributes(attribute_file)
     if not attrs:
         raise EmptyEdgeSetError()
-    node_count = max(attrs) + 1
-    edges = read_edge_list(edge_file)
-    return SensitiveGraph(node_count, edges, attrs)
+    graph = SensitiveGraph(max(attrs) + 1, (), attrs)  # its edges are indexed below
+    values = list(graph._value_nodes)
+    grouped = {_interned_group(a, b): [] for i, a in enumerate(values) for b in values[i:]}
+    # buckets[a][b] is the list of group (a, b), shared by both orders of the values.
+    buckets = {a: {b: grouped[_interned_group(a, b)] for b in values} for a in values}
+    seen, unattributed = _read_edges(Path(edge_file), graph.sensitive, buckets)
+    if unattributed is not None:
+        edge_group(graph, *unattributed)  # raises for that edge's first bad endpoint
+    for bucket in grouped.values():
+        bucket.sort()
+    return graph._index(grouped, seen)
 
 
 def write_edge_list(path: str | Path, edges: Iterable[Edge]) -> None:

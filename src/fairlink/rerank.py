@@ -42,15 +42,26 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     ConfigError,
+    DataError,
+    DuplicatePairError,
     EmptyInputError,
     InfeasibleKError,
     LambdaOutOfRangeError,
     MalformedLineError,
+    RankingEntryError,
+    SelfLoopError,
     ZeroTargetMassError,
     _check_number,
 )
 from .fairness import INTER, INTRA, Ranking, kl_divergence, ndkl
-from .graphs import GroupDistribution, GroupId, apportion
+from .graphs import (
+    GroupDistribution,
+    GroupId,
+    SensitiveGraph,
+    _interned_group,
+    apportion,
+    edge_group,
+)
 from .io import atomic_write, data_lines, write_csv
 from .rank_metrics import RelevanceVector, precision_at_k
 from .scorers import GroupedCandidateSet, ScoredCandidate, _sort_key
@@ -456,24 +467,63 @@ def write_ranking(path: str | Path, ranking: Ranking) -> None:
 
 
 def read_ranking(path: str | Path) -> Ranking:
+    """Read `rank u v group score relevance` tab-separated lines, as ``write_ranking`` writes them.
+
+    Ranks count up from 1, the score is finite and the relevance is 0 or
+    1. A pair may be given in either orientation and is stored
+    canonically; a self-loop or a pair given twice is an error. Every
+    error names its line.
+    """
     path = Path(path)
     entries: list[ScoredCandidate] = []
+    seen: set[tuple[int, int]] = set()
+    groups: dict[str, GroupId] = {}
     for line_no, line in data_lines(path):
         tokens = line.split("\t")
         if len(tokens) != 6:
             raise MalformedLineError(path, line_no, f"expected 6 fields, got {len(tokens)}")
         try:
-            rank = int(tokens[0])
-            u, v = int(tokens[1]), int(tokens[2])
-            group = GroupId.parse(tokens[3])
-            score = float(tokens[4])
-            relevance = bool(int(tokens[5]))
+            rank, u, v = int(tokens[0]), int(tokens[1]), int(tokens[2])
+            group = groups.get(tokens[3])
+            if group is None:
+                lo, _, hi = tokens[3].partition("-")
+                group = groups[tokens[3]] = _interned_group(int(lo), int(hi))
+            score, relevance = float(tokens[4]), int(tokens[5])
         except ValueError:
             raise MalformedLineError(path, line_no, "cannot parse fields") from None
         if rank != len(entries) + 1:
             raise MalformedLineError(path, line_no, f"rank {rank} out of order")
-        entries.append(ScoredCandidate(u, v, score, group, relevance))
+        if not math.isfinite(score):
+            raise MalformedLineError(path, line_no, "non-finite score")
+        if relevance != 0 and relevance != 1:
+            raise MalformedLineError(path, line_no, f"relevance must be 0 or 1, got {relevance}")
+        if u > v:
+            u, v = v, u
+        elif u == v:
+            raise SelfLoopError(u, line_no)
+        pair = (u, v)
+        if pair in seen:
+            raise DuplicatePairError(pair, line_no)
+        seen.add(pair)
+        entries.append(tuple.__new__(ScoredCandidate, (u, v, score, group, relevance == 1)))
     return Ranking(tuple(entries))
+
+
+def check_ranking_groups(ranking: Ranking, graph: SensitiveGraph) -> None:
+    """Raise ``RankingEntryError`` for the first entry whose group label is not its pair's group.
+
+    An entry whose node is unknown to ``graph`` or has no attribute
+    raises it too. The error names the entry's rank.
+    """
+    for rank, (u, v, _, group, _) in enumerate(ranking, start=1):
+        try:
+            actual = edge_group(graph, u, v)
+        except DataError as exc:
+            raise RankingEntryError(rank, str(exc)) from None
+        if actual != group:
+            raise RankingEntryError(
+                rank, f"pair {(u, v)} is in group {actual.label()}, labelled {group.label()}"
+            )
 
 
 def pool_statistics(

@@ -26,7 +26,7 @@ from .errors import (
     SelfLoopError,
     UnknownNodeError,
 )
-from .graphs import Edge, GroupId, SensitiveGraph, canonical_edge, edge_group
+from .graphs import Edge, GroupId, SensitiveGraph, _interned_group, canonical_edge, edge_group
 from .io import atomic_write, data_lines
 
 HEURISTIC_SCORERS = ("common_neighbors", "adamic_adar")
@@ -254,16 +254,21 @@ def ingest_scores(
     graph: SensitiveGraph,
     test_edges: Iterable[Edge],
 ) -> GroupedCandidateSet:
-    """Read `u<TAB>v<TAB>score` lines into a grouped candidate set.
+    """Read `u<TAB>v<TAB>score` (or comma- or space-separated) lines into a grouped candidate set.
 
-    Relevance is membership in ``test_edges``. Duplicate pairs are an
-    error: externally produced score files must be unambiguous. Each
-    line is checked once, here, and its error names the line; the
-    per-group lists are filled directly and sorted, so the set is built
-    without the constructor's checks.
+    Relevance is membership in ``test_edges``. Duplicate pairs, in
+    either orientation, are an error: externally produced score files
+    must be unambiguous. Each line is checked once, here, and its error
+    names the line; an unknown or unattributed endpoint is reported as
+    ``edge_group`` reports it. The per-group lists are filled directly
+    and sorted, so the set is built without the constructor's checks.
     """
     path = Path(score_file)
-    relevant = {canonical_edge(u, v) for u, v in test_edges}
+    relevant = {(u, v) if u <= v else (v, u) for u, v in test_edges}
+    sensitive = graph.sensitive
+    # groups[a][b]: the group of a pair whose endpoints have values a and b.
+    values = graph._value_nodes
+    groups = {a: {b: _interned_group(a, b) for b in values} for a in values}
     seen: set[Edge] = set()
     lists: dict[GroupId, list[ScoredCandidate]] = {}
     for line_no, line in data_lines(path):
@@ -276,20 +281,26 @@ def ingest_scores(
             raise MalformedLineError(path, line_no, "non-numeric field") from None
         if not math.isfinite(value):
             raise MalformedLineError(path, line_no, "non-finite score")
-        if u == v:
+        if u > v:
+            u, v = v, u
+        elif u == v:
             raise SelfLoopError(u, line_no)
-        pair = canonical_edge(u, v)
+        pair = (u, v)
         if pair in seen:
             raise DuplicatePairError(pair, line_no)
         seen.add(pair)
-        # Pairs come from a file: edge_group checks each endpoint and groups the pair.
         try:
-            group = edge_group(graph, *pair)
-        except (UnknownNodeError, MissingAttributeError) as exc:
-            raise type(exc)(exc.node, line_no) from None
-        lists.setdefault(group, []).append(
-            ScoredCandidate(pair[0], pair[1], value, group, pair in relevant)
-        )
+            group = groups[sensitive[u]][sensitive[v]]
+        except KeyError:  # an endpoint without attribute: edge_group raises its error
+            try:
+                edge_group(graph, u, v)
+            except (UnknownNodeError, MissingAttributeError) as exc:
+                raise type(exc)(exc.node, line_no) from None
+            raise
+        bucket = lists.get(group)
+        if bucket is None:
+            bucket = lists[group] = []
+        bucket.append(tuple.__new__(ScoredCandidate, (u, v, value, group, pair in relevant)))
     for bucket in lists.values():
         bucket.sort(key=_sort_key)
     return GroupedCandidateSet._built(lists)

@@ -263,6 +263,48 @@ def strip_timestamp(payload: dict) -> dict:
     return payload
 
 
+class TestEvalChecksTheRanking:
+    """``fairlink eval`` exits 3 on a ranking that does not fit its format or
+    the graph, before any metric is computed or any report written."""
+
+    # Rank 2 is on line 3, so a message can be told to name the line or the rank.
+    FIRST = "# rank u v group score relevance\n1\t0\t1\t0-0\t0.9\t1\n"
+
+    def run_eval(self, tmp_path, capsys, second):
+        edges, attrs = tmp_path / "edges.tsv", tmp_path / "attrs.tsv"
+        # Nodes 0 and 1 have value 0, nodes 2 and 4 value 1; node 3 has none.
+        attrs.write_text("0\t0\n1\t0\n2\t1\n4\t1\n")
+        edges.write_text("0\t1\n1\t2\n2\t4\n")
+        ranking, out = tmp_path / "ranking.tsv", tmp_path / "eval.json"
+        ranking.write_text(self.FIRST + second + "\n")
+        code = main([
+            "eval", "--edges", str(edges), "--attrs", str(attrs), "--ranking", str(ranking),
+            "--target", "0-0=0.5,0-1=0.5", "--k", "1", "--out", str(out),
+        ])
+        return code, capsys.readouterr().err, out.exists()
+
+    def test_a_fitting_ranking_is_evaluated(self, tmp_path, capsys):
+        # The pair is given high endpoint first and the label in either order.
+        assert self.run_eval(tmp_path, capsys, "2\t2\t1\t1-0\t0.5\t0") == (0, "", True)
+
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ("2\t1\t2\t0-1\tnan\t0", "ranking.tsv:3: non-finite score"),
+            ("2\t1\t2\t0-1\t0.5\t7", "ranking.tsv:3: relevance must be 0 or 1"),
+            ("2\t2\t2\t1-1\t0.5\t0", "self-loop on node 2 (line 3)"),
+            ("2\t1\t0\t0-0\t0.5\t0", "duplicate pair (0, 1) (line 3)"),
+            ("2\t1\t2\t0-0\t0.5\t0", "rank 2: pair (1, 2) is in group 0-1, labelled 0-0"),
+            ("2\t1\t3\t0-1\t0.5\t0", "rank 2: node 3 has no sensitive attribute"),
+            ("2\t1\t9\t0-1\t0.5\t0", "rank 2: unknown node id 9"),
+        ],
+    )
+    def test_a_bad_entry_exits_three(self, tmp_path, capsys, second, message):
+        code, err, wrote = self.run_eval(tmp_path, capsys, second)
+        assert (code, wrote) == (3, False)
+        assert err.startswith("data error: ") and message in err
+
+
 class TestCli:
     def run(self, *argv):
         return main([str(a) for a in argv])

@@ -6,9 +6,12 @@ import pytest
 
 from fairlink.errors import (
     ConfigError,
+    DuplicatePairError,
     EmptyInputError,
     InfeasibleKError,
     LambdaOutOfRangeError,
+    MalformedLineError,
+    SelfLoopError,
     ZeroTargetMassError,
 )
 from fairlink.fairness import INTER, INTRA, delta_dp_selection, kl_divergence, ndkl
@@ -490,6 +493,32 @@ class TestRankingFiles:
         write_ranking(path, ranking)
         again = read_ranking(path)
         assert again.entries == ranking.entries
+
+    def test_pairs_in_either_orientation_are_stored_canonically(self, tmp_path):
+        path = tmp_path / "ranking.tsv"
+        path.write_text("# rank u v group score relevance\n1\t5\t2\t1-0\t0.5\t1\r\n")
+        assert read_ranking(path).entries == (ScoredCandidate(2, 5, 0.5, G01, True),)
+
+    @pytest.mark.parametrize(
+        "second, error, detail",
+        [
+            ("2\t3\t4\t0-1\tnan\t0", MalformedLineError, None),
+            ("2\t3\t4\t0-1\t-inf\t0", MalformedLineError, None),
+            ("2\t3\t4\t0-1\t0.5\t7", MalformedLineError, None),
+            ("2\t3\t4\t0-1\t0.5\t-1", MalformedLineError, None),
+            ("2\t4\t4\t1-1\t0.5\t0", SelfLoopError, 4),
+            # Line 1 holds the pair (0, 1) in the other orientation.
+            ("2\t1\t0\t0-0\t0.5\t0", DuplicatePairError, (0, 1)),
+        ],
+    )
+    def test_bad_entries_name_their_line(self, tmp_path, second, error, detail):
+        path = tmp_path / "ranking.tsv"
+        path.write_text(f"1\t0\t1\t0-0\t0.9\t1\n\n{second}\n")
+        with pytest.raises(error) as exc:
+            read_ranking(path)
+        assert exc.value.line_no == 3
+        if detail is not None:
+            assert detail in (getattr(exc.value, "node", None), getattr(exc.value, "pair", None))
 
     def test_precision_of_synthetic_all_relevant(self, three_group_target):
         cands = synthetic_candidate_set({G00: 4, G01: 2, G11: 2})

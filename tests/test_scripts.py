@@ -35,13 +35,13 @@ def test_help_exits_zero(script):
 
 
 def test_bench_pipeline_times_every_stage():
-    # The stage times are run_single's own, plus the seed's writes.
+    # The stage times are the load, run_single's own, and the seed's writes.
     result = run_script(ROOT / "scripts" / "bench_pipeline.py", "--nodes", "200", "--repeats", "1")
     assert result.returncode == 0, result.stderr
     [row] = json.loads(result.stdout)["rows"]
     assert (row["nodes"], row["edges"]) == (200, 3931)
     assert list(row["seconds"]) == [
-        "split", "subgraphs", "negatives", "scoring", "merges", "evaluation", "writes"
+        "load", "split", "subgraphs", "negatives", "scoring", "merges", "evaluation", "writes"
     ]
     assert all(value >= 0 for value in row["seconds"].values())
 
