@@ -43,7 +43,9 @@ def main() -> int:
             started = time.perf_counter()
             result = enumerate_ndkl_extremes(spec, TARGET, guard=spec.total)
             best = min(best, time.perf_counter() - started)
-        assert result.permutations_examined == spec.permutation_count()
+        counts = list(spec.group_counts.values())
+        orderings = math.prod(math.comb(sum(counts[i:]), c) for i, c in enumerate(counts))
+        assert result.permutations_examined == orderings
         rows.append({
             "counts": text,
             "orderings": result.permutations_examined,

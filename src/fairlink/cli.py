@@ -60,7 +60,7 @@ from .rerank import (
     read_ranking,
     write_ranking,
 )
-from .scorers import GroupedCandidateSet, ingest_scores, write_scores
+from .scorers import SCORERS, GroupedCandidateSet, ingest_scores, write_scores
 
 OUTPUT_DIR_ENV = "FAIRLINK_OUTPUT_DIR"
 # Config-file keys that name a file or directory, in any subcommand.
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attrs")
     p.add_argument("--train", help="training edge file (heuristics read only these)")
     p.add_argument("--test", help="held-out positive edge file")
-    p.add_argument("--scorer", choices=["common_neighbors", "adamic_adar", "embedding"])
+    p.add_argument("--scorer", choices=SCORERS)
     p.add_argument("--decoupled", action=argparse.BooleanOptionalAction, default=None,
                    help="restrict heuristics to same-group edges")
     p.add_argument("--embeddings", help="embedding file for the embedding scorer")
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges")
     p.add_argument("--attrs")
     p.add_argument("--repeats", type=int)
-    p.add_argument("--scorer", choices=["common_neighbors", "adamic_adar", "embedding"])
+    p.add_argument("--scorer", choices=SCORERS)
     p.add_argument("--decoupled", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--embeddings")
     p.add_argument("--target")

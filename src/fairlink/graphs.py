@@ -161,12 +161,6 @@ class SensitiveGraph:
                 raise MissingAttributeError(v) from None
             raise UnknownNodeError(v) from None
 
-    def neighbors(self, v: int) -> set[int]:
-        """Neighbor set of ``v``; treat as read-only."""
-        if not (0 <= v < self.node_count):
-            raise UnknownNodeError(v)
-        return self.adjacency().get(v, set())
-
     def group_universe(self) -> tuple[GroupId, ...]:
         """All groups expressible with this graph's attribute values."""
         pairs = itertools.combinations_with_replacement(self._value_nodes, 2)
@@ -266,9 +260,9 @@ class GroupDistribution:
         """Restriction to strictly positive entries (mass is unchanged)."""
         return GroupDistribution({g: p for g, p in self.probabilities.items() if p > 0})
 
-    def smoothed(self, eps: float = 1e-9) -> "GroupDistribution":
-        """Add ``eps`` to every listed entry and renormalize."""
-        bumped = {g: p + eps for g, p in self.probabilities.items()}
+    def smoothed(self) -> "GroupDistribution":
+        """Add 1e-9 to every listed entry and renormalize."""
+        bumped = {g: p + 1e-9 for g, p in self.probabilities.items()}
         norm = math.fsum(bumped.values())
         return GroupDistribution({g: p / norm for g, p in bumped.items()})
 

@@ -1,13 +1,12 @@
 """Exhaustive ground truth on small ranking instances.
 
 Given the multiset of group labels a ranking is made of, every distinct
-permutation is enumerated and scored, yielding the exact minimum and
-maximum achievable divergence. Enumeration walks the permutations as a
-prefix tree and scores each shared prefix once; ``sequence_ndkl``
-remains the from-scratch scorer of one sequence, recounting every
-prefix. Both score a prefix with one plain formula, ``_prefix_kl``,
-which shares no code with the incremental implementation in
-``fairness``; agreement between the paths is itself a checked property.
+ordering is scored, yielding the exact minimum and maximum achievable
+divergence. Enumeration walks the orderings as a prefix tree and scores
+each shared prefix once. A prefix is scored with one plain formula,
+``_prefix_kl``, which shares no code with the incremental
+implementation in ``fairness``; agreement between the two is itself a
+checked property.
 
 ``verify_trace`` certifies each step of a greedy merge under the merge's
 own rule at any weight lam, from the merge's inputs alone: a per-step
@@ -19,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .errors import ConfigError, TooLargeError, ZeroTargetMassError
 from .graphs import GroupDistribution, GroupId
@@ -46,15 +45,6 @@ class MultisetSpec:
     def total(self) -> int:
         return sum(self.group_counts.values())
 
-    def permutation_count(self) -> int:
-        total = self.total
-        count = 1
-        remaining = total
-        for c in self.group_counts.values():
-            count *= math.comb(remaining, c)
-            remaining -= c
-        return count
-
 
 @dataclass(frozen=True)
 class ExtremeResult:
@@ -72,43 +62,6 @@ class ExtremeResult:
             "argmax": [g.label() for g in self.argmax],
             "examined": self.permutations_examined,
         }
-
-
-def multiset_permutations(counts: Mapping[GroupId, int]) -> Iterator[tuple[GroupId, ...]]:
-    """All distinct orderings of the multiset, in lexicographic order.
-
-    A depth-first walk with an explicit stack, as in
-    ``enumerate_ndkl_extremes``: ``choice[d]`` is the index of the group
-    at position d, advanced to the next group with items left.
-    """
-    items = sorted(g for g, c in counts.items() if c > 0)
-    limits = [counts[g] for g in items]
-    width, total = len(items), sum(limits)
-    if total == 0:
-        yield ()
-        return
-    placed = [0] * width
-    choice = [-1] * total
-    depth = 0
-    while True:
-        g = choice[depth]
-        if g >= 0:
-            placed[g] -= 1
-        g += 1
-        while g < width and placed[g] == limits[g]:
-            g += 1
-        if g == width:
-            choice[depth] = -1
-            if depth == 0:
-                return
-            depth -= 1
-            continue
-        choice[depth] = g
-        placed[g] += 1
-        if depth + 1 < total:
-            depth += 1
-        else:
-            yield tuple(map(items.__getitem__, choice))
 
 
 def _prefix_kl(counts: Mapping[GroupId, int], k: int, target: GroupDistribution) -> float:
@@ -130,24 +83,6 @@ def _prefix_kl(counts: Mapping[GroupId, int], k: int, target: GroupDistribution)
     return max(0.0, kl)
 
 
-def sequence_ndkl(labels: Sequence[GroupId], target: GroupDistribution) -> float:
-    """Divergence score of a label sequence, from scratch at every prefix.
-
-    Intentionally naive: each prefix is re-counted in full. This is the
-    oracle's independent path, kept free of the incremental bookkeeping
-    used by the production metric.
-    """
-    if not labels:
-        raise ConfigError("label sequence is empty")
-    weighted = 0.0
-    normalizer = 0.0
-    for k in range(1, len(labels) + 1):
-        discount = 1.0 / math.log2(k + 1)
-        normalizer += discount
-        weighted += discount * _prefix_kl(Counter(labels[:k]), k, target)
-    return weighted / normalizer
-
-
 def enumerate_ndkl_extremes(
     spec: MultisetSpec,
     target: GroupDistribution,
@@ -156,14 +91,15 @@ def enumerate_ndkl_extremes(
 ) -> ExtremeResult:
     """Exact divergence extremes over all orderings of the multiset.
 
-    One depth-first walk visits every ordering in the lexicographic
-    order of ``multiset_permutations`` and carries each prefix's
-    discounted divergence sum down to the orderings below it, so a
-    shared prefix is scored once, not once per ordering. A prefix's
-    term depends only on its group counts, so it is computed once per
-    count vector, with ``sequence_ndkl``'s arithmetic: ``_prefix_kl``
-    discounted by ``1 / log2(k + 1)`` and summed in order of k. Each
-    ordering thus scores the same float as under ``sequence_ndkl``.
+    One depth-first walk visits every ordering in lexicographic order
+    and carries each prefix's discounted divergence sum down to the
+    orderings below it, so a shared prefix is scored once, not once per
+    ordering. A prefix's term depends only on its group counts, so it
+    is computed once per count vector: ``_prefix_kl`` of the prefix of
+    length k, times the discount ``1 / log2(k + 1)``. An ordering's
+    value is its terms summed in order of k, divided by the sum of the
+    discounts: the same float as scoring each prefix of that ordering
+    from scratch and summing in the same order.
 
     Guarded at ``guard`` total items (default 14); pass a larger guard
     explicitly to force bigger enumerations. Ties keep the first

@@ -4,8 +4,9 @@ One seeded run: split the graph, build per-group candidate pools (test
 positives plus sampled non-edges), score them with the configured
 scorer, produce both the exposure-aware greedy ranking and the naive
 raw-score merge, and evaluate every metric at every requested cutoff.
-Reports are plain dataclasses with lossless JSON round-trips; every
-number is reproducible from (inputs, seed).
+Reports are plain dataclasses written to JSON; the package never reads
+a report back (the tests do, in ``tests/reference.py``). Every number
+is reproducible from (inputs, seed).
 """
 
 from __future__ import annotations
@@ -178,19 +179,6 @@ class EvalReport:
             "target": self.target,
             "bound": self.bound,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "EvalReport":
-        return cls(
-            method=data["method"],
-            per_k=tuple(MetricsAtK(**row) for row in data["per_k"]),
-            ap=data["ap"],
-            delta_dp_selection=data["delta_dp_selection"],
-            delta_dp_score=data["delta_dp_score"],
-            delta_max=data["delta_max"],
-            target=dict(data["target"]),
-            bound=data["bound"],
-        )
 
     def at_k(self, k: int) -> MetricsAtK:
         for row in self.per_k:
@@ -389,11 +377,6 @@ def emit_seed_report(result: SeedRunResult, out_dir: str | Path) -> dict[str, Pa
     return paths
 
 
-def load_seed_report(path: str | Path) -> dict[str, EvalReport]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {name: EvalReport.from_dict(d) for name, d in data["methods"].items()}
-
-
 @dataclass(frozen=True)
 class PipelineSummary:
     config: RunConfig
@@ -449,7 +432,7 @@ def _proportion_rows(results: Sequence[SeedRunResult]) -> list[dict]:
     return rows
 
 
-def run_pipeline(config: RunConfig, *, write_outputs: bool = True) -> PipelineSummary:
+def run_pipeline(config: RunConfig) -> PipelineSummary:
     """Run ``config.repeats`` seeded passes and aggregate the reports.
 
     Seeds are config.seed, config.seed + 1, ... so a summary is exactly
@@ -463,21 +446,19 @@ def run_pipeline(config: RunConfig, *, write_outputs: bool = True) -> PipelineSu
     for seed in seeds:
         result = run_single(config, seed, graph)
         results.append(result)
-        if write_outputs:
-            seed_dir = out_dir / f"seed_{seed}"
-            emit_seed_report(result, seed_dir)
-            write_split(seed_dir / "split", graph, result.split)
+        seed_dir = out_dir / f"seed_{seed}"
+        emit_seed_report(result, seed_dir)
+        write_split(seed_dir / "split", graph, result.split)
 
-    if write_outputs:
-        write_json(out_dir / "config.json", config.to_dict())
-        write_csv(
-            out_dir / "summary.csv",
-            _summary_rows(results),
-            ["method", "metric", "k", "mean", "std"],
-        )
-        write_csv(
-            out_dir / "proportions.csv",
-            _proportion_rows(results),
-            ["seed", "method", "k", "group", "fraction", "target_fraction"],
-        )
+    write_json(out_dir / "config.json", config.to_dict())
+    write_csv(
+        out_dir / "summary.csv",
+        _summary_rows(results),
+        ["method", "metric", "k", "mean", "std"],
+    )
+    write_csv(
+        out_dir / "proportions.csv",
+        _proportion_rows(results),
+        ["seed", "method", "k", "group", "fraction", "target_fraction"],
+    )
     return PipelineSummary(config=config, seeds=seeds, results=tuple(results), out_dir=out_dir)

@@ -275,18 +275,6 @@ def synthetic_candidate_set(
     return GroupedCandidateSet(lists)
 
 
-def ranking_from_groups(
-    labels: Sequence[GroupId],
-    *,
-    relevant: bool = True,
-) -> Ranking:
-    """Ranking with the given group label sequence and synthetic pairs."""
-    entries = []
-    for i, group in enumerate(labels):
-        entries.append(ScoredCandidate(2 * i, 2 * i + 1, 1.0 - i / (len(labels) + 1), group, relevant))
-    return Ranking(tuple(entries))
-
-
 def worst_case_ranking(
     group_counts: Mapping[GroupId, int],
     target: GroupDistribution,

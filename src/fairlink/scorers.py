@@ -118,27 +118,13 @@ def _pair_scorer(scorer: str, adjacency: Mapping[int, set[int]]) -> Callable[[in
     A shared neighbor is adjacent to both endpoints, so its degree is at
     least 2 and the logarithm is strictly positive: the Adamic-Adar weight
     1/ln(deg) is taken once per node of degree 2 or more. ``math.fsum`` is
-    exactly rounded, so the sum does not depend on set iteration order,
-    and equals the one ``adamic_adar`` gives for the same neighbor sets.
+    exactly rounded, so the sum does not depend on set iteration order.
     """
     empty: frozenset[int] = frozenset()
     if scorer == "common_neighbors":
         return lambda u, v: float(len(adjacency.get(u, empty) & adjacency.get(v, empty)))
     weight = {w: 1.0 / math.log(len(ns)) for w, ns in adjacency.items() if len(ns) > 1}.__getitem__
     return lambda u, v: math.fsum(map(weight, adjacency.get(u, empty) & adjacency.get(v, empty)))
-
-
-def common_neighbors(graph: SensitiveGraph, u: int, v: int) -> float:
-    """Number of shared neighbors of u and v."""
-    edge_group(graph, u, v)
-    return float(len(graph.neighbors(u) & graph.neighbors(v)))
-
-
-def adamic_adar(graph: SensitiveGraph, u: int, v: int) -> float:
-    """Sum of 1/ln(deg(w)) over shared neighbors w of u and v."""
-    edge_group(graph, u, v)
-    shared = graph.neighbors(u) & graph.neighbors(v)
-    return math.fsum(1.0 / math.log(len(graph.neighbors(w))) for w in shared)
 
 
 # --- embedding scoring --------------------------------------------------------
@@ -156,7 +142,11 @@ def embedding_dot(embeddings: Mapping[int, Sequence[float]], u: int, v: int) -> 
 
 
 def load_embeddings(path: str | Path) -> dict[int, tuple[float, ...]]:
-    """Read embeddings: header `n dim`, then `node_id v1 ... vdim` rows."""
+    """Read embeddings: header `n dim`, then `node_id v1 ... vdim` rows.
+
+    A non-finite value, or a node given a second time, is a
+    ``MalformedLineError`` naming its line.
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -178,6 +168,10 @@ def load_embeddings(path: str | Path) -> dict[int, tuple[float, ...]]:
                 vector = tuple(float(t) for t in tokens[1:])
             except ValueError:
                 raise MalformedLineError(path, line_no, "non-numeric field") from None
+            if not all(map(math.isfinite, vector)):
+                raise MalformedLineError(path, line_no, "non-finite value")
+            if node in embeddings:
+                raise MalformedLineError(path, line_no, f"node {node} given twice")
             embeddings[node] = vector
     if len(embeddings) != n:
         raise MalformedLineError(path, 1, f"header declares {n} rows, found {len(embeddings)}")

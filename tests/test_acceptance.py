@@ -37,7 +37,6 @@ from fairlink.rerank import (
     gap_point,
     kl_greedy_merge,
     optimal_dp_proportions,
-    ranking_from_groups,
     synthetic_candidate_set,
     worst_case_ranking,
 )
@@ -45,6 +44,7 @@ from fairlink.scorers import GroupedCandidateSet, ScoredCandidate
 from fairlink.synth import biased_block_graph, write_graph_files
 
 from conftest import G00, G01, G11
+from reference import ranking_from_groups
 
 
 @contextmanager
@@ -203,7 +203,7 @@ def test_criterion_5_end_to_end_greedy_vs_naive(tmp_path):
             k_list=(100, 1000),
             output_size=1000,
         )
-        summary = run_pipeline(config, write_outputs=False)
+        summary = run_pipeline(config)
         for result in summary.results:
             greedy = result.reports[GREEDY].at_k(1000)
             naive = result.reports[NAIVE].at_k(1000)

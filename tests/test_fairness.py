@@ -24,9 +24,9 @@ from fairlink.fairness import (
     top_k_proportions,
 )
 from fairlink.graphs import GroupDistribution, GroupId
-from fairlink.rerank import ranking_from_groups
 
 from conftest import G00, G01, G11
+from reference import ranking_from_groups, sequence_ndkl
 
 
 class TestKlDivergence:
@@ -145,20 +145,6 @@ class TestNdkl:
             ndkl(Ranking(()), uniform_pair_target)
 
 
-def reference_ndkl(ranking, target, k_max, smoothing=False):
-    """The per-cutoff NDKL loop, one full walk per cutoff."""
-    masses = (target.smoothed() if smoothing else target).probabilities
-    counts = {}
-    weighted = 0.0
-    normalizer = 0.0
-    for k, cand in enumerate(ranking.entries[:k_max], start=1):
-        counts[cand.group] = counts.get(cand.group, 0) + 1
-        discount = 1.0 / math.log2(k + 1)
-        normalizer += discount
-        weighted += discount * kl_divergence({g: c / k for g, c in counts.items()}, masses)
-    return weighted / normalizer
-
-
 class TestNdklCurve:
     @pytest.mark.parametrize("smoothing", [False, True])
     def test_every_cutoff_equals_the_per_cutoff_loop(self, three_group_target, smoothing):
@@ -174,8 +160,10 @@ class TestNdklCurve:
                 )
                 curve = ndkl_curve(ranking, target, smoothing=smoothing)
                 assert len(curve) == len(ranking)
+                labels = ranking.group_sequence()
+                masses = target.smoothed() if smoothing else target
                 for k, value in enumerate(curve, start=1):
-                    assert value == reference_ndkl(ranking, target, k, smoothing)
+                    assert value == sequence_ndkl(labels[:k], masses)
                     assert value == ndkl(ranking, target, k_max=k, smoothing=smoothing)
 
     @pytest.mark.parametrize("smoothing", [False, True])
@@ -195,9 +183,9 @@ class TestNdklCurve:
                 rnd.choices(drawn, weights=range(1, len(drawn) + 1), k=rnd.randint(50, 300))
             )
             curve = ndkl_curve(ranking, target, smoothing=smoothing)
-            assert curve == [
-                reference_ndkl(ranking, target, k, smoothing) for k in range(1, len(ranking) + 1)
-            ]
+            labels = ranking.group_sequence()
+            masses = target.smoothed() if smoothing else target
+            assert curve == [sequence_ndkl(labels[:k], masses) for k in range(1, len(labels) + 1)]
 
     def test_zero_mass_group_raises_where_it_first_appears(self):
         target = GroupDistribution({G00: 0.5, G01: 0.5, G11: 0.0})

@@ -5,10 +5,11 @@ from types import SimpleNamespace
 import pytest
 
 from fairlink.io import atomic_write
-from fairlink.rerank import ranking_from_groups, read_ranking, write_ranking
+from fairlink.rerank import read_ranking, write_ranking
 from fairlink.synth import write_graph_files
 
 from conftest import G00, G01
+from reference import ranking_from_groups
 
 
 @pytest.fixture

@@ -11,40 +11,26 @@ from fairlink.errors import ConfigError, TooLargeError, ZeroTargetMassError
 from fairlink.fairness import kl_divergence, ndkl, ndkl_upper_bound
 from fairlink.graphs import GroupDistribution, GroupId
 from fairlink.oracle import (
-    ExtremeResult,
     MultisetSpec,
     enumerate_ndkl_extremes,
-    multiset_permutations,
-    sequence_ndkl,
     verify_trace,
 )
 from fairlink.rerank import (
     kl_greedy_merge,
     kl_greedy_merge_weighted,
-    ranking_from_groups,
     synthetic_candidate_set,
 )
 
 from conftest import G00, G01, G11
+from reference import (
+    multiset_permutations,
+    permutation_count,
+    ranking_from_groups,
+    reference_extremes,
+    sequence_ndkl,
+)
 
 G02 = GroupId.of(0, 2)
-
-
-def reference_extremes(spec: MultisetSpec, target: GroupDistribution) -> ExtremeResult:
-    """Enumeration as it was before the prefix-sharing walk: every ordering scored from scratch."""
-    best = worst = None
-    argmin = argmax = None
-    examined = 0
-    for sequence in multiset_permutations(spec.group_counts):
-        value = sequence_ndkl(sequence, target)
-        examined += 1
-        if best is None or value < best:
-            best = value
-            argmin = sequence
-        if worst is None or value > worst:
-            worst = value
-            argmax = sequence
-    return ExtremeResult(best, worst, argmin, argmax, examined)
 
 
 def differential_cases() -> list[tuple[dict, GroupDistribution]]:
@@ -63,7 +49,7 @@ def differential_cases() -> list[tuple[dict, GroupDistribution]]:
         counts = {g: rnd.randint(0, 12 // width) for g in groups[:width]}
         if not 0 < sum(counts.values()) <= 10:
             continue
-        if MultisetSpec(counts).permutation_count() > 3000:
+        if permutation_count(counts) > 3000:
             continue
         kind = len(cases) % 3
         if kind == 0:
@@ -169,7 +155,7 @@ class TestEnumerateExtremes:
             result = enumerate_ndkl_extremes(MultisetSpec(counts), target)
             assert 0.0 <= result.min_value <= result.max_value
             assert result.max_value <= ndkl_upper_bound(target) + 1e-12
-            assert result.permutations_examined == MultisetSpec(counts).permutation_count()
+            assert result.permutations_examined == permutation_count(counts)
 
     def test_argmin_argmax_round_trip_through_metric(self, three_group_target):
         result = enumerate_ndkl_extremes(MultisetSpec({G00: 3, G01: 2, G11: 1}), three_group_target)

@@ -16,9 +16,7 @@ from fairlink.graphs import GroupDistribution, GroupId, load_graph
 from fairlink.pipeline import (
     GREEDY,
     NAIVE,
-    EvalReport,
     RunConfig,
-    load_seed_report,
     run_pipeline,
     run_single,
 )
@@ -26,6 +24,7 @@ from fairlink.rerank import read_ranking
 from fairlink.synth import biased_block_graph, write_graph_files
 
 from conftest import G00, G01, G11
+from reference import eval_report, load_seed_report
 
 
 @pytest.fixture(scope="module")
@@ -336,7 +335,7 @@ class TestCli:
         payload = json.loads(report.read_text())
         assert set(payload["methods"]) == {"ranked", "naive"}
         for rep in payload["methods"].values():
-            EvalReport.from_dict(rep)  # parses cleanly
+            eval_report(rep)  # parses cleanly
 
     def test_gap_and_oracle(self, tmp_path):
         gap_csv = tmp_path / "gap.csv"

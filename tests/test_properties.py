@@ -21,9 +21,9 @@ from fairlink.graphs import (
     empirical_distribution,
     stratified_split,
 )
-from fairlink.oracle import sequence_ndkl
 from fairlink.rank_metrics import RelevanceVector, hits_at_k, ndcg_at_k, precision_at_k
-from fairlink.rerank import ranking_from_groups
+
+from reference import ranking_from_groups, sequence_ndkl
 
 GROUPS = [GroupId.of(0, 0), GroupId.of(0, 1), GroupId.of(1, 1), GroupId.of(1, 2)]
 

@@ -3,7 +3,8 @@
 Each seed writes an attribute file, an edge file, a score file and a
 ranking file with comments, blank lines, commas, spaces, CRLF line ends
 and pairs repeated in both orientations, then plants fault kinds at
-random lines. Every reader must return what the reference returns
+random lines. An embedding file per seed gets blank lines, tabs, CRLF
+line ends and its own fault kinds. Every reader must return what the reference returns
 (``==``), or raise the same error class for the same node, pair and
 line.
 """
@@ -25,7 +26,7 @@ from fairlink.errors import (
 )
 from fairlink.graphs import load_graph, read_attributes, read_edge_list
 from fairlink.rerank import read_ranking
-from fairlink.scorers import ScoredCandidate, ingest_scores
+from fairlink.scorers import ScoredCandidate, ingest_scores, load_embeddings
 
 SEEDS = range(30)
 SEPARATORS = ("\t", ",", " ", ", ", " \t ")
@@ -198,6 +199,51 @@ def write_files(tmp_path, seed) -> Files:
     return files
 
 
+EMBEDDING_FAULTS = ["fields", "nonnumeric", "nan", "inf", "repeat", "count"]
+
+
+def write_embeddings(path, seed) -> list[str]:
+    """An embedding file with planted faults; returns the fault kinds planted.
+
+    ``repeat`` gives a node a second row, so the file holds one row more
+    than its header declares, but as many distinct nodes.
+    """
+    rng = random.Random(seed)
+    dim = rng.randint(1, 4)
+    nodes = rng.sample(range(40), rng.randint(3, 20))
+    rows = [[str(node), *(repr(rng.uniform(-1, 1)) for _ in range(dim))] for node in nodes]
+    declared = len(rows)
+
+    def fault(kind, rows, i):
+        nonlocal declared
+        row = list(rows[i])
+        if kind == "fields":
+            rows[i] = row[:-1]
+        elif kind == "nonnumeric":
+            row[rng.randrange(len(row))] = "x"
+            rows[i] = row
+        elif kind in ("nan", "inf"):
+            values = ["nan", "NaN"] if kind == "nan" else ["inf", "-inf", "Infinity", "1e999"]
+            row[rng.randrange(1, len(row))] = rng.choice(values)
+            rows[i] = row
+        elif kind == "repeat":
+            again = [row[0], *(repr(rng.uniform(-1, 1)) for _ in range(dim))]
+            rows.insert(rng.randint(i + 1, len(rows)), again)
+        else:
+            declared += rng.choice([-1, 1])
+
+    kinds = _pick_faults(rng, seed, EMBEDDING_FAULTS)
+    _plant(rng, rows, kinds, fault)
+    lines = [f"{declared} {dim}"]
+    for row in rows:
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "   "]))
+        lines.append(rng.choice([" ", "\t", "  "]).join(row))
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    path.write_bytes((end.join(lines) + end).encode())
+    return kinds
+
+
 def outcome(read, *args):
     """``("ok", value)``, or ``("error", (class, node, pair, line_no))`` for a data error."""
     try:
@@ -310,3 +356,21 @@ def test_empty_attribute_file_is_an_empty_graph(tmp_path):
     with pytest.raises(EmptyEdgeSetError):
         load_graph(edges, attrs)
 
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_load_embeddings_matches_reference(tmp_path, seed):
+    path = tmp_path / "embeddings.txt"
+    write_embeddings(path, seed)
+    assert outcome(load_embeddings, path) == outcome(reference.load_embeddings, path)
+
+
+def test_every_embedding_fault_is_planted(tmp_path):
+    planted, seen = set(), set()
+    for seed in SEEDS:
+        path = tmp_path / f"{seed}.txt"
+        planted.update(write_embeddings(path, seed))
+        kind, got = outcome(reference.load_embeddings, path)
+        seen.add(got[0] if kind == "error" else None)
+    assert planted == set(EMBEDDING_FAULTS)
+    assert seen == {None, MalformedLineError}

@@ -26,7 +26,6 @@ from fairlink.rerank import (
     kl_greedy_merge_weighted,
     merge_by_score,
     optimal_dp_proportions,
-    ranking_from_groups,
     read_ranking,
     synthetic_candidate_set,
     worst_case_ranking,
@@ -35,6 +34,7 @@ from fairlink.rerank import (
 from fairlink.scorers import GroupedCandidateSet, ScoredCandidate
 
 from conftest import G00, G01, G11
+from reference import ranking_from_groups, reference_merge
 
 
 def make_lists(spec: dict[GroupId, list[float]]) -> GroupedCandidateSet:
@@ -195,49 +195,6 @@ class TestWeightedMerge:
 
 
 # --- differential test against the O(G^2) merge --------------------------------
-
-
-def reference_merge(candidates, target, n, lam=1.0, *, smoothing=False):
-    """The merge as it was before the closed form: every available group is
-    scored with ``kl_divergence`` at every position. Returns the entries,
-    the trace steps (position, group, candidate, tie) and whether the
-    output was truncated."""
-    masses = target.smoothed() if smoothing else target
-    groups = candidates.groups()
-    lists = {g: candidates.lists[g] for g in groups}
-    normalized = {g: [] for g in groups}
-    for g in groups:
-        bucket = lists[g]
-        if bucket and bucket[0].score != bucket[-1].score:
-            high, low = bucket[0].score, bucket[-1].score
-            normalized[g] = [(c.score - low) / (high - low) for c in bucket]
-        else:
-            normalized[g] = [1.0] * len(bucket)
-    heads = {g: 0 for g in groups}
-    counts = {g: 0 for g in groups}
-    entries, steps = [], []
-    for t in range(1, n + 1):
-        available = [g for g in groups if heads[g] < len(lists[g])]
-        if not available:
-            break
-        objectives = {}
-        for g in available:
-            fractions = {
-                h: (c + (1 if h == g else 0)) / t
-                for h, c in counts.items()
-                if c > 0 or h == g
-            }
-            kl = kl_divergence(fractions, masses)
-            shat = normalized[g][heads[g]]
-            objectives[g] = lam * kl + (1.0 - lam) * (1.0 - shat)
-        best = min(available, key=lambda g: (objectives[g], -normalized[g][heads[g]], g))
-        tie = sum(1 for g in available if objectives[g] == objectives[best]) > 1
-        chosen = lists[best][heads[best]]
-        heads[best] += 1
-        counts[best] += 1
-        entries.append(chosen)
-        steps.append((t, best, chosen, tie))
-    return tuple(entries), steps, len(entries) < n
 
 
 def all_groups(values: int) -> list[GroupId]:

@@ -15,10 +15,6 @@ from fairlink.errors import (
 )
 from fairlink.graphs import GroupId, SensitiveGraph, canonical_edge, edge_group
 from fairlink.scorers import (
-    GroupedCandidateSet,
-    ScoredCandidate,
-    adamic_adar,
-    common_neighbors,
     embedding_dot,
     ingest_scores,
     load_embeddings,
@@ -26,6 +22,7 @@ from fairlink.scorers import (
 )
 
 from conftest import G00, G01, G11
+from reference import adamic_adar, common_neighbors, reference_score_candidates
 
 
 class TestCommonNeighbors:
@@ -189,43 +186,6 @@ class TestScoreCandidates:
         assert pairs == [(0, 1), (1, 4), (2, 3)]  # all scores 0, sorted by pair
 
 
-def reference_score_candidates(graph, pairs, scorer, *, decoupled, positives, embeddings=None):
-    """Scoring as it was before candidates were keyed by group: pairs flat, regrouped.
-
-    Every pair is grouped through ``edge_group``, each Adamic-Adar term
-    takes its own logarithm, and decoupled scoring builds a per-group
-    adjacency from ``edges_by_group``.
-    """
-
-    def heuristic(neighbors, u, v):
-        shared = neighbors(u) & neighbors(v)
-        if scorer == "common_neighbors":
-            return float(len(shared))
-        return math.fsum(1.0 / math.log(len(neighbors(w))) for w in shared)
-
-    positives = {canonical_edge(u, v) for u, v in positives}
-    restricted = {}
-    if decoupled:
-        for group, edges in graph.edges_by_group().items():
-            adjacency = restricted[group] = {}
-            for a, b in edges:
-                adjacency.setdefault(a, set()).add(b)
-                adjacency.setdefault(b, set()).add(a)
-    scored = []
-    for u, v in pairs:
-        pair = canonical_edge(u, v)
-        group = edge_group(graph, *pair)
-        if scorer == "embedding":
-            value = embedding_dot(embeddings, *pair)
-        elif decoupled:
-            own = restricted.get(group, {})
-            value = heuristic(lambda node: own.get(node, set()), *pair)
-        else:
-            value = heuristic(graph.neighbors, *pair)
-        scored.append(ScoredCandidate(pair[0], pair[1], value, group, pair in positives))
-    return GroupedCandidateSet.from_candidates(scored)
-
-
 def seeded_instance(seed: int):
     """A random graph over three attribute values, and candidate pairs drawn from it.
 
@@ -319,9 +279,9 @@ class TestKeyedCandidates:
         assert str(exc.value) == "duplicate pair (0, 1)"
 
     def test_non_finite_embedding_score(self, tmp_path):
-        # inf * 1.0 + 0.0 * 1.0 is inf: the pair (0, 1) scores non-finite.
+        # 1e200 * 1e200 overflows to inf: the pair (0, 1) scores non-finite.
         path = tmp_path / "emb.txt"
-        path.write_text("5 2\n0 inf 0.0\n1 1.0 1.0\n2 1.0 0.0\n3 0.0 1.0\n4 1.0 0.0\n")
+        path.write_text("5 2\n0 1e200 0.0\n1 1e200 1.0\n2 1.0 0.0\n3 0.0 1.0\n4 1.0 0.0\n")
         embeddings = load_embeddings(path)
         with pytest.raises(ConfigError, match=r"non-finite score for \(0, 1\)"):
             score_candidates(self.GRAPH, {G11: [(1, 0)]}, "embedding", embeddings=embeddings)
