@@ -406,12 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV")
     p.set_defaults(func=cmd_gap)
 
-    p = sub.add_parser("oracle", help="exact divergence extremes by enumeration")
+    p = sub.add_parser("oracle", help="exact divergence extremes over all orderings")
     common(p)
     p.add_argument("--counts", help="group counts, e.g. '0-0=5,0-1=3,1-1=2'")
     p.add_argument("--target")
     p.add_argument(
-        "--guard", type=int, help=f"enumeration size guard (default {ENUMERATION_GUARD})"
+        "--guard", type=int, help=f"largest multiset, in items (default {ENUMERATION_GUARD})"
     )
     p.add_argument("--out", help="output JSON report")
     p.set_defaults(func=cmd_oracle)

@@ -55,6 +55,8 @@ class GroupId(NamedTuple):
     def label(self) -> str:
         return f"{self.lo}-{self.hi}"
 
+    __str__ = label
+
     @classmethod
     def parse(cls, text: str) -> "GroupId":
         lo, _, hi = text.partition("-")

@@ -1,12 +1,12 @@
-"""Exhaustive ground truth on small ranking instances.
+"""Exact ground truth for ranking instances.
 
-Given the multiset of group labels a ranking is made of, every distinct
-ordering is scored, yielding the exact minimum and maximum achievable
-divergence. Enumeration walks the orderings as a prefix tree and scores
-each shared prefix once. A prefix is scored with one plain formula,
-``_prefix_kl``, which shares no code with the incremental
-implementation in ``fairness``; agreement between the two is itself a
-checked property.
+Given the multiset of group labels a ranking is made of, the exact
+minimum and maximum divergence over all its orderings are found as a
+shortest and a longest path through the lattice of prefix count
+vectors, without visiting any ordering. A prefix is scored with one
+plain formula, ``_prefix_kl``, which shares no code with the
+incremental implementation in ``fairness``; agreement between the two
+is itself a checked property.
 
 ``verify_trace`` certifies each step of a greedy merge under the merge's
 own rule at any weight lam, from the merge's inputs alone: a per-step
@@ -16,7 +16,7 @@ certificate, not global optimality.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -48,6 +48,9 @@ class MultisetSpec:
 
 @dataclass(frozen=True)
 class ExtremeResult:
+    """The exact extremes, the first ordering reaching each, and the number
+    of orderings certified (the multinomial coefficient: computed, not counted)."""
+
     min_value: float
     max_value: float
     argmin: tuple[GroupId, ...]
@@ -91,19 +94,24 @@ def enumerate_ndkl_extremes(
 ) -> ExtremeResult:
     """Exact divergence extremes over all orderings of the multiset.
 
-    One depth-first walk visits every ordering in lexicographic order
-    and carries each prefix's discounted divergence sum down to the
-    orderings below it, so a shared prefix is scored once, not once per
-    ordering. A prefix's term depends only on its group counts, so it
-    is computed once per count vector: ``_prefix_kl`` of the prefix of
-    length k, times the discount ``1 / log2(k + 1)``. An ordering's
-    value is its terms summed in order of k, divided by the sum of the
-    discounts: the same float as scoring each prefix of that ordering
-    from scratch and summing in the same order.
+    An ordering's value is its prefixes' terms summed in order of k and
+    divided by the sum of the discounts; the term of the prefix of
+    length k is ``_prefix_kl`` of its counts times ``1 / log2(k + 1)``.
+    A term depends only on the prefix's count vector, so the extremes
+    are a shortest and a longest path through the lattice of count
+    vectors, which has prod(c_g + 1) states. The walk keeps, for each
+    vector of the current length, the smallest and the largest
+    left-to-right float sum reaching it. Adding a term is monotone in
+    the sum it is added to, so these are the floats of scoring each
+    ordering in full. Sums are compared after the term is added; of two
+    equal sums, the lexicographically smaller path wins, so ties keep
+    the first ordering in lexicographic order.
 
-    Guarded at ``guard`` total items (default 14); pass a larger guard
-    explicitly to force bigger enumerations. Ties keep the first
-    (lexicographically smallest) sequence found.
+    Guarded at ``guard`` total items (default 14). The time grows with
+    the number of states, and with n items the worst case is n
+    singleton groups, 2^n states: on a shared 2-vCPU host, about 0.5 s
+    at 14, 2 s at 16 and 11 s at 18. Pass a larger guard explicitly for
+    multisets of few groups; 40/30/20 items take about 0.3 s there.
     """
     if spec.total > guard:
         raise TooLargeError(spec.total, guard)
@@ -113,67 +121,34 @@ def enumerate_ndkl_extremes(
 
     groups = sorted(g for g, c in spec.group_counts.items() if c > 0)
     limits = [spec.group_counts[g] for g in groups]
-    width, n = len(groups), spec.total
-    discounts = [1.0 / math.log2(k + 1) for k in range(1, n + 1)]
     normalizer = 0.0
-    for discount in discounts:  # not sum(): from Python 3.12 it compensates rounding
-        normalizer += discount
-    # Count vectors are numbered in mixed radix; `terms` holds each one's
-    # discounted divergence once computed. Every vector within the limits
-    # is some prefix, so the table is never larger than the tree walked.
-    strides = []
-    size = 1
-    for limit in limits:
-        strides.append(size)
-        size *= limit + 1
-    terms: list[float | None] = [None] * size
-
-    counts = [0] * width
-    choice = [-1] * n  # group index placed at each position; -1 before the first
-    vector = [0] * (n + 1)  # count-vector number of each prefix length
-    weighted = [0.0] * (n + 1)  # discounted sum over each prefix length
-    best = worst = None
-    argmin = argmax = None
-    examined = 0
-    depth = 0
-    while True:
-        g = choice[depth]
-        if g >= 0:
-            counts[g] -= 1
-        g += 1
-        while g < width and counts[g] == limits[g]:
-            g += 1
-        if g == width:
-            choice[depth] = -1
-            if depth == 0:
-                break
-            depth -= 1
-            continue
-        choice[depth] = g
-        counts[g] += 1
-        k = depth + 1
-        here = vector[k] = vector[depth] + strides[g]
-        term = terms[here]
-        if term is None:
-            term = terms[here] = discounts[depth] * _prefix_kl(dict(zip(groups, counts)), k, target)
-        weighted[k] = weighted[depth] + term
-        if k < n:
-            depth = k
-            continue
-        value = weighted[n] / normalizer
-        examined += 1
-        if best is None or value < best:
-            best = value
-            argmin = tuple(groups[j] for j in choice)
-        if worst is None or value > worst:
-            worst = value
-            argmax = tuple(groups[j] for j in choice)
+    # Each count vector maps to (sum, path) of its smallest sum and
+    # (-sum, path) of its largest: min() of either picks the extreme
+    # sum and, among equal sums, the lexicographically first path.
+    layer = {(0,) * len(groups): ((0.0, ()), (0.0, ()))}
+    for k in range(1, spec.total + 1):
+        discount = 1.0 / math.log2(k + 1)
+        normalizer += discount  # not sum(): from Python 3.12 it compensates rounding
+        arrivals = defaultdict(list)
+        for vector, ends in layer.items():
+            for g, limit in enumerate(limits):
+                if vector[g] < limit:
+                    arrivals[vector[:g] + (vector[g] + 1,) + vector[g + 1 :]].append((g, ends))
+        layer = {}
+        for vector, steps in arrivals.items():
+            term = discount * _prefix_kl(dict(zip(groups, vector)), k, target)
+            low, low_path, low_g = min((s + term, path, g) for g, ((s, path), _) in steps)
+            high, high_path, high_g = min((s - term, path, g) for g, (_, (s, path)) in steps)
+            layer[vector] = ((low, low_path + (low_g,)), (high, high_path + (high_g,)))
+    (low, argmin), (high, argmax) = layer.popitem()[1]
     return ExtremeResult(
-        min_value=best,
-        max_value=worst,
-        argmin=argmin,
-        argmax=argmax,
-        permutations_examined=examined,
+        min_value=low / normalizer,
+        max_value=-high / normalizer,
+        argmin=tuple(groups[g] for g in argmin),
+        argmax=tuple(groups[g] for g in argmax),
+        permutations_examined=math.prod(
+            math.comb(sum(limits[: i + 1]), c) for i, c in enumerate(limits)
+        ),
     )
 
 

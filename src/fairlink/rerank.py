@@ -258,7 +258,7 @@ def synthetic_candidate_set(
 
     Pairs are fresh synthetic node ids; scores descend within each group.
     Useful wherever only the group labels matter (worst-case rankings,
-    gap experiments, enumeration cross-checks).
+    gap experiments, oracle cross-checks).
     """
     lists: dict[GroupId, list[ScoredCandidate]] = {}
     next_node = 0

@@ -133,6 +133,37 @@ def test_criterion_2_oracle_certification():
         )
 
 
+LARGE_MULTISETS = (
+    (40, 30, 20),
+    (30, 15, 5),
+    (25, 20, 10),
+    (20, 15, 10, 8),
+    (30, 10, 6, 4),
+    (24, 12, 8, 6),
+)
+
+
+def test_criterion_2_certified_at_fifty_items_and_more():
+    """Greedy and worst-case certified against the exact extremes, n >= 50."""
+    with criterion(2, "n >= 50: greedy == exact min, worst <= exact max"):
+        rng = np.random.default_rng(2027)
+        groups = (G00, G01, G11, GroupId.of(0, 2))
+        shortfalls = 0
+        for shape in LARGE_MULTISETS:
+            counts = dict(zip(groups, shape))
+            n = sum(shape)
+            weights = rng.random(len(shape)) + 0.05
+            target = GroupDistribution(dict(zip(groups, (weights / weights.sum()).tolist())))
+            exact = enumerate_ndkl_extremes(MultisetSpec(counts), target, guard=n)
+
+            ranking, _ = kl_greedy_merge(synthetic_candidate_set(counts), target, n)
+            assert abs(ndkl(ranking, target) - exact.min_value) <= 1e-12, shape
+            worst_value = ndkl(worst_case_ranking(counts, target), target)
+            assert worst_value <= exact.max_value + 1e-12, shape
+            shortfalls += worst_value < exact.max_value - 1e-12
+        print(f"  block ordering below the exact maximum on {shortfalls} of {len(LARGE_MULTISETS)}")
+
+
 def test_criterion_3_parity_solver_reference_instance():
     """k=10 over pools (3 intra, 11 inter) selects x=2 at gap 0.0606."""
     with criterion(3, "optimal_dp_proportions(10, 3, 11) == (2, 0.0606 +- 0.001)"):

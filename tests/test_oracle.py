@@ -63,6 +63,31 @@ def differential_cases() -> list[tuple[dict, GroupDistribution]]:
     return cases
 
 
+def wide_cases() -> list[tuple[dict, GroupDistribution]]:
+    """Seeded multisets of 5 and 6 groups of one or two items each, at most 10 items.
+
+    Wide layers of count vectors, where many predecessors reach each
+    vector. Every third target is uniform, so predecessors tie and the
+    lexicographic rule decides. Multisets with more than 3,000
+    orderings are redrawn to keep the naive reference quick.
+    """
+    rnd = random.Random(20261019)
+    groups = (G00, G01, G02, G11, GroupId.of(1, 2), GroupId.of(2, 2))
+    cases = []
+    while len(cases) < 18:
+        width = 5 + len(cases) % 2
+        counts = {g: rnd.randint(1, 2) for g in groups[:width]}
+        if sum(counts.values()) > 10 or permutation_count(counts) > 3000:
+            continue
+        if len(cases) % 3 == 0:
+            weights = [1.0] * width
+        else:
+            weights = [rnd.random() + 0.05 for _ in range(width)]
+        total = sum(weights)
+        cases.append((counts, GroupDistribution({g: w / total for g, w in zip(groups, weights)})))
+    return cases
+
+
 class TestMultisetPermutations:
     def test_count_matches_multinomial(self):
         counts = {G00: 3, G01: 2, G11: 2}
@@ -181,6 +206,11 @@ class TestEnumerationMatchesReference:
 
     @pytest.mark.parametrize("counts, target", differential_cases())
     def test_seeded_multisets(self, counts, target):
+        spec = MultisetSpec(counts)
+        assert enumerate_ndkl_extremes(spec, target) == reference_extremes(spec, target)
+
+    @pytest.mark.parametrize("counts, target", wide_cases())
+    def test_wide_multisets(self, counts, target):
         spec = MultisetSpec(counts)
         assert enumerate_ndkl_extremes(spec, target) == reference_extremes(spec, target)
 

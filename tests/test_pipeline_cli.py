@@ -624,6 +624,15 @@ class TestCli:
         assert self.run("gap", *common, "--pools", "0-0=50", "--out", tmp_path / "b.csv") == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_errors_name_groups_as_typed(self, tmp_path, capsys):
+        out = tmp_path / "o.json"
+        assert self.run(
+            "oracle", "--counts", "0-0=3,1-1=2", "--target", "0-0=0.5,0-1=0.5", "--out", out
+        ) == 2
+        err = capsys.readouterr().err
+        assert "group 1-1 has zero target mass" in err and "GroupId(" not in err
+        assert not out.exists()
+
     def test_score_rejects_a_train_edge_outside_the_graph(self, dataset, tmp_path):
         graph = dataset["graph"]
         non_edge = next(

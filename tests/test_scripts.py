@@ -1,5 +1,5 @@
-"""Every experiment script imports and parses its arguments; the pipeline
-and merge benchmarks also run, small, so that their own checks do."""
+"""Every experiment script imports and parses its arguments; the pipeline,
+merge and oracle benchmarks also run, small, so that their own checks do."""
 
 import json
 import os
@@ -85,3 +85,13 @@ def test_bench_merge_traces_verify():
     assert result.returncode == 0, result.stderr
     rows = json.loads(result.stdout)["rows"]
     assert [(r["groups"], r["lam"]) for r in rows] == [(3, 1.0), (3, 0.5), (21, 1.0), (21, 0.5)]
+
+
+def test_bench_oracle_counts_states_and_orderings():
+    # The script asserts that the oracle certifies every ordering of the multiset.
+    result = run_script(ROOT / "scripts" / "bench_oracle.py", "--counts", "2/2/1", "--repeats", "1")
+    assert result.returncode == 0, result.stderr
+    [row] = json.loads(result.stdout)["rows"]
+    assert list(row) == ["counts", "states", "orderings", "seconds"]
+    assert (row["counts"], row["states"], row["orderings"]) == ("2/2/1", 18, 30)
+    assert row["seconds"] >= 0
