@@ -11,7 +11,9 @@ on the loaded graph and reads the stage times the result carries
 the seed's files (writes) with the two calls ``run_pipeline`` makes.
 It prints one JSON object with the best wall time of each stage over
 the repeats. "subgraphs" is the train graph, indexed from the split's
-train slices, and the target resolved on it.
+train slices, and the target resolved on it. Each row also gives the
+loaded graph's memory ("load_memory_mb"): the MB ``tracemalloc`` counts
+as retained by the graph and at the peak of one extra, untimed load.
 Decoupled Adamic-Adar, k = (100, 1000), output size 1000. The code
 timed is whichever ``fairlink`` is on the path.
 
@@ -27,6 +29,7 @@ import math
 import platform
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 from fairlink.errors import ConfigError
@@ -36,6 +39,18 @@ from fairlink.synth import write_graph_files
 from run_synthetic_pipeline import synthetic_graph
 
 STAGES = ("load", "split", "subgraphs", "negatives", "scoring", "merges", "evaluation", "writes")
+
+
+def load_memory(edges_path: Path, attrs_path: Path) -> dict[str, float]:
+    """MB that ``tracemalloc`` counts for one ``load_graph``: retained by the graph, and at peak."""
+    tracemalloc.start()
+    try:
+        graph = load_graph(edges_path, attrs_path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del graph
+    return {"retained": round(retained / 2**20, 2), "peak": round(peak / 2**20, 2)}
 
 
 def main() -> int:
@@ -60,6 +75,7 @@ def main() -> int:
             edge_count = len(graph.edges)
             # Each load runs with no other graph alive, as in a fresh process.
             del graph
+            memory = load_memory(edges_path, attrs_path)
             config = RunConfig(
                 edges_path="-",
                 attrs_path="-",
@@ -88,6 +104,7 @@ def main() -> int:
                     "edges": edge_count,
                     "seconds": {stage: round(best[stage], 4) for stage in STAGES},
                     "total": round(sum(best.values()), 4),
+                    "load_memory_mb": memory,
                 }
             )
     print(

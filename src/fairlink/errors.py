@@ -232,7 +232,7 @@ class InfeasibleKError(InfeasibleError):
 class TooLargeError(InfeasibleError):
     def __init__(self, n: int, guard: int):
         super().__init__(
-            f"instance size {n} exceeds enumeration guard {guard}; "
+            f"instance size {n} exceeds the oracle's item guard {guard}; "
             f"pass a larger guard explicitly to force it"
         )
         self.n = n

@@ -31,7 +31,7 @@ from .errors import (
     UnknownNodeError,
     _check_number,
 )
-from .io import atomic_write, data_lines, write_json
+from .io import atomic_write, is_comment_or_blank, write_json
 
 Edge = tuple[int, int]
 
@@ -493,9 +493,24 @@ def _enumerate_non_edges(
 
 
 # --- file formats -----------------------------------------------------------
-#
-# Each reader parses a line in one loop body, with no helper call per line:
-# fields split on tabs, commas or spaces, ``int`` for ids and values.
+
+
+class _NodeIndex(dict):
+    """Id text to ``(node, value)``; an unlisted id's canonical text parses once, to value None."""
+    def __missing__(self, text: str) -> tuple[int, None]:
+        if (node := int(text)) < 0 or str(node) != text:
+            raise KeyError(text)
+        return self.setdefault(text, (node, None))
+
+
+def _int_pair(path: Path, line_no: int, line: str) -> tuple[int, int]:
+    """The two ``int`` fields of a data line, split on tabs, commas or spaces."""
+    if len(tokens := line.replace(",", " ").split()) != 2:
+        raise MalformedLineError(path, line_no, f"expected two fields, got {len(tokens)}") from None
+    try:
+        return int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise MalformedLineError(path, line_no, f"non-integer field in {line.strip()!r}") from None
 
 
 def read_edge_list(path: str | Path) -> list[Edge]:
@@ -503,47 +518,46 @@ def read_edge_list(path: str | Path) -> list[Edge]:
 
     Comment lines starting with ``#`` and blank lines are skipped;
     duplicates, in either orientation, are collapsed, input order
-    otherwise preserved.
+    otherwise preserved. Each node id is one ``int`` object in all edges.
     """
     edges: list[Edge] = []
-    # Every node has value 0 here, so each distinct edge lands in this one list.
-    _read_edges(Path(path), defaultdict(int), {0: {0: edges}})
+    # No node has a value here, so each distinct edge lands in this one list.
+    _read_edges(Path(path), _NodeIndex(), {None: {None: edges}})
     return edges
 
 
-def _read_edges(
-    path: Path, sensitive: Mapping[int, int], buckets: Mapping[int, Mapping[int, list[Edge]]]
-) -> tuple[set[Edge], Edge | None]:
+def _read_edges(path: Path, index: _NodeIndex, buckets: Mapping) -> tuple[set[Edge], Edge | None]:
     """Parse an edge file in one pass, each distinct canonical edge into its bucket.
 
-    Edge (u, v), u < v, is appended to ``buckets[sensitive[u]][sensitive[v]]``
-    in file order. Returns the set of distinct edges and the first edge
-    with an endpoint not in ``sensitive`` (filed nowhere), or None.
+    Edge (u, v), u < v, goes to ``buckets[a][b]``, a and b the values ``index``
+    gives its ids. Returns the distinct edges and the first edge of no bucket, or None.
     """
     seen: set[Edge] = set()
     unattributed = None
-    for line_no, line in data_lines(path):
-        tokens = line.replace(",", " ").split()
-        if len(tokens) != 2:
-            raise MalformedLineError(path, line_no, f"expected two fields, got {len(tokens)}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise MalformedLineError(path, line_no, f"non-integer field in {line!r}") from None
-        if u < 0 or v < 0:
-            raise MalformedLineError(path, line_no, "negative node id")
-        if u > v:
-            u, v = v, u
-        elif u == v:
-            raise SelfLoopError(u, line_no)
-        e = (u, v)
-        if e not in seen:
-            seen.add(e)
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
             try:
-                buckets[sensitive[u]][sensitive[v]].append(e)
-            except KeyError:  # an endpoint without attribute
-                if unattributed is None:
-                    unattributed = e
+                x, y = line.replace(",", " ").split()
+                (u, a), (v, b) = index[x], index[y]
+            except (ValueError, KeyError):
+                if is_comment_or_blank(line):
+                    continue
+                u, v = _int_pair(path, line_no, line)
+                if u < 0 or v < 0:
+                    raise MalformedLineError(path, line_no, "negative node id") from None
+                (u, a), (v, b) = index[str(u)], index[str(v)]
+            if u > v:
+                u, v = v, u
+            elif u == v:
+                raise SelfLoopError(u, line_no)
+            e = (u, v)
+            if e not in seen:
+                seen.add(e)
+                try:
+                    buckets[a][b].append(e)
+                except KeyError:  # an endpoint without attribute
+                    if unattributed is None:
+                        unattributed = e
     return seen, unattributed
 
 
@@ -551,20 +565,20 @@ def read_attributes(path: str | Path) -> dict[int, int]:
     """Read `node<TAB>value` lines; a node may repeat only with the same value."""
     path = Path(path)
     attrs: dict[int, int] = {}
-    for line_no, line in data_lines(path):
-        tokens = line.replace(",", " ").split()
-        if len(tokens) != 2:
-            raise MalformedLineError(path, line_no, f"expected two fields, got {len(tokens)}")
-        try:
-            node, value = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise MalformedLineError(path, line_no, f"non-integer field in {line!r}") from None
-        if node < 0:
-            raise MalformedLineError(path, line_no, "negative node id")
-        if value < 0:
-            raise MalformedLineError(path, line_no, "negative attribute value")
-        if attrs.setdefault(node, value) != value:
-            raise MalformedLineError(path, line_no, f"conflicting attribute for node {node}")
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                node, value = map(int, line.replace(",", " ").split())
+            except ValueError:
+                if is_comment_or_blank(line):
+                    continue
+                node, value = _int_pair(path, line_no, line)
+            if node < 0:
+                raise MalformedLineError(path, line_no, "negative node id")
+            if value < 0:
+                raise MalformedLineError(path, line_no, "negative attribute value")
+            if attrs.setdefault(node, value) != value:
+                raise MalformedLineError(path, line_no, f"conflicting attribute for node {node}")
     return attrs
 
 
@@ -572,12 +586,11 @@ def load_graph(edge_file: str | Path, attribute_file: str | Path) -> SensitiveGr
     """Build a graph from an edge list file and a node attribute file.
 
     The attribute file defines the node set; node_count is one past the
-    largest attributed id. Every edge endpoint must carry an attribute.
-    The edge file is read as ``read_edge_list`` reads it, in one pass
-    that files each distinct edge straight into its group. Every error
-    of its lines wins over an unknown or unattributed endpoint, which is
-    reported, as ``edge_group`` reports it, for the first such edge in
-    file order.
+    largest attributed id. Every edge endpoint must carry an attribute,
+    and is that table's own key object. The edge file is read as
+    ``read_edge_list`` reads it, each distinct edge filed into its group.
+    Every line error wins over an unknown or unattributed endpoint, which
+    is reported as ``edge_group`` reports it, for the first such edge.
     """
     attrs = read_attributes(attribute_file)
     if not attrs:
@@ -587,7 +600,8 @@ def load_graph(edge_file: str | Path, attribute_file: str | Path) -> SensitiveGr
     grouped = {_interned_group(a, b): [] for i, a in enumerate(values) for b in values[i:]}
     # buckets[a][b] is the list of group (a, b), shared by both orders of the values.
     buckets = {a: {b: grouped[_interned_group(a, b)] for b in values} for a in values}
-    seen, unattributed = _read_edges(Path(edge_file), graph.sensitive, buckets)
+    index = _NodeIndex(zip(map(str, attrs), graph.sensitive.items()))
+    seen, unattributed = _read_edges(Path(edge_file), index, buckets)
     if unattributed is not None:
         edge_group(graph, *unattributed)  # raises for that edge's first bad endpoint
     for bucket in grouped.values():

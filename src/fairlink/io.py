@@ -1,11 +1,12 @@
-"""The package's file boundary: one atomic writer and one line reader.
+"""The package's file boundary: one atomic writer and one rule for skipped lines.
 
 Every output file is written through ``atomic_write``: the content goes
 to a temporary file in the target's directory, which then replaces the
 target in one rename, so readers see the old file or the new one and
 never a partial write. A failed write leaves no temporary file behind.
 The format functions (edge lists, scores, rankings, reports) live with
-their domain modules and call into this one.
+their domain modules and call into this one; their readers skip the
+lines ``is_comment_or_blank`` names.
 """
 
 from __future__ import annotations
@@ -64,11 +65,6 @@ def write_csv(path: str | Path, rows: Iterable[Mapping], fieldnames: Sequence[st
         writer.writerows(rows)
 
 
-def data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Yield ``(line_no, stripped_line)`` for every non-blank, non-``#`` line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield line_no, stripped
+def is_comment_or_blank(line: str) -> bool:
+    """Whether a reader skips ``line``: it is blank, or its first non-space is ``#``."""
+    return line.lstrip()[:1] in ("", "#")

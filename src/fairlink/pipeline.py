@@ -276,7 +276,19 @@ def evaluate_ranking(
     diagnostics are pool-level where the definition demands it
     (score-mean forms), and top-k based for the selection-rate form.
     """
-    pool_sizes, class_scores, group_scores, total_positives = pool_statistics(candidates)
+    return _evaluate(method, ranking, pool_statistics(candidates), target, k_list, smoothing)
+
+
+def _evaluate(
+    method: str,
+    ranking: Ranking,
+    pool: tuple,
+    target: GroupDistribution,
+    k_list: Sequence[int],
+    smoothing: bool,
+) -> EvalReport:
+    """``evaluate_ranking`` on the pool's ``pool_statistics``, which its rankings share."""
+    pool_sizes, class_scores, group_scores, total_positives = pool
     rel = RelevanceVector.from_ranking(ranking, total_positives)
 
     cutoffs = list(dict.fromkeys(min(k, len(ranking)) for k in k_list))
@@ -339,10 +351,9 @@ def run_single(config: RunConfig, seed: int, graph: SensitiveGraph | None = None
     naive_ranking = merge_by_score(candidates, n)
     lap("merges")
 
+    pool = pool_statistics(candidates)
     reports = {
-        name: evaluate_ranking(
-            name, ranking, candidates, target, config.k_list, smoothing=config.smoothing
-        )
+        name: _evaluate(name, ranking, pool, target, config.k_list, config.smoothing)
         for name, ranking in ((GREEDY, greedy_ranking), (NAIVE, naive_ranking))
     }
     lap("evaluation")

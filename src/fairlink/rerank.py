@@ -62,7 +62,7 @@ from .graphs import (
     apportion,
     edge_group,
 )
-from .io import atomic_write, data_lines, write_csv
+from .io import atomic_write, is_comment_or_blank, write_csv
 from .rank_metrics import RelevanceVector, precision_at_k
 from .scorers import GroupedCandidateSet, ScoredCandidate, _sort_key
 
@@ -466,34 +466,39 @@ def read_ranking(path: str | Path) -> Ranking:
     entries: list[ScoredCandidate] = []
     seen: set[tuple[int, int]] = set()
     groups: dict[str, GroupId] = {}
-    for line_no, line in data_lines(path):
-        tokens = line.split("\t")
-        if len(tokens) != 6:
-            raise MalformedLineError(path, line_no, f"expected 6 fields, got {len(tokens)}")
-        try:
-            rank, u, v = int(tokens[0]), int(tokens[1]), int(tokens[2])
-            group = groups.get(tokens[3])
-            if group is None:
-                lo, _, hi = tokens[3].partition("-")
-                group = groups[tokens[3]] = _interned_group(int(lo), int(hi))
-            score, relevance = float(tokens[4]), int(tokens[5])
-        except ValueError:
-            raise MalformedLineError(path, line_no, "cannot parse fields") from None
-        if rank != len(entries) + 1:
-            raise MalformedLineError(path, line_no, f"rank {rank} out of order")
-        if not math.isfinite(score):
-            raise MalformedLineError(path, line_no, "non-finite score")
-        if relevance != 0 and relevance != 1:
-            raise MalformedLineError(path, line_no, f"relevance must be 0 or 1, got {relevance}")
-        if u > v:
-            u, v = v, u
-        elif u == v:
-            raise SelfLoopError(u, line_no)
-        pair = (u, v)
-        if pair in seen:
-            raise DuplicatePairError(pair, line_no)
-        seen.add(pair)
-        entries.append(tuple.__new__(ScoredCandidate, (u, v, score, group, relevance == 1)))
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            tokens = line.strip().split("\t")
+            try:
+                rank, u, v, label, score, relevance = tokens
+                rank, u, v = int(rank), int(u), int(v)
+                group = groups.get(label)
+                if group is None:
+                    lo, _, hi = label.partition("-")
+                    group = groups[label] = _interned_group(int(lo), int(hi))
+                score, relevance = float(score), int(relevance)
+            except ValueError:
+                if is_comment_or_blank(line):
+                    continue
+                reason = "cannot parse fields"
+                if len(tokens) != 6:
+                    reason = f"expected 6 fields, got {len(tokens)}"
+                raise MalformedLineError(path, line_no, reason) from None
+            if rank != len(entries) + 1:
+                raise MalformedLineError(path, line_no, f"rank {rank} out of order")
+            if not math.isfinite(score):
+                raise MalformedLineError(path, line_no, "non-finite score")
+            if relevance != 0 and relevance != 1:
+                raise MalformedLineError(path, line_no, f"relevance must be 0 or 1, got {relevance}")
+            if u > v:
+                u, v = v, u
+            elif u == v:
+                raise SelfLoopError(u, line_no)
+            pair = (u, v)
+            if pair in seen:
+                raise DuplicatePairError(pair, line_no)
+            seen.add(pair)
+            entries.append(tuple.__new__(ScoredCandidate, (u, v, score, group, relevance == 1)))
     return Ranking(tuple(entries))
 
 

@@ -27,7 +27,7 @@ from .errors import (
     UnknownNodeError,
 )
 from .graphs import Edge, GroupId, SensitiveGraph, _interned_group, canonical_edge, edge_group
-from .io import atomic_write, data_lines
+from .io import atomic_write, is_comment_or_blank
 
 HEURISTIC_SCORERS = ("common_neighbors", "adamic_adar")
 SCORERS = HEURISTIC_SCORERS + ("embedding",)
@@ -211,7 +211,7 @@ def score_candidates(
     if scorer == "embedding" and embeddings is None:
         raise ConfigError("scorer 'embedding' requires embeddings")
 
-    positives = {canonical_edge(u, v) for u, v in positives}
+    positives = {e if e[0] <= e[1] else (e[1], e[0]) for e in positives}
     groups = sorted(candidates)
     if scorer == "embedding":
         scores = dict.fromkeys(groups, lambda u, v: embedding_dot(embeddings, u, v))
@@ -254,47 +254,59 @@ def ingest_scores(
     either orientation, are an error: externally produced score files
     must be unambiguous. Each line is checked once, here, and its error
     names the line; an unknown or unattributed endpoint is reported as
-    ``edge_group`` reports it. The per-group lists are filled directly
-    and sorted, so the set is built without the constructor's checks.
+    ``edge_group`` reports it. Each id's text is looked up in an index of
+    the graph's attribute table, so a candidate's ``u`` and ``v`` are the
+    table's own keys; only a line that misses is parsed with ``int``.
+    The per-group lists are filled directly and sorted, so the set is
+    built without the constructor's checks.
     """
     path = Path(score_file)
-    relevant = {(u, v) if u <= v else (v, u) for u, v in test_edges}
-    sensitive = graph.sensitive
+    relevant = {e if e[0] <= e[1] else (e[1], e[0]) for e in test_edges}
+    index = dict(zip(map(str, graph.sensitive), graph.sensitive.items()))
     # groups[a][b]: the group of a pair whose endpoints have values a and b.
     values = graph._value_nodes
     groups = {a: {b: _interned_group(a, b) for b in values} for a in values}
     seen: set[Edge] = set()
     lists: dict[GroupId, list[ScoredCandidate]] = {}
-    for line_no, line in data_lines(path):
-        tokens = line.replace(",", " ").split()
-        if len(tokens) != 3:
-            raise MalformedLineError(path, line_no, f"expected 3 fields, got {len(tokens)}")
-        try:
-            u, v, value = int(tokens[0]), int(tokens[1]), float(tokens[2])
-        except ValueError:
-            raise MalformedLineError(path, line_no, "non-numeric field") from None
-        if not math.isfinite(value):
-            raise MalformedLineError(path, line_no, "non-finite score")
-        if u > v:
-            u, v = v, u
-        elif u == v:
-            raise SelfLoopError(u, line_no)
-        pair = (u, v)
-        if pair in seen:
-            raise DuplicatePairError(pair, line_no)
-        seen.add(pair)
-        try:
-            group = groups[sensitive[u]][sensitive[v]]
-        except KeyError:  # an endpoint without attribute: edge_group raises its error
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
             try:
-                edge_group(graph, u, v)
-            except (UnknownNodeError, MissingAttributeError) as exc:
-                raise type(exc)(exc.node, line_no) from None
-            raise
-        bucket = lists.get(group)
-        if bucket is None:
-            bucket = lists[group] = []
-        bucket.append(tuple.__new__(ScoredCandidate, (u, v, value, group, pair in relevant)))
+                x, y, score = line.replace(",", " ").split()
+                (u, a), (v, b), value = index[x], index[y], float(score)
+            except (ValueError, KeyError):  # a skipped or faulty line, or an id that misses
+                if is_comment_or_blank(line):
+                    continue
+                if len(tokens := line.replace(",", " ").split()) != 3:
+                    reason = f"expected 3 fields, got {len(tokens)}"
+                    raise MalformedLineError(path, line_no, reason) from None
+                try:
+                    u, v, value = int(tokens[0]), int(tokens[1]), float(tokens[2])
+                except ValueError:
+                    raise MalformedLineError(path, line_no, "non-numeric field") from None
+                # An id outside the table gets no value, so its group lookup below fails.
+                (u, a), (v, b) = index.get(str(u), (u, None)), index.get(str(v), (v, None))
+            if not math.isfinite(value):
+                raise MalformedLineError(path, line_no, "non-finite score")
+            if u > v:
+                u, v, a, b = v, u, b, a
+            elif u == v:
+                raise SelfLoopError(u, line_no)
+            pair = (u, v)
+            if pair in seen:
+                raise DuplicatePairError(pair, line_no)
+            seen.add(pair)
+            try:
+                group = groups[a][b]
+            except KeyError:  # an endpoint without attribute: edge_group raises its error
+                try:
+                    edge_group(graph, u, v)
+                except (UnknownNodeError, MissingAttributeError) as exc:
+                    raise type(exc)(exc.node, line_no) from None
+                raise
+            bucket = lists.get(group)
+            if bucket is None:
+                bucket = lists[group] = []
+            bucket.append(tuple.__new__(ScoredCandidate, (u, v, value, group, pair in relevant)))
     for bucket in lists.values():
         bucket.sort(key=_sort_key)
     return GroupedCandidateSet._built(lists)

@@ -192,8 +192,13 @@ class TestEnumerateExtremes:
         )
 
     def test_guard(self, uniform_pair_target):
-        with pytest.raises(TooLargeError):
+        with pytest.raises(TooLargeError) as exc:
             enumerate_ndkl_extremes(MultisetSpec({G00: 10, G01: 10}), uniform_pair_target)
+        # The guard counts items; the oracle walks count vectors, it enumerates nothing.
+        assert str(exc.value) == (
+            "instance size 20 exceeds the oracle's item guard 14; "
+            "pass a larger guard explicitly to force it"
+        )
         # Explicit override allows slightly larger runs.
         result = enumerate_ndkl_extremes(
             MultisetSpec({G00: 8, G01: 7}), uniform_pair_target, guard=15

@@ -17,6 +17,7 @@ from fairlink.pipeline import (
     GREEDY,
     NAIVE,
     RunConfig,
+    evaluate_ranking,
     run_pipeline,
     run_single,
 )
@@ -172,6 +173,23 @@ class TestRunSingle:
         assert "seconds" not in repr(a)
         assert set(a.report_payload()) == {"config_hash", "seed", "target", "methods"}
         assert "seconds" not in json.dumps(a.report_payload())
+
+    def test_pool_statistics_computed_once_per_seed(self, dataset, tmp_path, monkeypatch):
+        # Both rankings of a seed share one pool, so its statistics are computed once,
+        # and each report is still the one evaluate_ranking gives.
+        calls = []
+        original = fairlink.pipeline.pool_statistics
+        def counted(candidates):
+            calls.append(candidates)
+            return original(candidates)
+        monkeypatch.setattr(fairlink.pipeline, "pool_statistics", counted)
+        config = small_config(dataset, tmp_path)
+        result = run_single(config, 3)
+        [pool] = calls
+        for name, ranking in result.rankings.items():
+            assert result.reports[name] == evaluate_ranking(
+                name, ranking, pool, result.target, config.k_list, smoothing=config.smoothing
+            )
 
     def test_zero_target_mass_surfaces(self, dataset, tmp_path):
         config = small_config(

@@ -3,7 +3,9 @@
 Each seed writes an attribute file, an edge file, a score file and a
 ranking file with comments, blank lines, commas, spaces, CRLF line ends
 and pairs repeated in both orientations, then plants fault kinds at
-random lines. An embedding file per seed gets blank lines, tabs, CRLF
+random lines; in the edge and score files some ids are written as
+numerals ``int`` reads but ``str`` does not write (``007``, ``+7``,
+``7_0``, non-ASCII digits). An embedding file per seed gets blank lines, tabs, CRLF
 line ends and its own fault kinds. Every reader must return what the reference returns
 (``==``), or raise the same error class for the same node, pair and
 line.
@@ -30,6 +32,28 @@ from fairlink.scorers import ScoredCandidate, ingest_scores, load_embeddings
 
 SEEDS = range(30)
 SEPARATORS = ("\t", ",", " ", ", ", " \t ")
+# Ids that ``int`` reads but that are not written as ``str`` writes them.
+NUMERALS = ["zeros", "plus", "underscore", "digits"]
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def noncanonical(kind: str, text: str) -> str:
+    """``text`` as a numeral of ``kind``: ``007``, ``+7``, ``7_0``, or in non-ASCII digits."""
+    if kind == "zeros":
+        return "00" + text
+    if kind == "plus":
+        return "+" + text
+    if kind == "underscore":
+        return text[0] + "_" + text[1:] if len(text) > 1 else "0_" + text
+    return text.translate(ARABIC_INDIC)
+
+
+def rewrite_an_id(rng, kind, rows, i) -> None:
+    """Write one of the two ids of row ``i`` as a numeral of ``kind``."""
+    row = list(rows[i])
+    j = rng.randrange(2)
+    row[j] = noncanonical(kind, row[j])
+    rows[i] = row
 
 
 @dataclass
@@ -110,6 +134,8 @@ def write_files(tmp_path, seed) -> Files:
         edge_rows.insert(rng.randrange(len(edge_rows) + 1), list(map(str, oriented(pair))))
 
     def edge_fault(kind, rows, i):
+        if kind in NUMERALS:
+            return rewrite_an_id(rng, kind, rows, i)
         u = rows[i][0]
         if kind == "unattributed" and not gaps:
             kind = "unknown"
@@ -124,7 +150,8 @@ def write_files(tmp_path, seed) -> Files:
             "both": [str(node_count + 2), str(gaps[-1]) if gaps else str(node_count + 3)],
         }[kind])
 
-    edge_kinds = ["fields", "nonint", "negative", "selfloop", "unknown", "unattributed", "both"]
+    edge_kinds = ["fields", "nonint", "negative", "selfloop", "unknown", "unattributed", "both",
+                  *NUMERALS]
     _plant(rng, edge_rows, _pick_faults(rng, seed, edge_kinds), edge_fault)
 
     # Scores: distinct pairs in either orientation, with ties.
@@ -135,6 +162,8 @@ def write_files(tmp_path, seed) -> Files:
     ]
 
     def score_fault(kind, rows, i):
+        if kind in NUMERALS:
+            return rewrite_an_id(rng, kind, rows, i)
         u, v, s = rows[i]
         rows.insert(i + (kind == "duplicate"), {
             "fields": [u, v],
@@ -148,7 +177,7 @@ def write_files(tmp_path, seed) -> Files:
         }[kind])
 
     score_kinds = ["fields", "nonnumeric", "nonfinite", "selfloop", "duplicate", "unknown",
-                   "unattributed", "both"]
+                   "unattributed", "both", *NUMERALS]
     _plant(rng, score_rows, _pick_faults(rng, seed, score_kinds), score_fault)
 
     # Ranking: tab-separated, pairs and group labels in either orientation.
@@ -347,6 +376,63 @@ def test_parse_error_wins_over_an_earlier_unattributed_endpoint(tmp_path):
     with pytest.raises(MissingAttributeError) as exc:
         load_graph(edges, attrs)
     assert (exc.value.node, exc.value.line_no) == (2, None)
+
+
+def test_each_node_id_is_one_int_object(tmp_path):
+    # Ids from 1000 up: CPython shares the ints up to 256 whichever way they are built.
+    rng = random.Random(7)
+    nodes = range(1000, 1060)
+    attrs, edges, scores = (tmp_path / name for name in ("attrs.tsv", "edges.tsv", "scores.tsv"))
+    attrs.write_text("".join(f"{v}\t{v % 3}\n" for v in nodes))
+
+    def id_text(node):
+        return noncanonical(rng.choice(NUMERALS), str(node)) if rng.random() < 0.3 else str(node)
+
+    pairs = [tuple(rng.sample(nodes, 2)) for _ in range(300)]
+    edges.write_text("".join(f"{id_text(u)}\t{id_text(v)}\n" for u, v in pairs))
+    distinct = {(min(p), max(p)) for p in pairs}
+    scores.write_text("".join(f"{id_text(u)},{id_text(v)},{rng.random()!r}\n" for u, v in distinct))
+
+    graph = load_graph(edges, attrs)
+    key = {node: node for node in graph.sensitive}
+    assert graph.edges == distinct
+    assert all(u is key[u] and v is key[v] for u, v in graph.edges)
+    assert all(
+        u is key[u] and v is key[v] for bucket in graph.edges_by_group().values() for u, v in bucket
+    )
+    candidates = ingest_scores(scores, graph, list(distinct)[:20])
+    assert candidates.total() == len(distinct)
+    assert all(
+        c.u is key[c.u] and c.v is key[c.v] for bucket in candidates.lists.values() for c in bucket
+    )
+    first: dict[int, int] = {}
+    assert all(first.setdefault(x, x) is x for edge in read_edge_list(edges) for x in edge)
+
+
+def test_noncanonical_ids_keep_every_error(tmp_path):
+    # An id that misses the index is checked as int reads it: a self-loop, a
+    # negative, an unattributed or unknown id, or a repeated pair is still found.
+    edges, attrs, scores = (tmp_path / name for name in ("edges.tsv", "attrs.tsv", "scores.tsv"))
+    attrs.write_text("".join(f"{v}\t{v % 2}\n" for v in range(300, 310)))
+    for text, error, detail in [
+        ("300\t0300\n", SelfLoopError, (300, None, 1)),
+        ("# c\n301 +301\n", SelfLoopError, (301, None, 2)),
+        ("300\t-0301\n", MalformedLineError, (None, None, 1)),
+        ("300\t3_0_9\n300\t0299\n", MissingAttributeError, (299, None, None)),
+        ("300\t0311\n", UnknownNodeError, (311, None, None)),
+    ]:
+        edges.write_text(text)
+        assert outcome(load_graph, edges, attrs) == ("error", (error, *detail)), text
+    edges.write_text("")
+    graph = load_graph(edges, attrs)
+    for text, error, detail in [
+        ("300 301 0.5\n+301 0300 0.25\n", DuplicatePairError, (None, (300, 301), 2)),
+        ("302 0302 0.5\n", SelfLoopError, (302, None, 1)),
+        ("300 -0301 0.5\n", UnknownNodeError, (-301, None, 1)),
+        ("300 0311 0.5\n", UnknownNodeError, (311, None, 1)),
+    ]:
+        scores.write_text(text)
+        assert outcome(ingest_scores, scores, graph, []) == ("error", (error, *detail)), text
 
 
 def test_empty_attribute_file_is_an_empty_graph(tmp_path):

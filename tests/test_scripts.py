@@ -35,7 +35,8 @@ def test_help_exits_zero(script):
 
 
 def test_bench_pipeline_times_every_stage():
-    # The stage times are the load, run_single's own, and the seed's writes.
+    # The stage times are the load, run_single's own, and the seed's writes;
+    # the loaded graph's memory comes from one more load, traced.
     result = run_script(ROOT / "scripts" / "bench_pipeline.py", "--nodes", "200", "--repeats", "1")
     assert result.returncode == 0, result.stderr
     [row] = json.loads(result.stdout)["rows"]
@@ -44,6 +45,9 @@ def test_bench_pipeline_times_every_stage():
         "load", "split", "subgraphs", "negatives", "scoring", "merges", "evaluation", "writes"
     ]
     assert all(value >= 0 for value in row["seconds"].values())
+    memory = row["load_memory_mb"]
+    assert list(memory) == ["retained", "peak"]
+    assert 0 < memory["retained"] <= memory["peak"]
 
 
 @pytest.mark.parametrize("repeats", ["0", "-1"])
