@@ -2,10 +2,12 @@
 
 Subcommands mirror the pipeline stages: split, score, rerank, eval, gap,
 oracle, and pipeline (all stages end to end). Every subcommand accepts
---seed and --config (a JSON file supplying defaults for the subcommand's
-own options; explicit flags win, and any other key is an error). Only
-split, score and pipeline use the seed; rerank, eval, gap and oracle
-draw nothing at random and ignore it.
+--seed and --config (a JSON object of values for the subcommand's own
+options; any other key is an error). Each option is resolved once, before
+the subcommand runs: the flag if given, else the config value, else the
+default. Every subcommand that takes a target also accepts it in a config
+file as a label -> mass object. Only split, score and pipeline use the
+seed; rerank, eval, gap and oracle draw nothing at random and ignore it.
 FAIRLINK_OUTPUT_DIR overrides output directories, nothing else.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
@@ -34,6 +36,7 @@ from .graphs import (
     GroupDistribution,
     GroupId,
     check_ratios,
+    empirical_distribution,
     load_graph,
     read_edge_list,
     stratified_split,
@@ -47,7 +50,6 @@ from .pipeline import (
     build_candidates,
     check_cutoffs,
     evaluate_ranking,
-    resolve_target,
     run_pipeline,
 )
 from .rerank import (
@@ -68,40 +70,47 @@ _PATH_KEYS = (
     "edges", "attrs", "train", "test", "scores", "ranking", "embeddings", "out",
     "edges_path", "attrs_path", "embeddings_path", "out_dir",
 )
+# Flag names that differ from their RunConfig field; a pipeline config key may use either.
+_PIPELINE_ALIASES = {
+    "edges": "edges_path",
+    "attrs": "attrs_path",
+    "embeddings": "embeddings_path",
+    "out": "out_dir",
+    "k": "k_list",
+}
 
 
-def _load_config(args, options=None) -> dict:
-    """The --config object; each key must be one of ``options``, by default
-    the subcommand's own options."""
-    path = args.config
-    if not path:
-        return {}
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    options = options or set(vars(args)) - {"command", "func", "config"}
-    unknown = sorted(set(data) - options)
-    if unknown:
-        raise ConfigError(f"unknown {args.command} config key {unknown[0]!r}")
-    for key in _PATH_KEYS:
-        if data.get(key) is not None:
-            _check_path(data[key], key)
-    return data
+def _options(args) -> dict:
+    """The subcommand's options: the --config object's values, each overridden
+    by its flag when the flag is given. A config key must be one of the
+    subcommand's own options; pipeline keys may also be spelled as the flag."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
+    options: dict = {}
+    if args.config:
+        path = args.config
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
+        aliases, known = {}, set(flags)
+        if args.command == "pipeline":
+            aliases = _PIPELINE_ALIASES
+            known = set(RunConfig.__dataclass_fields__) | set(aliases)  # type: ignore[attr-defined]
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise ConfigError(f"unknown {args.command} config key {unknown[0]!r}")
+        for key in _PATH_KEYS:
+            if data.get(key) is not None:
+                _check_path(data[key], key)
+        options = {aliases.get(key, key): value for key, value in data.items()}
+    options.update((k, v) for k, v in flags.items() if v is not None)
+    return options
 
 
-def _pick(args, config: dict, name: str, default=None):
-    """CLI flag if given, else config file value, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return config.get(name, default)
-
-
-def _require(args, config: dict, name: str):
-    value = _pick(args, config, name)
+def _require(options: dict, name: str):
+    value = options.get(name)
     if value is None:
         raise ConfigError(f"missing required option --{name.replace('_', '-')}")
     return value
@@ -131,97 +140,99 @@ def parse_group_map(text: str, number: type = float) -> dict[GroupId, float]:
     return out
 
 
-def parse_target(text: str) -> str | GroupDistribution:
-    if text == "empirical":
-        return "empirical"
-    return GroupDistribution(parse_group_map(text))
+def parse_target(value) -> str | GroupDistribution:
+    """``"empirical"``, or the distribution a `label=mass,...` string or a
+    label -> mass object (from a config file) names."""
+    if value == "empirical":
+        return value
+    if isinstance(value, str):
+        return GroupDistribution(parse_group_map(value))
+    if isinstance(value, dict):
+        return GroupDistribution.from_label_dict(value)
+    raise ConfigError(f"unsupported target spec {value!r}")
 
 
-def _target_spec(args, config: dict) -> str | GroupDistribution:
+def _target_spec(options: dict) -> str | GroupDistribution:
     """--target as a distribution or "empirical", checked before any file is read."""
-    spec = _pick(args, config, "target", "empirical")
-    if isinstance(spec, str):
-        spec = parse_target(spec)
-    if spec != "empirical":
-        return resolve_target(spec, None)
-    if _pick(args, config, "train") is None:
+    spec = parse_target(options.get("target", "empirical"))
+    if spec == "empirical" and options.get("train") is None:
         raise ConfigError("empirical target needs --train (or an explicit --target)")
     return spec
 
 
-def _target(args, config: dict, spec, graph) -> GroupDistribution:
+def _target(options: dict, spec, graph) -> GroupDistribution:
     """The explicit target, or the empirical proportions of the --train edges."""
-    train_graph = None
-    if spec == "empirical":
-        train_graph = graph.subgraph_with_edges(read_edge_list(_pick(args, config, "train")))
-    return resolve_target(spec, train_graph)
+    if spec != "empirical":
+        return spec
+    return empirical_distribution(graph.subgraph_with_edges(read_edge_list(options["train"])))
+
+
+def _top_line(report) -> str:
+    """A report's metrics at its largest cutoff, or its AP when it has none."""
+    if not report.per_k:
+        return f"ap={report.ap:.4f}"
+    top = report.per_k[-1]
+    return f"ndkl@{top.k}={top.ndkl:.4f} prec@{top.k}={top.precision:.4f}"
 
 
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_split(args) -> int:
-    config = _load_config(args)
-    ratios = check_ratios(_pick(args, config, "ratios", (0.7, 0.1, 0.2)))
-    seed = _check_number(_pick(args, config, "seed", 0), "seed", integer=True)
-    graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
+def cmd_split(options: dict) -> int:
+    ratios = check_ratios(options.get("ratios", (0.7, 0.1, 0.2)))
+    seed = _check_number(options.get("seed", 0), "seed", integer=True)
+    graph = load_graph(_require(options, "edges"), _require(options, "attrs"))
     split = stratified_split(graph, ratios, seed=seed)
-    out = Path(_out_dir(_require(args, config, "out")))
+    out = Path(_out_dir(_require(options, "out")))
     paths = write_split(out, graph, split)
     print(f"wrote {', '.join(str(p) for p in paths.values())}")
     return 0
 
 
-def cmd_score(args) -> int:
-    config = _load_config(args)
+def cmd_score(options: dict) -> int:
+    given = ("seed", "scorer", "decoupled", "embeddings", "negatives_per_positive")
     run = RunConfig(
-        edges_path=_require(args, config, "edges"),
-        attrs_path=_require(args, config, "attrs"),
-        seed=_pick(args, config, "seed", 0),
-        scorer=_pick(args, config, "scorer", "adamic_adar"),
-        decoupled=_pick(args, config, "decoupled", True),
-        embeddings_path=_pick(args, config, "embeddings"),
-        negatives_per_positive=_pick(args, config, "negatives_per_positive", 1.0),
+        edges_path=_require(options, "edges"),
+        attrs_path=_require(options, "attrs"),
+        **{_PIPELINE_ALIASES.get(k, k): v for k, v in options.items() if k in given},
     )
     graph = load_graph(run.edges_path, run.attrs_path)
-    train = graph.subgraph_with_edges(read_edge_list(_require(args, config, "train")))
-    test = graph.subgraph_with_edges(read_edge_list(_require(args, config, "test")))
+    train = graph.subgraph_with_edges(read_edge_list(_require(options, "train")))
+    test = graph.subgraph_with_edges(read_edge_list(_require(options, "test")))
     candidates = build_candidates(run, graph, train, test.edges_by_group(), run.seed)
-    write_scores(_require(args, config, "out"), candidates)
+    write_scores(_require(options, "out"), candidates)
     print(f"scored {candidates.total()} candidates across {len(candidates.groups())} groups")
     return 0
 
 
-def cmd_rerank(args) -> int:
-    config = _load_config(args)
-    spec = _target_spec(args, config)
-    lam = check_lambda(_pick(args, config, "lam", 1.0))
-    n = _pick(args, config, "n")
+def cmd_rerank(options: dict) -> int:
+    spec = _target_spec(options)
+    lam = check_lambda(options.get("lam", 1.0))
+    n = options.get("n")
     if n is not None:
         _check_number(n, "output size", integer=True, minimum=1)
-    smoothing = _check_bool(_pick(args, config, "smoothing", False), "smoothing")
-    graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
-    test = read_edge_list(_require(args, config, "test"))
-    candidates = ingest_scores(_require(args, config, "scores"), graph, test)
-    target = _target(args, config, spec, graph)
+    smoothing = _check_bool(options.get("smoothing", False), "smoothing")
+    graph = load_graph(_require(options, "edges"), _require(options, "attrs"))
+    test = read_edge_list(_require(options, "test"))
+    candidates = ingest_scores(_require(options, "scores"), graph, test)
+    target = _target(options, spec, graph)
     n = n or candidates.total()
     ranking, _ = kl_greedy_merge(candidates, target, n, lam, smoothing=smoothing)
-    out = _require(args, config, "out")
+    out = _require(options, "out")
     write_ranking(out, ranking)
     value = ndkl(ranking, target, smoothing=smoothing)
     print(f"wrote {out} ({len(ranking)} entries, ndkl={value:.4f})")
     return 0
 
 
-def cmd_eval(args) -> int:
-    config = _load_config(args)
-    spec = _target_spec(args, config)
-    k_list = check_cutoffs(_pick(args, config, "k", (100,)))
-    smoothing = _check_bool(_pick(args, config, "smoothing", False), "smoothing")
-    graph = load_graph(_require(args, config, "edges"), _require(args, config, "attrs"))
-    ranking = read_ranking(_require(args, config, "ranking"))
+def cmd_eval(options: dict) -> int:
+    spec = _target_spec(options)
+    k_list = check_cutoffs(options.get("k", (100,)))
+    smoothing = _check_bool(options.get("smoothing", False), "smoothing")
+    graph = load_graph(_require(options, "edges"), _require(options, "attrs"))
+    ranking = read_ranking(_require(options, "ranking"))
     check_ranking_groups(ranking, graph)
-    target = _target(args, config, spec, graph)
+    target = _target(options, spec, graph)
     pool = GroupedCandidateSet.from_candidates(ranking.entries)
     naive = merge_by_score(pool, len(ranking))
     reports = {
@@ -233,49 +244,43 @@ def cmd_eval(args) -> int:
         "bound": reports["ranked"].bound,
         "methods": {name: rep.to_dict() for name, rep in sorted(reports.items())},
     }
-    write_json(_require(args, config, "out"), payload)
+    write_json(_require(options, "out"), payload)
     for name, rep in sorted(reports.items()):
-        if rep.per_k:
-            top = rep.per_k[-1]
-            print(f"{name}: ndkl@{top.k}={top.ndkl:.4f} prec@{top.k}={top.precision:.4f}")
-        else:
-            print(f"{name}: ap={rep.ap:.4f}")
+        print(f"{name}: {_top_line(rep)}")
     return 0
 
 
-def cmd_gap(args) -> int:
-    config = _load_config(args)
-    target = parse_target(str(_require(args, config, "target")))
+def cmd_gap(options: dict) -> int:
+    target = parse_target(_require(options, "target"))
     if not isinstance(target, GroupDistribution):
         raise ConfigError("gap needs an explicit --target distribution")
-    k_grid = check_cutoffs(_pick(args, config, "k_grid", (10, 50, 100, 500, 1000)))
+    k_grid = check_cutoffs(options.get("k_grid", (10, 50, 100, 500, 1000)))
     if not k_grid:
         raise ConfigError("gap needs at least one --k-grid cutoff")
-    pools_spec = _pick(args, config, "pools")
+    pools_spec = options.get("pools")
     if pools_spec:
         pools = parse_group_map(str(pools_spec), int)
     else:
         pools = default_gap_pools(target, k_grid)
     curve = gap_experiment(target, pools, k_grid)
-    out = _require(args, config, "out")
+    out = _require(options, "out")
     curve.write_csv(out)
     print(f"wrote {out} ({len(k_grid)} grid points)")
     return 0
 
 
-def cmd_oracle(args) -> int:
-    config = _load_config(args)
-    counts = parse_group_map(str(_require(args, config, "counts")), int)
-    target = parse_target(str(_require(args, config, "target")))
+def cmd_oracle(options: dict) -> int:
+    counts = parse_group_map(str(_require(options, "counts")), int)
+    target = parse_target(_require(options, "target"))
     if not isinstance(target, GroupDistribution):
         raise ConfigError("oracle needs an explicit --target distribution")
     guard = _check_number(
-        _pick(args, config, "guard", ENUMERATION_GUARD), "guard", integer=True, minimum=1
+        options.get("guard", ENUMERATION_GUARD), "guard", integer=True, minimum=1
     )
     result = enumerate_ndkl_extremes(MultisetSpec(counts), target, guard=guard)
     payload = result.as_dict()
     payload["bound"] = ndkl_upper_bound(target.positive())
-    write_json(_require(args, config, "out"), payload)
+    write_json(_require(options, "out"), payload)
     print(
         f"examined {result.permutations_examined} orderings: "
         f"min={result.min_value:.6f} max={result.max_value:.6f} bound={payload['bound']:.6f}"
@@ -283,53 +288,16 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-_PIPELINE_ALIASES = {
-    "edges": "edges_path",
-    "attrs": "attrs_path",
-    "embeddings": "embeddings_path",
-    "out": "out_dir",
-    "k": "k_list",
-}
-
-
-def cmd_pipeline(args) -> int:
-    known = set(RunConfig.__dataclass_fields__)  # type: ignore[attr-defined]
-    config = _load_config(args, known | set(_PIPELINE_ALIASES))
-    fields = {_PIPELINE_ALIASES.get(key, key): value for key, value in config.items()}
-    cli_values = {
-        "edges_path": args.edges,
-        "attrs_path": args.attrs,
-        "seed": args.seed,
-        "repeats": args.repeats,
-        "scorer": args.scorer,
-        "decoupled": args.decoupled,
-        "embeddings_path": args.embeddings,
-        "target": args.target,
-        "k_list": tuple(args.k) if args.k else None,
-        "lam": args.lam,
-        "smoothing": args.smoothing,
-        "negatives_per_positive": args.negatives_per_positive,
-        "output_size": args.output_size,
-        "out_dir": args.out,
-    }
-    fields.update({k: v for k, v in cli_values.items() if v is not None})
-    fields["out_dir"] = _out_dir(fields.get("out_dir", "runs"))
-    if isinstance(fields.get("target"), str) and fields["target"] != "empirical":
-        fields["target"] = parse_target(fields["target"]).as_label_dict()
-    if "edges_path" not in fields or "attrs_path" not in fields:
+def cmd_pipeline(options: dict) -> int:
+    options["out_dir"] = _out_dir(options.get("out_dir", RunConfig.out_dir))
+    if isinstance(options.get("target"), str) and options["target"] != "empirical":
+        options["target"] = parse_target(options["target"]).as_label_dict()
+    if "edges_path" not in options or "attrs_path" not in options:
         raise ConfigError("pipeline needs --edges and --attrs (or config equivalents)")
-    run = RunConfig.from_dict(fields)
-    summary = run_pipeline(run)
+    summary = run_pipeline(RunConfig.from_dict(options))
     for result in summary.results:
         report = result.reports[GREEDY]
-        if report.per_k:
-            top = report.per_k[-1]
-            print(
-                f"seed {result.seed}: greedy ndkl@{top.k}={top.ndkl:.4f} "
-                f"prec@{top.k}={top.precision:.4f} (bound {report.bound:.4f})"
-            )
-        else:
-            print(f"seed {result.seed}: greedy ap={report.ap:.4f} (bound {report.bound:.4f})")
+        print(f"seed {result.seed}: greedy {_top_line(report)} (bound {report.bound:.4f})")
     print(f"outputs under {summary.out_dir}")
     return 0
 
@@ -416,21 +384,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output JSON report")
     p.set_defaults(func=cmd_oracle)
 
+    # Each dest is a RunConfig field, so the options build the RunConfig as they are.
     p = sub.add_parser("pipeline", help="split + score + rerank + eval, repeated over seeds")
     common(p)
-    p.add_argument("--edges")
-    p.add_argument("--attrs")
+    p.add_argument("--edges", dest="edges_path", metavar="EDGES")
+    p.add_argument("--attrs", dest="attrs_path", metavar="ATTRS")
     p.add_argument("--repeats", type=int)
     p.add_argument("--scorer", choices=SCORERS)
     p.add_argument("--decoupled", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--embeddings")
+    p.add_argument("--embeddings", dest="embeddings_path", metavar="EMBEDDINGS")
     p.add_argument("--target")
-    p.add_argument("--k", type=int, nargs="+")
+    p.add_argument("--k", dest="k_list", metavar="K", type=int, nargs="+")
     p.add_argument("--lam", "--lambda", dest="lam", type=float)
     p.add_argument("--smoothing", action="store_true", default=None)
     p.add_argument("--negatives-per-positive", dest="negatives_per_positive", type=float)
     p.add_argument("--output-size", dest="output_size", type=int)
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
     p.set_defaults(func=cmd_pipeline)
 
     return parser
@@ -440,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_options(args))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -252,9 +252,6 @@ class GroupDistribution:
     def mass(self, group: GroupId) -> float:
         return self.probabilities.get(group, 0.0)
 
-    def groups(self) -> tuple[GroupId, ...]:
-        return tuple(sorted(self.probabilities))
-
     def items(self) -> list[tuple[GroupId, float]]:
         return sorted(self.probabilities.items())
 

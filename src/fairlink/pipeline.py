@@ -215,11 +215,9 @@ def resolve_target(spec, train_graph: SensitiveGraph | None) -> GroupDistributio
     """The target a run ranks against.
 
     ``spec`` is ``"empirical"`` (the group proportions of the training
-    graph's edges), a ``label -> mass`` mapping, or a GroupDistribution;
-    only the empirical target reads ``train_graph``.
+    graph's edges) or a ``label -> mass`` mapping; only the empirical
+    target reads ``train_graph``.
     """
-    if isinstance(spec, GroupDistribution):
-        return spec
     if isinstance(spec, Mapping):
         return GroupDistribution.from_label_dict(spec)
     if spec != "empirical":
@@ -234,12 +232,14 @@ def build_candidates(
     positives: Mapping,
     seed: int,
     *,
+    embeddings: Mapping | None = None,
     lap: Callable[[str], None] = lambda stage: None,
 ) -> GroupedCandidateSet:
     """Per-group pools: test positives plus sampled non-edges, scored on ``train_graph``.
 
     Each pair is born in its group: the positives come keyed by group (a
     split's test slices) and the negatives are sampled per group.
+    ``embeddings`` are read from ``config.embeddings_path`` when not given.
     ``lap`` is called with "negatives" and then "scoring" as each step ends.
     """
     negatives = sample_negatives(
@@ -248,7 +248,8 @@ def build_candidates(
         seed=seed,
     )
     lap("negatives")
-    embeddings = load_embeddings(config.embeddings_path) if config.embeddings_path else None
+    if embeddings is None and config.embeddings_path:
+        embeddings = load_embeddings(config.embeddings_path)
     candidates = score_candidates(
         train_graph,
         {g: [*edges, *negatives[g]] for g, edges in positives.items()},
@@ -322,12 +323,19 @@ def _evaluate(
     )
 
 
-def run_single(config: RunConfig, seed: int, graph: SensitiveGraph | None = None) -> SeedRunResult:
+def run_single(
+    config: RunConfig,
+    seed: int,
+    graph: SensitiveGraph | None = None,
+    *,
+    embeddings: Mapping | None = None,
+) -> SeedRunResult:
     """One fully deterministic pipeline pass for the given seed.
 
-    The result's ``seconds`` times the stages: load (only when ``graph``
-    is not given), split, subgraphs (train graph and target), negatives,
-    scoring, merges and evaluation.
+    ``graph`` and ``embeddings`` are read from the config's files when
+    not given. The result's ``seconds`` times the stages: load (only when
+    ``graph`` is not given), split, subgraphs (train graph and target),
+    negatives, scoring, merges and evaluation.
     """
     marks = [("", time.perf_counter())]
 
@@ -342,7 +350,9 @@ def run_single(config: RunConfig, seed: int, graph: SensitiveGraph | None = None
     train_graph = split.train_graph(graph)
     target = resolve_target(config.target, train_graph)
     lap("subgraphs")
-    candidates = build_candidates(config, graph, train_graph, split.slices["test"], seed, lap=lap)
+    candidates = build_candidates(
+        config, graph, train_graph, split.slices["test"], seed, embeddings=embeddings, lap=lap
+    )
 
     n = config.output_size or min(candidates.total(), max(config.k_list, default=candidates.total()))
     greedy_ranking, _ = kl_greedy_merge(
@@ -453,9 +463,10 @@ def run_pipeline(config: RunConfig) -> PipelineSummary:
     out_dir = Path(config.out_dir)
     seeds = tuple(config.seed + i for i in range(config.repeats))
     graph = load_graph(config.edges_path, config.attrs_path)
+    embeddings = load_embeddings(config.embeddings_path) if config.embeddings_path else None
     results = []
     for seed in seeds:
-        result = run_single(config, seed, graph)
+        result = run_single(config, seed, graph, embeddings=embeddings)
         results.append(result)
         seed_dir = out_dir / f"seed_{seed}"
         emit_seed_report(result, seed_dir)

@@ -300,7 +300,7 @@ class TestEmpiricalDistribution:
         graph = SensitiveGraph(3, [(0, 1)], {0: 0, 1: 0, 2: 1})
         dist = empirical_distribution(graph)
         assert dist.mass(G01) == 0.0
-        assert G01 in dist.groups() and G11 in dist.groups()
+        assert G01 in dist.probabilities and G11 in dist.probabilities
 
     def test_empty_edges(self, triangle_graph):
         with pytest.raises(EmptyEdgeSetError):

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fairlink
-from fairlink.cli import main, parse_group_map, parse_target
+from fairlink.cli import build_parser, main, parse_group_map, parse_target
 from fairlink.errors import ConfigError, ZeroTargetMassError
 from fairlink.fairness import top_k_proportions
 from fairlink.graphs import GroupDistribution, GroupId, load_graph
@@ -40,6 +41,14 @@ def dataset(tmp_path_factory):
     edges, attrs = root / "edges.tsv", root / "attrs.tsv"
     write_graph_files(graph, edges, attrs)
     return {"edges": str(edges), "attrs": str(attrs), "graph": graph}
+
+
+def write_embeddings(graph, path) -> str:
+    with open(path, "w") as fh:
+        fh.write(f"{graph.node_count} 2\n")
+        for node in range(graph.node_count):
+            fh.write(f"{node} {0.01 * node:.4f} {0.02 * (node % 7):.4f}\n")
+    return str(path)
 
 
 def small_config(dataset, out_dir, **overrides) -> RunConfig:
@@ -272,6 +281,26 @@ class TestPipelineOutputs:
             report_a = json.loads((tmp_path / "a" / f"seed_{seed}" / "report.json").read_text())
             report_b = json.loads((tmp_path / "b" / f"seed_{seed}" / "report.json").read_text())
             assert strip_timestamp(report_a) == strip_timestamp(report_b)
+
+
+    def test_embeddings_read_once_per_run(self, dataset, tmp_path, monkeypatch):
+        # Every seed scores with the one embedding table read before the first seed,
+        # and gets the reports of a seed run that reads the file itself.
+        emb = write_embeddings(dataset["graph"], tmp_path / "emb.txt")
+        config = small_config(
+            dataset, tmp_path / "out", scorer="embedding", embeddings_path=emb, repeats=3
+        )
+        expected = [run_single(config, seed) for seed in (3, 4, 5)]
+        calls = []
+        load = fairlink.pipeline.load_embeddings
+        def counted(path):
+            calls.append(path)
+            return load(path)
+        monkeypatch.setattr(fairlink.pipeline, "load_embeddings", counted)
+        summary = run_pipeline(config)
+        assert calls == [emb]
+        assert [r.reports for r in summary.results] == [r.reports for r in expected]
+        assert [r.rankings for r in summary.results] == [r.rankings for r in expected]
 
 
 def strip_timestamp(payload: dict) -> dict:
@@ -678,6 +707,129 @@ class TestCli:
         for repeated in ("0-0=1,0-0=2", "0-1=1,1-0=2"):
             with pytest.raises(ConfigError, match="given twice"):
                 parse_group_map(repeated)
+
+
+@pytest.fixture(scope="module")
+def chain(dataset, tmp_path_factory):
+    """Input files for every subcommand: the dataset, a split of it, an
+    embedding file, a score file and a ranking."""
+    root = tmp_path_factory.mktemp("chain")
+    files = {
+        "edges": dataset["edges"],
+        "attrs": dataset["attrs"],
+        "train": str(root / "split" / "train.tsv"),
+        "test": str(root / "split" / "test.tsv"),
+        "embeddings": write_embeddings(dataset["graph"], root / "emb.txt"),
+        "scores": str(root / "scores.tsv"),
+        "ranking": str(root / "ranking.tsv"),
+    }
+    inputs = ("--edges", files["edges"], "--attrs", files["attrs"])
+    assert main(["split", *inputs, "--seed", "4", "--out", str(root / "split")]) == 0
+    assert main([
+        "score", *inputs, "--train", files["train"], "--test", files["test"],
+        "--seed", "4", "--out", files["scores"],
+    ]) == 0
+    assert main([
+        "rerank", *inputs, "--train", files["train"], "--test", files["test"],
+        "--scores", files["scores"], "--n", "90", "--out", files["ranking"],
+    ]) == 0
+    return files
+
+
+def all_options(command: str, chain: dict, out: Path) -> dict:
+    """Every option of ``command``, keyed as its flag's name with ``-`` as ``_``."""
+    target = "0-0=0.5,0-1=0.2,1-1=0.3"
+    graph_files = {key: chain[key] for key in ("edges", "attrs")}
+    options = {
+        "split": dict(graph_files, ratios=[0.6, 0.2, 0.2]),
+        "score": dict(
+            graph_files, train=chain["train"], test=chain["test"], scorer="embedding",
+            decoupled=False, embeddings=chain["embeddings"], negatives_per_positive=2.0,
+        ),
+        "rerank": dict(
+            graph_files, test=chain["test"], scores=chain["scores"], train=chain["train"],
+            target=target, n=70, lam=0.7, smoothing=True,
+        ),
+        "eval": dict(
+            graph_files, ranking=chain["ranking"], train=chain["train"], target="empirical",
+            k=[10, 40], smoothing=True,
+        ),
+        "gap": dict(target=target, pools="0-0=300,0-1=100,1-1=100", k_grid=[10, 50]),
+        "oracle": dict(counts="0-0=3,0-1=2,1-1=2", target=target, guard=10),
+        "pipeline": dict(
+            graph_files, repeats=2, scorer="common_neighbors", decoupled=False,
+            embeddings=chain["embeddings"], target=target, k=[20, 50], lam=0.8,
+            smoothing=True, negatives_per_positive=1.5, output_size=60,
+        ),
+    }[command]
+    return {**options, "seed": 3, "out": str(out)}
+
+
+def as_flags(options: dict) -> list[str]:
+    argv = []
+    for key, value in options.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            argv.append(flag if value else f"--no-{key}")
+        elif isinstance(value, list):
+            argv += [flag, *map(str, value)]
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+def run_and_collect(argv: list[str], out: Path, capsys) -> tuple:
+    """Exit code, stdout and every output file's bytes (report timestamps
+    stripped) of one CLI run; the outputs are removed afterwards."""
+    code = main(argv)
+    stdout = capsys.readouterr().out
+    paths = sorted(p for p in out.rglob("*") if p.is_file()) if out.is_dir() else [out]
+    files = {}
+    for path in paths:
+        data = path.read_bytes()
+        if path.name == "report.json":
+            data = json.dumps(strip_timestamp(json.loads(data))).encode()
+        files[str(path.relative_to(out.parent))] = data
+    shutil.rmtree(out) if out.is_dir() else out.unlink()
+    return code, stdout, files
+
+
+COMMANDS = ("split", "score", "rerank", "eval", "gap", "oracle", "pipeline")
+
+
+class TestOptionsResolveOnce:
+    """A flag and the same value in a --config file are one option."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_flags_and_config_file_give_the_same_bytes(self, command, chain, tmp_path, capsys):
+        out = tmp_path / "out"
+        options = all_options(command, chain, out)
+        by_flags = run_and_collect([command, *as_flags(options)], out, capsys)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(options))
+        by_config = run_and_collect([command, "--config", str(config)], out, capsys)
+        assert by_flags[0] == 0 and by_flags[2]
+        assert by_config == by_flags
+
+    @pytest.mark.parametrize("command", ("rerank", "eval", "gap", "oracle", "pipeline"))
+    def test_a_config_file_target_may_be_an_object(self, command, chain, tmp_path, capsys):
+        out = tmp_path / "out"
+        options = all_options(command, chain, out)
+        options["target"] = "0-0=0.5,0-1=0.2,1-1=0.3"
+        as_text = run_and_collect([command, *as_flags(options)], out, capsys)
+        options["target"] = {"0-0": 0.5, "0-1": 0.2, "1-1": 0.3}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(options))
+        as_object = run_and_collect([command, "--config", str(config)], out, capsys)
+        assert as_text[0] == 0 and as_text[2]
+        assert as_object == as_text
+
+    def test_pipeline_flags_are_run_config_fields(self):
+        # cmd_pipeline builds its RunConfig from the options as they are.
+        args = vars(build_parser().parse_args(["pipeline"]))
+        dests = set(args) - {"command", "func", "config"}
+        assert {"edges_path", "attrs_path", "embeddings_path", "k_list", "out_dir"} <= dests
+        assert dests <= set(RunConfig.__dataclass_fields__)
 
 
 def test_import_does_not_load_numpy():
