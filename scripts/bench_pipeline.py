@@ -13,9 +13,11 @@ It prints one JSON object with the best wall time of each stage over
 the repeats. "subgraphs" is the train graph, indexed from the split's
 train slices, and the target resolved on it. Each row also gives the
 loaded graph's memory ("load_memory_mb"): the MB ``tracemalloc`` counts
-as retained by the graph and at the peak of one extra, untimed load.
-Decoupled Adamic-Adar, k = (100, 1000), output size 1000. The code
-timed is whichever ``fairlink`` is on the path.
+as retained by the graph and at the peak of one extra, untimed load,
+and "outputs_sha256", one SHA-256 over every seed's ``report_payload()``
+(as sorted-key JSON) and split files, so two source trees can be shown
+to give the same bytes. Decoupled Adamic-Adar, k = (100, 1000), output
+size 1000. The code timed is whichever ``fairlink`` is on the path.
 
 Usage (from the repository root):
   PYTHONPATH=src python scripts/bench_pipeline.py
@@ -24,6 +26,7 @@ Usage (from the repository root):
 """
 
 import argparse
+import hashlib
 import json
 import math
 import platform
@@ -86,6 +89,7 @@ def main() -> int:
                 output_size=1000,
             )
             best = dict.fromkeys(STAGES, math.inf)
+            outputs = hashlib.sha256()
             for seed in range(args.seed, args.seed + args.repeats):
                 start = time.perf_counter()
                 graph = load_graph(edges_path, attrs_path)
@@ -94,8 +98,11 @@ def main() -> int:
                 start = time.perf_counter()
                 seed_dir = Path(tmp) / f"seed_{seed}"
                 emit_seed_report(result, seed_dir)
-                write_split(seed_dir / "split", graph, result.split)
+                split_paths = write_split(seed_dir / "split", graph, result.split)
                 times = {**result.seconds, "load": load, "writes": time.perf_counter() - start}
+                outputs.update(json.dumps(result.report_payload(), sort_keys=True).encode())
+                for path in split_paths.values():
+                    outputs.update(path.read_bytes())
                 del graph, result
                 best = {stage: min(best[stage], times[stage]) for stage in STAGES}
             rows.append(
@@ -105,6 +112,7 @@ def main() -> int:
                     "seconds": {stage: round(best[stage], 4) for stage in STAGES},
                     "total": round(sum(best.values()), 4),
                     "load_memory_mb": memory,
+                    "outputs_sha256": outputs.hexdigest(),
                 }
             )
     print(

@@ -6,8 +6,9 @@ oracle, and pipeline (all stages end to end). Every subcommand accepts
 options; any other key is an error). Each option is resolved once, before
 the subcommand runs: the flag if given, else the config value, else the
 default. Every subcommand that takes a target also accepts it in a config
-file as a label -> mass object. Only split, score and pipeline use the
-seed; rerank, eval, gap and oracle draw nothing at random and ignore it.
+file as a label -> mass object, and gap and oracle take their pools and
+counts as a label -> count object too. Only split, score and pipeline use
+the seed; rerank, eval, gap and oracle draw nothing at random and ignore it.
 FAIRLINK_OUTPUT_DIR overrides output directories, nothing else.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
@@ -120,13 +121,17 @@ def _out_dir(value: str) -> str:
     return os.environ.get(OUTPUT_DIR_ENV, value)
 
 
-def parse_group_map(text: str, number: type = float) -> dict[GroupId, float]:
+def parse_group_map(text, number: type = float) -> dict[GroupId, float]:
     """Parse `0-0=0.5,0-1=0.2,...` into a group -> ``number(value)`` mapping.
 
-    ``1-0`` and ``0-1`` name one group; naming a group twice is an error.
+    A label -> value object (from a config file) is parsed as its items'
+    `label=value` text. ``1-0`` and ``0-1`` name one group; naming a group
+    twice is an error.
     """
+    if isinstance(text, dict):
+        text = ",".join(f"{label}={value}" for label, value in text.items())
     out: dict[GroupId, float] = {}
-    for item in text.split(","):
+    for item in str(text).split(","):
         label, _, value = item.partition("=")
         if not value:
             raise ConfigError(f"expected LABEL=VALUE, got {item!r}")
@@ -259,7 +264,7 @@ def cmd_gap(options: dict) -> int:
         raise ConfigError("gap needs at least one --k-grid cutoff")
     pools_spec = options.get("pools")
     if pools_spec:
-        pools = parse_group_map(str(pools_spec), int)
+        pools = parse_group_map(pools_spec, int)
     else:
         pools = default_gap_pools(target, k_grid)
     curve = gap_experiment(target, pools, k_grid)
@@ -270,7 +275,7 @@ def cmd_gap(options: dict) -> int:
 
 
 def cmd_oracle(options: dict) -> int:
-    counts = parse_group_map(str(_require(options, "counts")), int)
+    counts = parse_group_map(_require(options, "counts"), int)
     target = parse_target(_require(options, "target"))
     if not isinstance(target, GroupDistribution):
         raise ConfigError("oracle needs an explicit --target distribution")

@@ -421,12 +421,12 @@ def sample_negatives(
 ) -> dict[GroupId, frozenset[Edge]]:
     """Uniformly sample the requested number of non-edges for each group.
 
-    Returns each requested group's canonical non-edges, keyed by group
-    (an empty set for a request of 0). No duplicates, deterministic per
-    seed: groups draw from one ``random.Random(seed)`` in sorted order.
-    Rejection sampling is used when the request is a small fraction of
-    the available non-edges; otherwise the group's non-edges are
-    enumerated and sampled directly.
+    Returns each requested group's canonical non-edges, each pair once and
+    keyed by its group (an empty set for a request of 0); ``score_candidates``
+    checks none of this again. Deterministic per seed: groups draw from one
+    ``random.Random(seed)`` in sorted order. Rejection sampling serves a
+    request that is a small fraction of the available non-edges; otherwise
+    the group's non-edges are enumerated and sampled directly.
     """
     rng = random.Random(seed)
     chosen: dict[GroupId, frozenset[Edge]] = {}
@@ -451,36 +451,35 @@ def sample_negatives(
             continue
 
         picked: set[Edge] = set()
-        attempts = 0
-        max_attempts = 100 * requested + 10_000
-        while len(picked) < requested and attempts < max_attempts:
-            attempts += 1
+        n, randrange = len(bucket_lo), rng.randrange
+        for _ in range(100 * requested + 10_000):
             if group.is_intra:
-                u, v = rng.sample(bucket_lo, 2)
+                # rng.sample(bucket_lo, 2)'s own draws: above 21 items it redraws a
+                # repeated index, else it moves the last item into the first one's place.
+                i = randrange(n)
+                if n > 21:
+                    while (j := randrange(n)) == i:
+                        pass
+                elif (j := randrange(n - 1)) == i:
+                    j = n - 1
+                u, v = bucket_lo[i], bucket_lo[j]
             else:
                 u, v = rng.choice(bucket_lo), rng.choice(bucket_hi)
             pair = canonical_edge(u, v)
-            if pair in graph.edges or pair in picked:
-                continue
-            picked.add(pair)
-        if len(picked) < requested:
-            # Rejection stalled against a dense group; fall back to enumeration.
-            pool = [
-                p
-                for p in _enumerate_non_edges(graph, group, bucket_lo, bucket_hi)
-                if p not in picked
-            ]
-            picked.update(rng.sample(pool, requested - len(picked)))
+            if pair not in graph.edges and pair not in picked:
+                picked.add(pair)
+                if len(picked) == requested:
+                    break
+        else:  # rejection stalled against a dense group: fall back to enumeration
+            pool = _enumerate_non_edges(graph, group, bucket_lo, bucket_hi)
+            picked.update(rng.sample([p for p in pool if p not in picked], requested - len(picked)))
         chosen[group] = frozenset(picked)
 
     return chosen
 
 
 def _enumerate_non_edges(
-    graph: SensitiveGraph,
-    group: GroupId,
-    bucket_lo: Sequence[int],
-    bucket_hi: Sequence[int],
+    graph: SensitiveGraph, group: GroupId, bucket_lo: Sequence[int], bucket_hi: Sequence[int]
 ) -> list[Edge]:
     if group.is_intra:
         pairs = itertools.combinations(bucket_lo, 2)

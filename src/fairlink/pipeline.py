@@ -237,10 +237,12 @@ def build_candidates(
 ) -> GroupedCandidateSet:
     """Per-group pools: test positives plus sampled non-edges, scored on ``train_graph``.
 
-    Each pair is born in its group: the positives come keyed by group (a
-    split's test slices) and the negatives are sampled per group.
-    ``embeddings`` are read from ``config.embeddings_path`` when not given.
-    ``lap`` is called with "negatives" and then "scoring" as each step ends.
+    Each pair is born in its group, canonical and once, and is scored as
+    given: the positives are edges of ``graph`` keyed by group (a split's
+    test slices, or a subgraph's groups) and the negatives are sampled
+    per group. ``embeddings`` are read from ``config.embeddings_path``
+    when not given. ``lap`` is called with "negatives" and then
+    "scoring" as each step ends.
     """
     negatives = sample_negatives(
         graph,
@@ -252,10 +254,10 @@ def build_candidates(
         embeddings = load_embeddings(config.embeddings_path)
     candidates = score_candidates(
         train_graph,
-        {g: [*edges, *negatives[g]] for g, edges in positives.items()},
+        positives,
+        negatives,
         config.scorer,
         decoupled=config.decoupled,
-        positives=frozenset().union(*positives.values()),
         embeddings=embeddings,
     )
     lap("scoring")

@@ -26,7 +26,7 @@ from .errors import (
     SelfLoopError,
     UnknownNodeError,
 )
-from .graphs import Edge, GroupId, SensitiveGraph, _interned_group, canonical_edge, edge_group
+from .graphs import Edge, GroupId, SensitiveGraph, _interned_group, edge_group
 from .io import atomic_write, is_comment_or_blank
 
 HEURISTIC_SCORERS = ("common_neighbors", "adamic_adar")
@@ -57,9 +57,12 @@ class GroupedCandidateSet:
     Within each list scores are non-increasing; a pair appears at most
     once across all lists. The public constructor checks all four
     invariants (each candidate in its own group, finite scores, sorted
-    lists, no duplicate pair). ``score_candidates`` and ``ingest_scores``
-    check them while building and then construct through ``_built``,
-    which checks nothing, so each invariant is checked once per set.
+    lists, no duplicate pair). ``ingest_scores`` checks them while it
+    reads a file. ``score_candidates`` sorts; its scores are finite (a
+    heuristic's by construction, an embedding's by ``embedding_dot``'s
+    check), and its groups and unique pairs come from the split and the
+    sampler that made them. Both construct through ``_built``, which
+    checks nothing, so each invariant is checked once, where it can fail.
     """
 
     lists: dict[GroupId, list[ScoredCandidate]] = field(default_factory=dict)
@@ -131,14 +134,16 @@ def _pair_scorer(scorer: str, adjacency: Mapping[int, set[int]]) -> Callable[[in
 
 
 def embedding_dot(embeddings: Mapping[int, Sequence[float]], u: int, v: int) -> float:
-    """Inner product of the two node embeddings."""
+    """Inner product of the two node embeddings; one that overflows raises ``ConfigError``."""
     for node in (u, v):
         if node not in embeddings:
             raise MissingEmbeddingError(node)
     a, b = embeddings[u], embeddings[v]
     if len(a) != len(b):
         raise DimensionMismatchError(len(a), len(b))
-    return math.fsum(x * y for x, y in zip(a, b))
+    if not math.isfinite(value := math.fsum(x * y for x, y in zip(a, b))):
+        raise ConfigError(f"non-finite score for {(u, v)}")
+    return value
 
 
 def load_embeddings(path: str | Path) -> dict[int, tuple[float, ...]]:
@@ -183,36 +188,34 @@ def load_embeddings(path: str | Path) -> dict[int, tuple[float, ...]]:
 
 def score_candidates(
     graph: SensitiveGraph,
-    candidates: Mapping[GroupId, Iterable[Edge]],
-    scorer: str = "adamic_adar",
+    positives: Mapping[GroupId, Iterable[Edge]],
+    negatives: Mapping[GroupId, Iterable[Edge]],
+    scorer: str,
     *,
-    decoupled: bool = False,
-    positives: frozenset[Edge] | set[Edge] = frozenset(),
+    decoupled: bool,
     embeddings: Mapping[int, Sequence[float]] | None = None,
 ) -> GroupedCandidateSet:
-    """Score each group's candidate pairs into that group's sorted list.
+    """Score each group's positive and negative pairs into that group's sorted list.
 
-    ``candidates`` maps a group to the pairs filed under it. Each pair
-    is checked here, once: ``edge_group`` rejects an unknown or
-    unattributed endpoint and a self-loop, and a pair of another group
-    than its key raises ``ConfigError``; a pair filed twice, in either
-    orientation, raises ``DuplicatePairError``; a non-finite score
-    raises ``ConfigError``. Each list is then sorted by descending score,
-    ties by pair, so the set is built without the constructor's checks.
-    ``graph`` supplies the structure the heuristics read (pass the
-    training graph to avoid leakage). With ``decoupled=True`` a heuristic
-    sees only the graph's adjacency of the candidate's own group,
-    mirroring one scorer per group; embedding scores are unaffected by
-    the flag because the vectors are ingested as-is. A pair is relevant
-    when it is in ``positives``.
+    ``positives`` and ``negatives`` map a group to its pairs; a pair is
+    relevant when it is a positive. Precondition, checked where the pairs
+    are made and not here: each pair is canonical, of its key's group, and
+    given once. ``stratified_split``'s slices and ``subgraph_with_edges``
+    give edges of the loaded graph, grouped at load; ``sample_negatives``
+    gives canonical non-edges drawn per group. An unknown scorer, missing
+    embeddings and ``embedding_dot``'s errors raise. Each list is sorted
+    by descending score, ties by pair, and the set is built without the
+    constructor's checks. ``graph`` supplies the structure the heuristics
+    read (pass the training graph to avoid leakage). With ``decoupled=True``
+    a heuristic sees only the graph's adjacency of the pair's own group,
+    mirroring one scorer per group; embedding scores ignore the flag.
     """
     if scorer not in SCORERS:
         raise ConfigError(f"unknown scorer {scorer!r}; choose one of {SCORERS}")
     if scorer == "embedding" and embeddings is None:
         raise ConfigError("scorer 'embedding' requires embeddings")
 
-    positives = {e if e[0] <= e[1] else (e[1], e[0]) for e in positives}
-    groups = sorted(candidates)
+    groups = sorted({*positives, *negatives})
     if scorer == "embedding":
         scores = dict.fromkeys(groups, lambda u, v: embedding_dot(embeddings, u, v))
     elif decoupled:
@@ -222,21 +225,11 @@ def score_candidates(
     lists: dict[GroupId, list[ScoredCandidate]] = {}
     for group in groups:
         score = scores[group]
-        bucket = []
-        # A pair has one group, so a duplicate is always within one group's pairs.
-        seen: set[Edge] = set()
-        for u, v in candidates[group]:
-            pair = u, v = canonical_edge(u, v)
-            # edge_group checks each caller's pair against the group it is filed under.
-            if (actual := edge_group(graph, u, v)) != group:
-                raise ConfigError(f"pair {pair} of group {actual} filed under group {group}")
-            if pair in seen:
-                raise DuplicatePairError(pair)
-            seen.add(pair)
-            value = score(u, v)
-            if not math.isfinite(value):
-                raise ConfigError(f"non-finite score for {pair}")
-            bucket.append(ScoredCandidate(u, v, value, group, pair in positives))
+        bucket = [
+            tuple.__new__(ScoredCandidate, (u, v, score(u, v), group, relevant))
+            for relevant, keyed in ((True, positives), (False, negatives))
+            for u, v in keyed.get(group, ())
+        ]
         if bucket:
             bucket.sort(key=_sort_key)
             lists[group] = bucket

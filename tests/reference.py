@@ -20,7 +20,8 @@ It holds one model per quantity:
   its own;
 - the KL-greedy merge, scoring every available group at every position;
 - the single-pair neighbourhood heuristics and the candidate scoring
-  built on them;
+  built on them, and the invariants of a candidate set the chain built
+  (``check_chain_candidates``);
 - rankings made from a group label sequence, and reports read back from
   ``report.json``.
 """
@@ -426,6 +427,31 @@ def reference_score_candidates(graph, pairs, scorer, *, decoupled, positives, em
             value = heuristic(graph, *pair)
         scored.append(ScoredCandidate(pair[0], pair[1], value, group, pair in positives))
     return GroupedCandidateSet.from_candidates(scored)
+
+
+def check_chain_candidates(candidates: GroupedCandidateSet, graph: SensitiveGraph, test_edges):
+    """Assert what ``score_candidates`` takes on trust from the pairs' makers.
+
+    The four ``GroupedCandidateSet`` invariants: each candidate is in the
+    group of its list (by ``edge_group`` on ``graph``, the graph that was
+    split), its score is finite, each list is sorted by descending score
+    and then by pair, and no pair appears twice. Also: each pair is
+    canonical, a candidate is relevant exactly when it is in
+    ``test_edges``, and every other candidate is a non-edge of ``graph``.
+    """
+    test_edges = {canonical_edge(u, v) for u, v in test_edges}
+    seen = set()
+    for group, bucket in candidates.lists.items():
+        for u, v, score, cand_group, relevance in bucket:
+            assert u < v, (u, v)
+            assert cand_group == group == edge_group(graph, u, v), (u, v, group)
+            assert math.isfinite(score), (u, v, score)
+            assert (u, v) not in seen, (u, v)
+            seen.add((u, v))
+            assert relevance == ((u, v) in test_edges), (u, v)
+            assert relevance or (u, v) not in graph.edges, (u, v)
+        keys = [(-c.score, c.u, c.v) for c in bucket]
+        assert keys == sorted(keys), group
 
 
 # --- reports ---------------------------------------------------------------------

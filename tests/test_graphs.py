@@ -510,6 +510,50 @@ class TestSampleNegatives:
                 assert len(pairs) == request[group]
                 assert all(edge_group(graph, u, v) == group for u, v in pairs)
 
+    @staticmethod
+    def bucket_graph(sizes, edges: int, seed: int) -> SensitiveGraph:
+        """Attribute value i on ``sizes[i]`` consecutive nodes, and ``edges`` random edges."""
+        rnd = random.Random(seed)
+        attrs = {}
+        for value, size in enumerate(sizes):
+            attrs.update(dict.fromkeys(range(len(attrs), len(attrs) + size), value))
+        chosen = set()
+        while len(chosen) < edges:
+            u, v = rnd.sample(range(len(attrs)), 2)
+            chosen.add((min(u, v), max(u, v)))
+        return SensitiveGraph(len(attrs), chosen, attrs)
+
+    # Intra draws by rejection from buckets of 5, 21 and 22 nodes: the two
+    # sides of the 21-item line where Random.sample changes method.
+    PINNED_SMALL_BUCKETS = {0: "02e6028fefb34b49", 1: "0acf1e7bc239283c", 17: "2ffa6b87b99f06d1"}
+
+    @pytest.mark.parametrize("seed", [0, 1, 17])
+    def test_small_bucket_intra_draws_are_pinned(self, seed):
+        graph = self.bucket_graph((5, 21, 22), 60, seed=3)
+        request = {G00: 2, G11: 40, GroupId.of(2, 2): 40, GroupId.of(0, 2): 10}
+        for group, requested in request.items():
+            available = graph.group_pair_capacity(group) - len(graph._edge_groups.get(group, ()))
+            assert requested * 3 <= available  # the rejection path
+        got = sample_negatives(graph, request, seed=seed)
+        digest = hashlib.sha256(repr(sorted(union(got))).encode()).hexdigest()[:16]
+        assert digest == self.PINNED_SMALL_BUCKETS[seed]
+        for group, pairs in got.items():
+            assert len(pairs) == request[group]
+            assert all(edge_group(graph, u, v) == group for u, v in pairs)
+
+    @pytest.mark.parametrize(
+        "seed, pairs",
+        # Rejection finds (40, 41) for seed 0 and nothing for seed 2 before it stalls.
+        [(0, [(40, 41), (100, 299)]), (2, [(0, 1), (40, 41)])],
+    )
+    def test_stalled_rejection_falls_back_to_enumeration(self, seed, pairs):
+        # 300 nodes of one value and every pair an edge but six: 2 of 6 non-edges
+        # pass the rejection test, but 10,200 draws over 44,850 pairs rarely find both.
+        missing = {(0, 1), (5, 77), (40, 41), (100, 299), (150, 151), (200, 250)}
+        edges = [p for p in itertools.combinations(range(300), 2) if p not in missing]
+        graph = SensitiveGraph(300, edges, dict.fromkeys(range(300), 0))
+        assert sorted(sample_negatives(graph, {G00: 2}, seed=seed)[G00]) == pairs
+
     def test_exhaustive_request_succeeds(self):
         # Request every available non-edge; forces the enumeration path.
         graph = SensitiveGraph(6, [(0, 1)], {i: 0 for i in range(6)})

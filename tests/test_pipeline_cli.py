@@ -127,7 +127,8 @@ class TestRunSingle:
     def test_each_candidate_grouped_once(self, dataset, tmp_path, monkeypatch):
         # The loaded graph groups its edges once; the split's slices, which
         # become the train graph and the test positives, keep those groups
-        # (no subgraph_with_edges), so edge_group runs once per candidate.
+        # (no subgraph_with_edges), and the sampler draws each negative in
+        # its group, so edge_group is not called during run_single at all.
         graph = load_graph(dataset["edges"], dataset["attrs"])
         monkeypatch.delattr(fairlink.graphs.SensitiveGraph, "subgraph_with_edges")
         calls = []
@@ -145,7 +146,8 @@ class TestRunSingle:
             return built[-1]
         monkeypatch.setattr(fairlink.pipeline, "build_candidates", recorded)
         run_single(small_config(dataset, tmp_path), seed=3, graph=graph)
-        assert len(calls) == built[0].total() > 0
+        assert built[0].total() > 0
+        assert calls == []
 
     @pytest.mark.parametrize("decoupled", [True, False])
     def test_graphs_read_for_groups_build_no_adjacency(self, dataset, tmp_path, monkeypatch, decoupled):
@@ -696,6 +698,42 @@ class TestCli:
         ) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["non-edge", "self-loop", "unknown node", "duplicate"])
+    def test_score_rejects_a_test_pair_that_is_not_an_edge(self, dataset, tmp_path, capsys, kind):
+        # Scoring trusts its positives: a test pair is checked where it is made,
+        # in subgraph_with_edges, against the loaded graph's edges.
+        graph = dataset["graph"]
+        non_edge = next(
+            (u, v) for u in range(graph.node_count) for v in range(u + 1, graph.node_count)
+            if (u, v) not in graph.edges
+        )
+        edge = min(graph.edges)
+        bad, message = {
+            "non-edge": (non_edge, f"{non_edge} is not an edge of the graph"),
+            "self-loop": ((edge[0], edge[0]), f"self-loop on node {edge[0]} (line 2)"),
+            "unknown node": (
+                (edge[0], graph.node_count + 5),
+                f"{(edge[0], graph.node_count + 5)} is not an edge of the graph",
+            ),
+            "duplicate": (edge[::-1], None),
+        }[kind]
+        train, test = tmp_path / "train.tsv", tmp_path / "test.tsv"
+        train.write_text("%d\t%d\n" % edge)
+        test.write_text("%d\t%d\n%d\t%d\n" % (*edge, *bad))
+        out = tmp_path / "scores.tsv"
+        code = self.run(
+            "score", "--edges", dataset["edges"], "--attrs", dataset["attrs"],
+            "--train", train, "--test", test, "--out", out,
+        )
+        if kind == "duplicate":
+            # Both orientations name one edge, which is then scored once.
+            assert code == 0
+            assert out.read_text().count("%d\t%d\t" % edge) == 1
+            return
+        assert code == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_helpers(self):
         target = parse_target("0-0=0.6,0-1=0.4")
         assert isinstance(target, GroupDistribution)
@@ -823,6 +861,47 @@ class TestOptionsResolveOnce:
         as_object = run_and_collect([command, "--config", str(config)], out, capsys)
         assert as_text[0] == 0 and as_text[2]
         assert as_object == as_text
+
+    @pytest.mark.parametrize(
+        "command, key, counts",
+        [
+            ("gap", "pools", {"0-0": 300, "1-0": 100, "1-1": 100}),
+            ("oracle", "counts", {"0-0": 3, "0-1": 2, "1-1": 2}),
+        ],
+    )
+    def test_a_config_file_group_map_may_be_an_object(
+        self, command, key, counts, chain, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        options = all_options(command, chain, out)
+        options[key] = ",".join(f"{label}={count}" for label, count in counts.items())
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(options))
+        as_text = run_and_collect([command, "--config", str(config)], out, capsys)
+        config.write_text(json.dumps({**options, key: counts}))
+        as_object = run_and_collect([command, "--config", str(config)], out, capsys)
+        assert as_text[0] == 0 and as_text[2]
+        assert as_object == as_text
+
+    @pytest.mark.parametrize(
+        "command, key, counts",
+        [
+            ("gap", "pools", {"0-0": 30.5}),
+            ("gap", "pools", {"0-0": True}),
+            ("gap", "pools", {"0-1": 3, "1-0": 3}),
+            ("oracle", "counts", {"0-0": "x"}),
+            ("oracle", "counts", {"0-0": None}),
+            ("oracle", "counts", [3, 2]),
+        ],
+    )
+    def test_a_group_map_object_is_checked_as_its_string(
+        self, command, key, counts, chain, tmp_path
+    ):
+        options = {**all_options(command, chain, tmp_path / "out"), key: counts}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(options))
+        assert main([command, "--config", str(config)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_pipeline_flags_are_run_config_fields(self):
         # cmd_pipeline builds its RunConfig from the options as they are.

@@ -13,16 +13,23 @@ from fairlink.errors import (
     SelfLoopError,
     UnknownNodeError,
 )
-from fairlink.graphs import GroupId, SensitiveGraph, canonical_edge, edge_group
+from fairlink.graphs import GroupId, SensitiveGraph, canonical_edge, edge_group, stratified_split
+from fairlink.pipeline import RunConfig, build_candidates
 from fairlink.scorers import (
     embedding_dot,
     ingest_scores,
     load_embeddings,
     score_candidates,
 )
+from fairlink.synth import biased_block_graph
 
 from conftest import G00, G01, G11
-from reference import adamic_adar, common_neighbors, reference_score_candidates
+from reference import (
+    adamic_adar,
+    check_chain_candidates,
+    common_neighbors,
+    reference_score_candidates,
+)
 
 
 class TestCommonNeighbors:
@@ -100,23 +107,28 @@ def mixed_graph() -> SensitiveGraph:
 
 
 def keyed(graph: SensitiveGraph, pairs) -> dict[GroupId, list]:
-    """Pairs filed under their own groups, in input order."""
+    """Pairs, canonical, filed under their own groups, in input order."""
     out: dict[GroupId, list] = {}
     for u, v in pairs:
-        out.setdefault(edge_group(graph, u, v), []).append((u, v))
+        out.setdefault(edge_group(graph, u, v), []).append(canonical_edge(u, v))
     return out
+
+
+def scored(graph: SensitiveGraph, pairs, scorer, *, positives=frozenset(), **kwargs):
+    """``score_candidates`` on ``pairs``, those in ``positives`` keyed as the positives."""
+    relevant = [p for p in pairs if canonical_edge(*p) in positives]
+    others = [p for p in pairs if canonical_edge(*p) not in positives]
+    return score_candidates(graph, keyed(graph, relevant), keyed(graph, others), scorer, **kwargs)
 
 
 class TestScoreCandidates:
     def test_empty_candidates(self, triangle_graph):
-        result = score_candidates(triangle_graph, {})
+        result = score_candidates(triangle_graph, {}, {}, "adamic_adar", decoupled=False)
         assert result.total() == 0
 
     def test_routing_and_sorting(self):
         graph = mixed_graph()
-        result = score_candidates(
-            graph, keyed(graph, [(0, 1), (2, 3), (0, 3)]), scorer="common_neighbors"
-        )
+        result = scored(graph, [(0, 1), (2, 3), (0, 3)], "common_neighbors", decoupled=False)
         for group, bucket in result.lists.items():
             scores = [c.score for c in bucket]
             assert scores == sorted(scores, reverse=True)
@@ -128,8 +140,8 @@ class TestScoreCandidates:
             6, [(0, 1), (1, 2), (3, 4), (4, 5)], {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}
         )
         pairs = [(0, 2), (3, 5)]
-        plain = score_candidates(graph, keyed(graph, pairs), "common_neighbors", decoupled=False)
-        restricted = score_candidates(graph, keyed(graph, pairs), "common_neighbors", decoupled=True)
+        plain = scored(graph, pairs, "common_neighbors", decoupled=False)
+        restricted = scored(graph, pairs, "common_neighbors", decoupled=True)
         for group in plain.groups():
             assert [c.score for c in plain.lists[group]] == [
                 c.score for c in restricted.lists[group]
@@ -144,8 +156,8 @@ class TestScoreCandidates:
             [(4, 5), (5, 6), (4, 0), (0, 6), (0, 1)],
             {0: 0, 1: 0, 4: 1, 5: 1, 6: 1, 2: 0, 3: 0},
         )
-        plain = score_candidates(graph, {G11: [(4, 6)]}, "common_neighbors", decoupled=False)
-        restricted = score_candidates(graph, {G11: [(4, 6)]}, "common_neighbors", decoupled=True)
+        plain = scored(graph, [(4, 6)], "common_neighbors", decoupled=False)
+        restricted = scored(graph, [(4, 6)], "common_neighbors", decoupled=True)
         assert plain.lists[G11][0].score == 2.0
         assert restricted.lists[G11][0].score == 1.0
 
@@ -153,13 +165,13 @@ class TestScoreCandidates:
         # With a binary attribute a shared neighbor cannot be reached from
         # both endpoints of an inter pair using inter edges alone.
         graph = mixed_graph()
-        restricted = score_candidates(graph, {G01: [(0, 3), (1, 2)]}, "adamic_adar", decoupled=True)
+        restricted = scored(graph, [(0, 3), (1, 2)], "adamic_adar", decoupled=True)
         assert all(c.score == 0.0 for c in restricted.lists[G01])
 
     def test_relevance_flags(self):
         graph = mixed_graph()
         result = score_candidates(
-            graph, {G11: [(0, 1)], G01: [(0, 3)]}, positives=frozenset({(0, 3)})
+            graph, {G01: [(0, 3)]}, {G11: [(0, 1)]}, "adamic_adar", decoupled=False
         )
         flags = {c.pair: c.relevance for c in result.all_candidates()}
         assert flags == {(0, 1): False, (0, 3): True}
@@ -167,21 +179,19 @@ class TestScoreCandidates:
     def test_purity(self):
         graph = mixed_graph()
         pairs = [(0, 1), (2, 3), (0, 3), (1, 2)]
-        first = score_candidates(graph, keyed(graph, pairs), "adamic_adar", decoupled=True)
-        second = score_candidates(graph, keyed(graph, pairs), "adamic_adar", decoupled=True)
+        first = scored(graph, pairs, "adamic_adar", decoupled=True)
+        second = scored(graph, pairs, "adamic_adar", decoupled=True)
         assert first.all_candidates() == second.all_candidates()
 
     def test_unknown_scorer(self, triangle_graph):
         with pytest.raises(ConfigError):
-            score_candidates(triangle_graph, {G11: [(0, 1)]}, scorer="katz")
-
-    def test_duplicate_candidates_rejected(self, triangle_graph):
-        with pytest.raises(DuplicatePairError):
-            score_candidates(triangle_graph, {G11: [(0, 1), (1, 0)]})
+            score_candidates(triangle_graph, {}, {G11: [(0, 1)]}, "katz", decoupled=False)
 
     def test_tie_break_is_lexicographic(self):
         graph = SensitiveGraph(5, [], {i: 0 for i in range(5)})
-        result = score_candidates(graph, {G00: [(2, 3), (0, 1), (1, 4)]}, "common_neighbors")
+        result = score_candidates(
+            graph, {}, {G00: [(2, 3), (0, 1), (1, 4)]}, "common_neighbors", decoupled=False
+        )
         pairs = [c.pair for c in result.lists[G00]]
         assert pairs == [(0, 1), (1, 4), (2, 3)]  # all scores 0, sorted by pair
 
@@ -227,12 +237,12 @@ class TestScoringDifferential:
         want = reference_score_candidates(
             graph, pairs, scorer, decoupled=decoupled, positives=positives, embeddings=embeddings
         )
-        got = score_candidates(
+        got = scored(
             graph,
-            keyed(graph, pairs),
+            pairs,
             scorer,
             decoupled=decoupled,
-            positives=positives,
+            positives={canonical_edge(*p) for p in positives},
             embeddings=embeddings,
         )
         assert got == want
@@ -240,43 +250,78 @@ class TestScoringDifferential:
     @pytest.mark.parametrize("seed", range(4))
     def test_single_pair_functions_agree(self, seed):
         graph, pairs, _, _ = seeded_instance(seed)
-        got = score_candidates(graph, keyed(graph, pairs), "adamic_adar")
-        cn = score_candidates(graph, keyed(graph, pairs), "common_neighbors")
+        got = scored(graph, pairs, "adamic_adar", decoupled=False)
+        cn = scored(graph, pairs, "common_neighbors", decoupled=False)
         for cand in got.all_candidates():
             assert cand.score == adamic_adar(graph, cand.u, cand.v)
         for cand in cn.all_candidates():
             assert cand.score == common_neighbors(graph, cand.u, cand.v)
 
 
+class TestChainCandidates:
+    """``build_candidates`` on split, seeded graphs: the set it hands on holds
+    every invariant that ``score_candidates`` no longer checks, and equals the
+    reference scoring of the same pairs."""
+
+    @staticmethod
+    def chain(seed: int, scorer: str, decoupled: bool):
+        rnd = random.Random(seed)
+        counts = {value: rnd.randint(10, 25) for value in range(rnd.randint(2, 4))}
+        probs = {
+            GroupId.of(a, b): rnd.uniform(0.2, 0.4) for a in counts for b in counts if a <= b
+        }
+        graph = biased_block_graph(counts, probs, seed=seed)
+        embeddings = {i: tuple(rnd.uniform(-1, 1) for _ in range(4)) for i in graph.sensitive}
+        config = RunConfig(
+            edges_path="edges.tsv",
+            attrs_path="attrs.tsv",
+            scorer=scorer,
+            decoupled=decoupled,
+            embeddings_path="embeddings.txt",
+            negatives_per_positive=rnd.choice([0.5, 1.0, 2.0]),
+        )
+        split = stratified_split(graph, seed=seed)
+        train = split.train_graph(graph)
+        test = split.slices["test"]
+        got = build_candidates(config, graph, train, test, seed, embeddings=embeddings)
+        return graph, train, split.test, embeddings, got
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "scorer, decoupled",
+        [
+            ("common_neighbors", False),
+            ("common_neighbors", True),
+            ("adamic_adar", False),
+            ("adamic_adar", True),
+            ("embedding", False),
+            ("embedding", True),
+        ],
+    )
+    def test_invariants_and_reference(self, seed, scorer, decoupled):
+        graph, train, test_edges, embeddings, got = self.chain(seed, scorer, decoupled)
+        check_chain_candidates(got, graph, test_edges)
+        assert {c.pair for c in got.all_candidates() if c.relevance} == test_edges
+        want = reference_score_candidates(
+            train,
+            [c.pair for c in got.all_candidates()],
+            scorer,
+            decoupled=decoupled,
+            positives=test_edges,
+            embeddings=embeddings,
+        )
+        assert got == want
+
+
 class TestKeyedCandidates:
     # Node 3 is unattributed, node 9 does not exist; (0, 1) is a 1-1 pair.
     GRAPH = SensitiveGraph(5, [(0, 1), (1, 2), (2, 4)], {0: 1, 1: 1, 2: 0, 4: 0})
 
-    @pytest.mark.parametrize("scorer", ["common_neighbors", "adamic_adar"])
-    @pytest.mark.parametrize("decoupled", [False, True])
-    @pytest.mark.parametrize(
-        "candidates, error",
-        [
-            ({G00: [(0, 1)]}, ConfigError),
-            ({G01: [(2, 4), (0, 2)]}, ConfigError),
-            ({G11: [(0, 9)]}, UnknownNodeError),
-            ({G01: [(3, 0)]}, MissingAttributeError),
-            ({G00: [(2, 2)]}, SelfLoopError),
-        ],
-    )
-    def test_rejected(self, scorer, decoupled, candidates, error):
-        with pytest.raises(error):
-            score_candidates(self.GRAPH, candidates, scorer, decoupled=decoupled)
-
     def test_empty_group_gets_no_list(self):
-        result = score_candidates(self.GRAPH, {G00: [], G11: [(1, 0)]}, "common_neighbors")
+        result = score_candidates(
+            self.GRAPH, {G00: []}, {G11: [(0, 1)]}, "common_neighbors", decoupled=False
+        )
         assert result.groups() == (G11,)
-
-    @pytest.mark.parametrize("second", [(1, 0), (0, 1)])
-    def test_pair_filed_twice(self, second):
-        with pytest.raises(DuplicatePairError) as exc:
-            score_candidates(self.GRAPH, {G11: [(0, 1), second]}, "common_neighbors")
-        assert str(exc.value) == "duplicate pair (0, 1)"
 
     def test_non_finite_embedding_score(self, tmp_path):
         # 1e200 * 1e200 overflows to inf: the pair (0, 1) scores non-finite.
@@ -284,12 +329,25 @@ class TestKeyedCandidates:
         path.write_text("5 2\n0 1e200 0.0\n1 1e200 1.0\n2 1.0 0.0\n3 0.0 1.0\n4 1.0 0.0\n")
         embeddings = load_embeddings(path)
         with pytest.raises(ConfigError, match=r"non-finite score for \(0, 1\)"):
-            score_candidates(self.GRAPH, {G11: [(1, 0)]}, "embedding", embeddings=embeddings)
+            score_candidates(
+                self.GRAPH, {G11: [(0, 1)]}, {}, "embedding", decoupled=False, embeddings=embeddings
+            )
 
-    def test_embedding_checks_the_key_too(self):
-        embeddings = {i: (1.0,) for i in range(5)}
-        with pytest.raises(ConfigError):
-            score_candidates(self.GRAPH, {G01: [(0, 1)]}, "embedding", embeddings=embeddings)
+    @pytest.mark.parametrize(
+        "embeddings, error",
+        [
+            (None, ConfigError),
+            ({0: (1.0,), 1: (1.0,), 2: (1.0,)}, MissingEmbeddingError),
+            ({0: (1.0,), 1: (1.0, 2.0), 2: (1.0,), 4: (1.0,)}, DimensionMismatchError),
+        ],
+    )
+    def test_embedding_errors_still_raise(self, embeddings, error):
+        # No vectors at all, none for node 4, or vectors of two lengths.
+        with pytest.raises(error):
+            score_candidates(
+                self.GRAPH, {}, {G00: [(2, 4)], G11: [(0, 1)]}, "embedding",
+                decoupled=False, embeddings=embeddings,
+            )
 
 
 class TestIngestScores:

@@ -48,6 +48,7 @@ def test_bench_pipeline_times_every_stage():
     memory = row["load_memory_mb"]
     assert list(memory) == ["retained", "peak"]
     assert 0 < memory["retained"] <= memory["peak"]
+    assert len(row["outputs_sha256"]) == 64
 
 
 @pytest.mark.parametrize("repeats", ["0", "-1"])
