@@ -12,9 +12,10 @@ the scales are incommensurable by construction.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ConfigError,
@@ -60,9 +61,10 @@ class GroupedCandidateSet:
     lists, no duplicate pair). ``ingest_scores`` checks them while it
     reads a file. ``score_candidates`` sorts; its scores are finite (a
     heuristic's by construction, an embedding's by ``embedding_dot``'s
-    check), and its groups and unique pairs come from the split and the
-    sampler that made them. Both construct through ``_built``, which
-    checks nothing, so each invariant is checked once, where it can fail.
+    check), its groups come from the split and the sampler that made
+    them, and one set per group finds a repeated pair. Both construct
+    through ``_built``, which checks nothing, so each invariant is
+    checked once, where it can fail.
     """
 
     lists: dict[GroupId, list[ScoredCandidate]] = field(default_factory=dict)
@@ -188,8 +190,8 @@ def load_embeddings(path: str | Path) -> dict[int, tuple[float, ...]]:
 
 def score_candidates(
     graph: SensitiveGraph,
-    positives: Mapping[GroupId, Iterable[Edge]],
-    negatives: Mapping[GroupId, Iterable[Edge]],
+    positives: Mapping[GroupId, Collection[Edge]],
+    negatives: Mapping[GroupId, Collection[Edge]],
     scorer: str,
     *,
     decoupled: bool,
@@ -197,18 +199,15 @@ def score_candidates(
 ) -> GroupedCandidateSet:
     """Score each group's positive and negative pairs into that group's sorted list.
 
-    ``positives`` and ``negatives`` map a group to its pairs; a pair is
-    relevant when it is a positive. Precondition, checked where the pairs
-    are made and not here: each pair is canonical, of its key's group, and
-    given once. ``stratified_split``'s slices and ``subgraph_with_edges``
-    give edges of the loaded graph, grouped at load; ``sample_negatives``
-    gives canonical non-edges drawn per group. An unknown scorer, missing
-    embeddings and ``embedding_dot``'s errors raise. Each list is sorted
-    by descending score, ties by pair, and the set is built without the
-    constructor's checks. ``graph`` supplies the structure the heuristics
-    read (pass the training graph to avoid leakage). With ``decoupled=True``
-    a heuristic sees only the graph's adjacency of the pair's own group,
-    mirroring one scorer per group; embedding scores ignore the flag.
+    ``positives`` and ``negatives`` map a group to its pairs, relevant when
+    positive. Precondition, made true where the pairs are made and not
+    checked here: each pair is canonical and of its key's group
+    (``stratified_split`` and ``subgraph_with_edges`` give edges grouped at
+    load, ``sample_negatives`` canonical non-edges per group). A pair given
+    twice in a group, an unknown scorer, missing embeddings and
+    ``embedding_dot``'s errors raise. Lists sort by descending score, ties by
+    pair. Heuristics read ``graph`` (pass the training graph), with
+    ``decoupled=True`` only its edges of the pair's group; embeddings ignore it.
     """
     if scorer not in SCORERS:
         raise ConfigError(f"unknown scorer {scorer!r}; choose one of {SCORERS}")
@@ -231,6 +230,8 @@ def score_candidates(
             for u, v in keyed.get(group, ())
         ]
         if bucket:
+            if len({*positives.get(group, ()), *negatives.get(group, ())}) < len(bucket):
+                raise DuplicatePairError(Counter(c.pair for c in bucket).most_common(1)[0][0])
             bucket.sort(key=_sort_key)
             lists[group] = bucket
     return GroupedCandidateSet._built(lists)

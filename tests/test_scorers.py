@@ -187,6 +187,13 @@ class TestScoreCandidates:
         with pytest.raises(ConfigError):
             score_candidates(triangle_graph, {}, {G11: [(0, 1)]}, "katz", decoupled=False)
 
+    def test_duplicate_candidates_rejected(self, triangle_graph):
+        # (0, 1) filed as a positive and as a negative: its relevance is ambiguous.
+        with pytest.raises(DuplicatePairError):
+            score_candidates(
+                triangle_graph, {G11: [(0, 1)]}, {G11: [(0, 1)]}, "adamic_adar", decoupled=False
+            )
+
     def test_tie_break_is_lexicographic(self):
         graph = SensitiveGraph(5, [], {i: 0 for i in range(5)})
         result = score_candidates(
@@ -322,6 +329,17 @@ class TestKeyedCandidates:
             self.GRAPH, {G00: []}, {G11: [(0, 1)]}, "common_neighbors", decoupled=False
         )
         assert result.groups() == (G11,)
+
+    # The second copy of (0, 1) is another positive, or a negative.
+    @pytest.mark.parametrize("second", [([(0, 1)], []), ([], [(0, 1)])])
+    def test_pair_filed_twice(self, second):
+        more_positives, negatives = second
+        with pytest.raises(DuplicatePairError) as exc:
+            score_candidates(
+                self.GRAPH, {G11: [(0, 1), *more_positives]}, {G11: negatives},
+                "common_neighbors", decoupled=False,
+            )
+        assert str(exc.value) == "duplicate pair (0, 1)"
 
     def test_non_finite_embedding_score(self, tmp_path):
         # 1e200 * 1e200 overflows to inf: the pair (0, 1) scores non-finite.
