@@ -12,7 +12,7 @@ the seed; rerank, eval, gap and oracle draw nothing at random and ignore it.
 FAIRLINK_OUTPUT_DIR overrides output directories, nothing else.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
-4 infeasible experiment.
+4 infeasible experiment; any other status is an internal error.
 """
 
 from __future__ import annotations

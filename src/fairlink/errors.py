@@ -2,10 +2,14 @@
 
 Three broad families matter to callers (and to the CLI exit codes):
 configuration problems, unusable input data, and requests that are
-infeasible for the given instance. Concrete subclasses carry enough
-context (node id, group, line number) to make failures actionable.
-Numeric, boolean and path configuration values go through one type
-check each, here.
+infeasible for the given instance. An error raised at one place and
+caught by no caller by its own name is raised as its family's base
+class, with its message. A subclass stays only where it earns its
+name: a caller reads its ``node``, ``line_no`` or ``group``,
+``ingest_scores`` catches it to add a line number (the unknown and the
+unattributed node), or it is raised from several places and keeps one
+message format there. Numeric, boolean and path configuration values
+go through one type check each, here.
 """
 
 from __future__ import annotations
@@ -64,12 +68,6 @@ class UnknownNodeError(DataError):
         self.line_no = line_no
 
 
-class UnknownEdgeError(DataError):
-    def __init__(self, edge):
-        super().__init__(f"{edge} is not an edge of the graph")
-        self.edge = edge
-
-
 class DuplicatePairError(DataError):
     def __init__(self, pair, line_no: int | None = None):
         where = f" (line {line_no})" if line_no is not None else ""
@@ -88,19 +86,6 @@ class RankingEntryError(DataError):
         self.reason = reason
 
 
-class MissingEmbeddingError(DataError):
-    def __init__(self, node: int):
-        super().__init__(f"no embedding for node {node}")
-        self.node = node
-
-
-class DimensionMismatchError(DataError):
-    def __init__(self, expected: int, got: int):
-        super().__init__(f"embedding dimension mismatch: {expected} vs {got}")
-        self.expected = expected
-        self.got = got
-
-
 class EmptyEdgeSetError(DataError):
     def __init__(self):
         super().__init__("edge set is empty")
@@ -111,20 +96,10 @@ class EmptyRankingError(DataError):
         super().__init__("ranking is empty")
 
 
-class EmptyInputError(DataError):
-    def __init__(self, what: str = "input"):
-        super().__init__(f"{what} is empty")
-
-
 class EmptyGroupError(DataError):
     def __init__(self, which: str):
         super().__init__(f"score sequence for {which} is empty")
         self.which = which
-
-
-class FewerThanTwoGroupsError(DataError):
-    def __init__(self):
-        super().__init__("need at least two non-empty groups")
 
 
 class NoPositivesError(DataError):
@@ -143,12 +118,6 @@ class ZeroTargetMassError(ConfigError):
             f"group {group} has zero target mass (enable smoothing or fix the target)"
         )
         self.group = group
-
-
-class LambdaOutOfRangeError(ConfigError):
-    def __init__(self, value: float):
-        super().__init__(f"weight must lie in [0, 1], got {value}")
-        self.value = value
 
 
 def _check_number(value, name: str, *, integer: bool = False, minimum=None):
@@ -191,35 +160,7 @@ class KOutOfRangeError(ConfigError):
         self.limit = limit
 
 
-class PoolSmallerThanSelectedError(ConfigError):
-    def __init__(self, which: str, pool: int, selected: int):
-        super().__init__(
-            f"{which} pool has {pool} candidates but {selected} were selected"
-        )
-        self.which = which
-        self.pool = pool
-        self.selected = selected
-
-
 # --- infeasibility ---------------------------------------------------------
-
-
-class GroupTooSmallError(InfeasibleError):
-    def __init__(self, group, size: int, needed: int):
-        super().__init__(f"group {group} has {size} edges, need at least {needed}")
-        self.group = group
-        self.size = size
-        self.needed = needed
-
-
-class NotEnoughNonEdgesError(InfeasibleError):
-    def __init__(self, group, available: int, requested: int):
-        super().__init__(
-            f"group {group} has only {available} non-edges, {requested} requested"
-        )
-        self.group = group
-        self.available = available
-        self.requested = requested
 
 
 class InfeasibleKError(InfeasibleError):
@@ -227,13 +168,3 @@ class InfeasibleKError(InfeasibleError):
         super().__init__(f"k={k} exceeds available capacity {capacity}")
         self.k = k
         self.capacity = capacity
-
-
-class TooLargeError(InfeasibleError):
-    def __init__(self, n: int, guard: int):
-        super().__init__(
-            f"instance size {n} exceeds the oracle's item guard {guard}; "
-            f"pass a larger guard explicitly to force it"
-        )
-        self.n = n
-        self.guard = guard

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import (
-    DuplicatePairError,
+    ConfigError,
+    DataError,
     EmptyGroupError,
     EmptyRankingError,
-    FewerThanTwoGroupsError,
     KOutOfRangeError,
-    PoolSmallerThanSelectedError,
     ZeroTargetMassError,
 )
 from .graphs import GroupDistribution, GroupId
@@ -38,18 +37,17 @@ INTER = "inter"
 
 @dataclass(frozen=True)
 class Ranking:
-    """Ordered candidate sequence; position 1 is the top."""
+    """Ordered candidate sequence; position 1 is the top.
+
+    ``entries`` is a tuple in which no pair appears twice. Nothing here
+    checks that; it is made true where rankings are made. The merges
+    (``kl_greedy_merge``, ``merge_by_score``) and ``worst_case_ranking``
+    take entries from a ``GroupedCandidateSet``'s lists, which hold each
+    pair once, and ``read_ranking`` rejects a repeated pair, naming its
+    line.
+    """
 
     entries: tuple[ScoredCandidate, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        seen = set()
-        for cand in self.entries:
-            pair = cand[:2]  # (u, v), as the ``pair`` property gives it, without the call
-            if pair in seen:
-                raise DuplicatePairError(pair)
-            seen.add(pair)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -218,7 +216,7 @@ def delta_dp_selection(
     for cls in (INTRA, INTER):
         pool = pools.get(cls, 0)
         if selected[cls] > pool:
-            raise PoolSmallerThanSelectedError(cls, pool, selected[cls])
+            raise ConfigError(f"{cls} pool has {pool} candidates but {selected[cls]} were selected")
         rates[cls] = selected[cls] / pool if pool > 0 else 0.0
     return abs(rates[INTRA] - rates[INTER])
 
@@ -246,5 +244,5 @@ def delta_max(scores_by_group: Mapping[GroupId, Sequence[float]]) -> float:
         if len(scores) > 0
     ]
     if len(means) < 2:
-        raise FewerThanTwoGroupsError()
+        raise DataError("need at least two non-empty groups")
     return max(means) - min(means)

@@ -21,13 +21,12 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ConfigError,
+    DataError,
     EmptyEdgeSetError,
-    GroupTooSmallError,
+    InfeasibleError,
     MalformedLineError,
     MissingAttributeError,
-    NotEnoughNonEdgesError,
     SelfLoopError,
-    UnknownEdgeError,
     UnknownNodeError,
     _check_number,
 )
@@ -149,12 +148,6 @@ class SensitiveGraph:
                 self._adjacency = dict(pooled)
             return self._adjacency
 
-    def __repr__(self) -> str:
-        return (
-            f"SensitiveGraph(nodes={self.node_count}, edges={len(self.edges)}, "
-            f"groups={len(self.group_universe())})"
-        )
-
     def attribute(self, v: int) -> int:
         try:
             return self.sensitive[v]
@@ -187,7 +180,7 @@ class SensitiveGraph:
         """Same nodes and attributes, restricted to ``edges``, each an edge of this graph."""
         subset = {canonical_edge(u, v) for u, v in edges}
         if foreign := subset - self.edges:
-            raise UnknownEdgeError(min(foreign))
+            raise DataError(f"{min(foreign)} is not an edge of the graph")
         # Filtering a sorted bucket keeps it sorted.
         grouped = {g: [e for e in b if e in subset] for g, b in self._edge_groups.items()}
         return copy.copy(self)._index(grouped, subset)
@@ -216,10 +209,8 @@ def edge_group(graph: SensitiveGraph, u: int, v: int) -> GroupId:
         raise SelfLoopError(u)
     try:
         return _interned_group(graph.sensitive[u], graph.sensitive[v])
-    except KeyError:
-        graph.attribute(u)  # raises the exact error, for u before v
-        graph.attribute(v)
-        raise
+    except KeyError:  # graph.attribute raises the exact error, for u before v
+        return _interned_group(graph.attribute(u), graph.attribute(v))
 
 
 @dataclass(frozen=True)
@@ -300,47 +291,36 @@ def apportion(
 ) -> list[int]:
     """Split ``total`` into integer parts proportional to ``weights``.
 
-    Largest-remainder rounding; remainder ties go to the earlier index.
-    With ``caps``, no part exceeds its cap and overflow is redistributed
-    to positive-weight entries with spare capacity.
+    Largest-remainder rounding; remainder ties go to the earlier index,
+    and a zero-weight entry gets nothing. With ``caps``, no part exceeds
+    its cap and overflow is redistributed to positive-weight entries
+    with spare capacity; their caps must sum to at least ``total``.
     """
     if total < 0:
         raise ValueError("total must be >= 0")
     if total == 0:
         return [0] * len(weights)
-    if caps is not None and sum(caps) < total:
-        raise ValueError(f"caps sum to {sum(caps)}, cannot hold {total}")
     weight_sum = math.fsum(weights)
     if weight_sum <= 0:
         raise ValueError("weights must have positive sum")
+    if caps is not None:
+        capacity = sum(c for w, c in zip(weights, caps) if w > 0)
+        if capacity < total:
+            raise ValueError(f"positive-weight caps sum to {capacity}, cannot hold {total}")
 
     quotas = [total * w / weight_sum for w in weights]
     parts = [math.floor(q) for q in quotas]
     if caps is not None:
         parts = [min(p, c) for p, c in zip(parts, caps)]
     remainder = total - sum(parts)
-    # Hand out the leftover units by descending fractional remainder.
+    # Hand out the leftover units by descending fractional remainder; each
+    # pass places at least one, as the positive-weight caps can hold them all.
     order = sorted(range(len(weights)), key=lambda i: (-(quotas[i] - math.floor(quotas[i])), i))
     while remainder > 0:
-        progressed = False
         for i in order:
-            if remainder == 0:
-                break
-            if weights[i] <= 0:
-                continue
-            if caps is not None and parts[i] >= caps[i]:
-                continue
-            parts[i] += 1
-            remainder -= 1
-            progressed = True
-        if not progressed:
-            # Positive-weight entries are all capped; spill anywhere legal.
-            for i in order:
-                if remainder == 0:
-                    break
-                if caps is None or parts[i] < caps[i]:
-                    parts[i] += 1
-                    remainder -= 1
+            if remainder and weights[i] > 0 and (caps is None or parts[i] < caps[i]):
+                parts[i] += 1
+                remainder -= 1
     return parts
 
 
@@ -398,7 +378,9 @@ def stratified_split(
     slices: dict[str, dict[GroupId, tuple[Edge, ...]]] = {"train": {}, "valid": {}, "test": {}}
     for group, bucket in sorted(graph._edge_groups.items()):
         if len(bucket) < MIN_GROUP_EDGES:
-            raise GroupTooSmallError(group, len(bucket), MIN_GROUP_EDGES)
+            raise InfeasibleError(
+                f"group {group} has {len(bucket)} edges, need at least {MIN_GROUP_EDGES}"
+            )
         # Positions shuffle as the edges would; sorted, they give sorted edges.
         order = list(range(len(bucket)))
         rng.shuffle(order)
@@ -440,7 +422,9 @@ def sample_negatives(
         capacity = graph.group_pair_capacity(group)
         available = capacity - len(graph._edge_groups.get(group, ()))
         if requested > available:
-            raise NotEnoughNonEdgesError(group, available, requested)
+            raise InfeasibleError(
+                f"group {group} has only {available} non-edges, {requested} requested"
+            )
 
         bucket_lo = graph.nodes_with_attribute(group.lo)
         bucket_hi = bucket_lo if group.is_intra else graph.nodes_with_attribute(group.hi)

@@ -20,7 +20,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
-from .errors import ConfigError, TooLargeError, ZeroTargetMassError
+from .errors import ConfigError, InfeasibleError, ZeroTargetMassError
 from .graphs import GroupDistribution, GroupId
 from .rerank import AggregationTrace
 
@@ -114,7 +114,10 @@ def enumerate_ndkl_extremes(
     multisets of few groups; 40/30/20 items take about 0.3 s there.
     """
     if spec.total > guard:
-        raise TooLargeError(spec.total, guard)
+        raise InfeasibleError(
+            f"instance size {spec.total} exceeds the oracle's item guard {guard}; "
+            f"pass a larger guard explicitly to force it"
+        )
     for group, count in spec.group_counts.items():
         if count > 0 and target.mass(group) <= 0.0:
             raise ZeroTargetMassError(group)

@@ -5,8 +5,8 @@ positives plus sampled non-edges), score them with the configured
 scorer, produce both the exposure-aware greedy ranking and the naive
 raw-score merge, and evaluate every metric at every requested cutoff.
 Reports are plain dataclasses written to JSON; the package never reads
-a report back (the tests do, in ``tests/reference.py``). Every number
-is reproducible from (inputs, seed).
+a report back (the tests do, in ``tests/reference.py``). Every metric
+is reproducible from the input files, the options and the seed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .errors import ConfigError, KOutOfRangeError, _check_bool, _check_number, _check_path
+from .errors import ConfigError, _check_bool, _check_number, _check_path
 from .fairness import (
     INTER,
     INTRA,
@@ -131,7 +131,12 @@ class RunConfig:
         return data
 
     def config_hash(self) -> str:
-        """Hash of everything that determines the numbers; out_dir is not."""
+        """Hash of the options as given, out_dir aside.
+
+        Input files enter by their path text, not their content: the same
+        files under other paths hash differently, and a file changed in
+        place keeps its hash. It names a configuration, not the inputs.
+        """
         payload = self.to_dict()
         payload.pop("out_dir")
         canonical = json.dumps(payload, sort_keys=True)
@@ -162,9 +167,10 @@ class EvalReport:
     bound: float
 
     def __post_init__(self):
+        # A self-check of the metric: an internal fault, not a FairlinkError.
         for row in self.per_k:
             if row.ndkl > self.bound + 1e-9:
-                raise ConfigError(
+                raise AssertionError(
                     f"ndkl@{row.k}={row.ndkl} exceeds the bound {self.bound}; metric bug"
                 )
 
@@ -275,10 +281,12 @@ def evaluate_ranking(
 ) -> EvalReport:
     """Score one ranking against the shared candidate pool statistics.
 
-    Cutoffs beyond the ranking length are clamped. The parity
+    Cutoffs are checked first (``check_cutoffs``), before any metric is
+    computed; cutoffs beyond the ranking length are clamped. The parity
     diagnostics are pool-level where the definition demands it
     (score-mean forms), and top-k based for the selection-rate form.
     """
+    k_list = check_cutoffs(k_list)
     return _evaluate(method, ranking, pool_statistics(candidates), target, k_list, smoothing)
 
 
@@ -290,14 +298,15 @@ def _evaluate(
     k_list: Sequence[int],
     smoothing: bool,
 ) -> EvalReport:
-    """``evaluate_ranking`` on the pool's ``pool_statistics``, which its rankings share."""
+    """``evaluate_ranking`` on the pool's ``pool_statistics``, which its rankings share.
+
+    ``k_list`` holds checked cutoffs (``check_cutoffs``).
+    """
     pool_sizes, class_scores, group_scores, total_positives = pool
     rel = RelevanceVector.from_ranking(ranking, total_positives)
 
     cutoffs = list(dict.fromkeys(min(k, len(ranking)) for k in k_list))
     curve = ndkl_curve(ranking, target, max(cutoffs), smoothing=smoothing) if cutoffs else []
-    if cutoffs and min(cutoffs) < 1:
-        raise KOutOfRangeError(min(cutoffs), len(ranking))
     rows = [
         MetricsAtK(
             k=k,
@@ -459,8 +468,9 @@ def run_pipeline(config: RunConfig) -> PipelineSummary:
     """Run ``config.repeats`` seeded passes and aggregate the reports.
 
     Seeds are config.seed, config.seed + 1, ... so a summary is exactly
-    reproducible from the config alone. Outputs per seed live under
-    ``out_dir/seed_<s>/``; aggregate CSVs sit at the top level.
+    reproducible from the config and the files it names. Outputs per
+    seed live under ``out_dir/seed_<s>/``; aggregate CSVs sit at the top
+    level.
     """
     out_dir = Path(config.out_dir)
     seeds = tuple(config.seed + i for i in range(config.repeats))

@@ -44,9 +44,7 @@ from .errors import (
     ConfigError,
     DataError,
     DuplicatePairError,
-    EmptyInputError,
     InfeasibleKError,
-    LambdaOutOfRangeError,
     MalformedLineError,
     RankingEntryError,
     SelfLoopError,
@@ -110,7 +108,7 @@ def _normalized_scores(candidates: Sequence[ScoredCandidate]) -> list[float]:
 def check_lambda(lam: float) -> float:
     """The merge weight, which must lie in [0, 1]."""
     if not 0.0 <= _check_number(lam, "weight") <= 1.0:
-        raise LambdaOutOfRangeError(lam)
+        raise ConfigError(f"weight must lie in [0, 1], got {lam}")
     return lam
 
 
@@ -138,7 +136,7 @@ def kl_greedy_merge(
     if n < 1:
         raise ConfigError(f"output size must be >= 1, got {n}")
     if candidates.total() == 0:
-        raise EmptyInputError("candidate set")
+        raise DataError("candidate set is empty")
     masses = target.smoothed() if smoothing else target
     groups = candidates.groups()
     lists = {g: candidates.lists[g] for g in groups}
@@ -329,9 +327,10 @@ class GapCurve:
     prec: tuple[float, ...]
 
     def __post_init__(self):
+        # A self-check of the construction: an internal fault, not a FairlinkError.
         for greedy, worst in zip(self.greedy_ndkl, self.worst_ndkl):
             if greedy > worst + 1e-12:
-                raise ConfigError(
+                raise AssertionError(
                     f"greedy divergence {greedy} above worst-case {worst}; "
                     f"the worst-case construction is broken"
                 )

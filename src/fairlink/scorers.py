@@ -19,11 +19,10 @@ from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ConfigError,
-    DimensionMismatchError,
+    DataError,
     DuplicatePairError,
     MalformedLineError,
     MissingAttributeError,
-    MissingEmbeddingError,
     SelfLoopError,
     UnknownNodeError,
 )
@@ -55,42 +54,24 @@ def _sort_key(candidate: ScoredCandidate):
 class GroupedCandidateSet:
     """Score-sorted candidate lists, one per group.
 
-    Within each list scores are non-increasing; a pair appears at most
-    once across all lists. The public constructor checks all four
-    invariants (each candidate in its own group, finite scores, sorted
-    lists, no duplicate pair). ``ingest_scores`` checks them while it
-    reads a file. ``score_candidates`` sorts; its scores are finite (a
-    heuristic's by construction, an embedding's by ``embedding_dot``'s
-    check), its groups come from the split and the sampler that made
-    them, and one set per group finds a repeated pair. Both construct
-    through ``_built``, which checks nothing, so each invariant is
-    checked once, where it can fail.
+    Four invariants hold: each candidate is in its own group's list, its
+    score is finite, each list is sorted by descending score (ties by
+    pair), and no pair appears twice across the lists. The constructor
+    checks none of them; each is made true once, where it can fail.
+    ``ingest_scores`` checks them as it reads a file and sorts.
+    ``score_candidates`` sorts, its scores are finite (a heuristic's by
+    construction, an embedding's by ``embedding_dot``'s check), its
+    groups come from the split and the sampler that made its pairs, and
+    one set per group finds a repeated pair. ``synthetic_candidate_set``
+    makes fresh pairs with descending scores. ``from_candidates`` files
+    each candidate by its group and sorts; ``cli eval`` gives it the
+    entries of a ranking that ``read_ranking`` (finite scores, no
+    repeated pair) and ``check_ranking_groups`` (each label its pair's
+    group) have checked. ``tests/reference.py``'s
+    ``check_chain_candidates`` asserts all four.
     """
 
     lists: dict[GroupId, list[ScoredCandidate]] = field(default_factory=dict)
-
-    @classmethod
-    def _built(cls, lists: dict[GroupId, list[ScoredCandidate]]) -> "GroupedCandidateSet":
-        """A set over ``lists``, whose invariants the caller has already checked."""
-        built = cls.__new__(cls)
-        built.lists = lists
-        return built
-
-    def __post_init__(self):
-        seen: set[Edge] = set()
-        for group, candidates in self.lists.items():
-            previous = math.inf
-            for u, v, score, cand_group, _ in candidates:
-                if cand_group != group:
-                    raise ConfigError(f"candidate {(u, v)} routed to wrong group {group}")
-                if not math.isfinite(score):
-                    raise ConfigError(f"non-finite score for {(u, v)}")
-                if score > previous:
-                    raise ConfigError(f"list for group {group} is not sorted by score")
-                previous = score
-                if (u, v) in seen:
-                    raise DuplicatePairError((u, v))
-                seen.add((u, v))
 
     @classmethod
     def from_candidates(cls, candidates: Iterable[ScoredCandidate]) -> "GroupedCandidateSet":
@@ -139,10 +120,10 @@ def embedding_dot(embeddings: Mapping[int, Sequence[float]], u: int, v: int) -> 
     """Inner product of the two node embeddings; one that overflows raises ``ConfigError``."""
     for node in (u, v):
         if node not in embeddings:
-            raise MissingEmbeddingError(node)
+            raise DataError(f"no embedding for node {node}")
     a, b = embeddings[u], embeddings[v]
     if len(a) != len(b):
-        raise DimensionMismatchError(len(a), len(b))
+        raise DataError(f"embedding dimension mismatch: {len(a)} vs {len(b)}")
     if not math.isfinite(value := math.fsum(x * y for x, y in zip(a, b))):
         raise ConfigError(f"non-finite score for {(u, v)}")
     return value
@@ -234,7 +215,7 @@ def score_candidates(
                 raise DuplicatePairError(Counter(c.pair for c in bucket).most_common(1)[0][0])
             bucket.sort(key=_sort_key)
             lists[group] = bucket
-    return GroupedCandidateSet._built(lists)
+    return GroupedCandidateSet(lists)
 
 
 def ingest_scores(
@@ -251,8 +232,7 @@ def ingest_scores(
     ``edge_group`` reports it. Each id's text is looked up in an index of
     the graph's attribute table, so a candidate's ``u`` and ``v`` are the
     table's own keys; only a line that misses is parsed with ``int``.
-    The per-group lists are filled directly and sorted, so the set is
-    built without the constructor's checks.
+    The per-group lists are filled directly and sorted.
     """
     path = Path(score_file)
     relevant = {e if e[0] <= e[1] else (e[1], e[0]) for e in test_edges}
@@ -296,14 +276,13 @@ def ingest_scores(
                     edge_group(graph, u, v)
                 except (UnknownNodeError, MissingAttributeError) as exc:
                     raise type(exc)(exc.node, line_no) from None
-                raise
             bucket = lists.get(group)
             if bucket is None:
                 bucket = lists[group] = []
             bucket.append(tuple.__new__(ScoredCandidate, (u, v, value, group, pair in relevant)))
     for bucket in lists.values():
         bucket.sort(key=_sort_key)
-    return GroupedCandidateSet._built(lists)
+    return GroupedCandidateSet(lists)
 
 
 def write_scores(path: str | Path, candidates: GroupedCandidateSet) -> None:

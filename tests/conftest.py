@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -7,6 +8,11 @@ from fairlink.graphs import GroupDistribution, GroupId, SensitiveGraph
 G00 = GroupId.of(0, 0)
 G01 = GroupId.of(0, 1)
 G11 = GroupId.of(1, 1)
+
+
+def exactly(message: str) -> str:
+    """A ``pytest.raises(match=...)`` pattern that matches ``message`` and nothing more."""
+    return f"^{re.escape(message)}$"
 
 
 def graph_with_group_edge_counts(counts: dict[GroupId, int]) -> SensitiveGraph:

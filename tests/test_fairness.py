@@ -3,11 +3,11 @@ import math
 import pytest
 
 from fairlink.errors import (
+    ConfigError,
+    DataError,
     EmptyGroupError,
     EmptyRankingError,
-    FewerThanTwoGroupsError,
     KOutOfRangeError,
-    PoolSmallerThanSelectedError,
     ZeroTargetMassError,
 )
 from fairlink.fairness import (
@@ -25,7 +25,7 @@ from fairlink.fairness import (
 )
 from fairlink.graphs import GroupDistribution, GroupId
 
-from conftest import G00, G01, G11
+from conftest import G00, G01, G11, exactly
 from reference import ranking_from_groups, sequence_ndkl
 
 
@@ -238,6 +238,13 @@ class TestDeltaDpSelection:
         ranking = ranking_from_groups([G00])
         assert delta_dp_selection(ranking, 0, {INTRA: 1, INTER: 1}) == 0.0
 
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_k_out_of_range(self, k):
+        ranking = ranking_from_groups([G00, G01])
+        message = f"cutoff k={k} outside valid range 1..2"
+        with pytest.raises(KOutOfRangeError, match=exactly(message)):
+            delta_dp_selection(ranking, k, {INTRA: 5, INTER: 5})
+
     def test_equal_rates_cancel(self):
         labels = [G00] * 2 + [G01] * 2
         value = delta_dp_selection(
@@ -247,7 +254,8 @@ class TestDeltaDpSelection:
 
     def test_pool_too_small(self):
         labels = [G00] * 3
-        with pytest.raises(PoolSmallerThanSelectedError):
+        message = exactly("intra pool has 2 candidates but 3 were selected")
+        with pytest.raises(ConfigError, match=message):
             delta_dp_selection(
                 ranking_from_groups(labels), 3, {INTRA: 2, INTER: 5}
             )
@@ -295,7 +303,7 @@ class TestDeltaMax:
         )
 
     def test_requires_two_groups(self):
-        with pytest.raises(FewerThanTwoGroupsError):
+        with pytest.raises(DataError, match=exactly("need at least two non-empty groups")):
             delta_max({G00: [1.0], G01: []})
 
 
@@ -308,6 +316,12 @@ class TestTopKProportions:
     def test_k_one_point_mass(self):
         dist = top_k_proportions(ranking_from_groups([G01, G00]), 1)
         assert dist.mass(G01) == 1.0
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_k_out_of_range(self, k):
+        message = f"cutoff k={k} outside valid range 1..2"
+        with pytest.raises(KOutOfRangeError, match=exactly(message)):
+            top_k_proportions(ranking_from_groups([G01, G00]), k)
 
     def test_fractions_always_sum_to_one(self):
         labels = [G00, G01, G11, G00]

@@ -11,13 +11,12 @@ import pytest
 
 from fairlink.errors import (
     ConfigError,
+    DataError,
     EmptyEdgeSetError,
-    GroupTooSmallError,
+    InfeasibleError,
     MalformedLineError,
     MissingAttributeError,
-    NotEnoughNonEdgesError,
     SelfLoopError,
-    UnknownEdgeError,
     UnknownNodeError,
 )
 from fairlink.graphs import (
@@ -34,7 +33,7 @@ from fairlink.graphs import (
     write_split,
 )
 
-from conftest import G00, G01, G11, graph_with_group_edge_counts
+from conftest import G00, G01, G11, exactly, graph_with_group_edge_counts
 from reference import neighbors
 
 
@@ -259,8 +258,13 @@ class TestSubgraph:
 
     def test_foreign_edge_rejected(self, triangle_graph):
         path = triangle_graph.subgraph_with_edges([(0, 1), (2, 1)])
-        for foreign in ([(0, 2)], [(0, 1), (1, 1)], [(0, 3)], [(2, 0), (5, 7)]):
-            with pytest.raises(UnknownEdgeError):
+        for foreign, first in (
+            ([(0, 2)], (0, 2)),
+            ([(0, 1), (1, 1)], (1, 1)),
+            ([(0, 3)], (0, 3)),
+            ([(2, 0), (5, 7)], (0, 2)),
+        ):
+            with pytest.raises(DataError, match=exactly(f"{first} is not an edge of the graph")):
                 path.subgraph_with_edges(foreign)
 
     @pytest.mark.parametrize(
@@ -281,6 +285,14 @@ class TestSubgraph:
         with pytest.raises(error) as exc:
             SensitiveGraph(4, edges, {0: 0, 1: 0, 2: 1})
         assert exc.value.node == node
+
+    def test_constructor_checks_each_attribute(self):
+        with pytest.raises(UnknownNodeError, match=exactly("unknown node id 9")) as exc:
+            SensitiveGraph(4, [], {0: 0, 9: 1})
+        assert exc.value.node == 9
+        message = "attribute for node 1 must be non-negative"
+        with pytest.raises(ConfigError, match=exactly(message)):
+            SensitiveGraph(4, [], {0: 0, 1: -1})
 
 
 class TestEmpiricalDistribution:
@@ -369,6 +381,24 @@ class TestApportion:
         parts = apportion(10, [0.9, 0.1], caps=[4, 10])
         assert parts[0] <= 4 and sum(parts) == 10
 
+    def test_zero_weight_gets_nothing_even_with_spare_cap(self):
+        # The capped first entry's unit goes past the zero-weight middle one.
+        assert apportion(4, [0.5, 0.0, 0.5], caps=[1, 5, 5]) == [1, 0, 3]
+
+    @pytest.mark.parametrize(
+        "total, weights, caps, message",
+        [
+            (-1, [1.0], None, "total must be >= 0"),
+            (5, [0.0, 0.0], None, "weights must have positive sum"),
+            (5, [1.0, 1.0], [2, 2], "positive-weight caps sum to 4, cannot hold 5"),
+            # A zero-weight entry's cap holds nothing.
+            (5, [1.0, 0.0], [2, 10], "positive-weight caps sum to 2, cannot hold 5"),
+        ],
+    )
+    def test_rejected(self, total, weights, caps, message):
+        with pytest.raises(ValueError, match=exactly(message)):
+            apportion(total, weights, caps)
+
 
 class TestStratifiedSplit:
     def test_single_group_sizes(self):
@@ -417,12 +447,15 @@ class TestStratifiedSplit:
 
     def test_group_too_small(self):
         graph = graph_with_group_edge_counts({G00: 10, G01: 2})
-        with pytest.raises(GroupTooSmallError):
+        with pytest.raises(InfeasibleError, match=exactly("group 0-1 has 2 edges, need at least 3")):
             stratified_split(graph, (0.7, 0.1, 0.2), seed=0)
 
     def test_bad_ratios(self, triangle_graph):
         with pytest.raises(ConfigError):
             stratified_split(triangle_graph, (0.5, 0.5, 0.5), seed=0)
+        message = "ratios must be three positive numbers, got (0.5, 0.5)"
+        with pytest.raises(ConfigError, match=exactly(message)):
+            stratified_split(triangle_graph, (0.5, 0.5), seed=0)
 
 
 def union(keyed: dict) -> frozenset:
@@ -431,10 +464,16 @@ def union(keyed: dict) -> frozenset:
 
 
 class TestSampleNegatives:
+    def test_negative_request_rejected(self, triangle_graph):
+        message = "negative request -1 for group 0-1"
+        with pytest.raises(ConfigError, match=exactly(message)):
+            sample_negatives(triangle_graph, {G01: -1}, seed=0)
+
     def test_complete_graph_has_no_non_edges(self):
         nodes = {i: 0 for i in range(5)}
         graph = SensitiveGraph(5, list(itertools.combinations(range(5), 2)), nodes)
-        with pytest.raises(NotEnoughNonEdgesError):
+        message = exactly("group 0-0 has only 0 non-edges, 1 requested")
+        with pytest.raises(InfeasibleError, match=message):
             sample_negatives(graph, {G00: 1}, seed=0)
 
     def test_only_candidate_pair(self):

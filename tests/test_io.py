@@ -1,9 +1,11 @@
+import itertools
 import os
 import stat
 from types import SimpleNamespace
 
 import pytest
 
+from fairlink import io
 from fairlink.io import atomic_write
 from fairlink.rerank import read_ranking, write_ranking
 from fairlink.synth import write_graph_files
@@ -33,6 +35,21 @@ def test_other_writers_temp_file_untouched(tmp_path, ranking):
     assert foreign.read_text(encoding="utf-8") == "half-written by another process\n"
     assert read_ranking(tmp_path / "ranking.tsv").entries == ranking.entries
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ranking.tsv", "ranking.tsv.tmp"]
+
+
+def test_taken_temp_name_is_skipped(tmp_path, monkeypatch):
+    # The next temp name is already taken, say by a writer whose process id
+    # was reused: exclusive creation skips it and leaves that file alone.
+    monkeypatch.setattr(io, "_temp_serial", itertools.count(7))
+    target = tmp_path / "out.txt"
+    taken = tmp_path / f"out.txt.{os.getpid()}.7.tmp"
+    taken.write_text("another writer's\n", encoding="utf-8")
+    with atomic_write(target) as fh:
+        assert (tmp_path / f"out.txt.{os.getpid()}.8.tmp").exists()
+        fh.write("mine\n")
+    assert target.read_text(encoding="utf-8") == "mine\n"
+    assert taken.read_text(encoding="utf-8") == "another writer's\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", taken.name]
 
 
 def test_concurrent_writers_use_separate_temp_files(tmp_path):

@@ -1,11 +1,13 @@
 """The package ships no code that only the tests use.
 
-Every public module-level function and class of ``src/fairlink`` must be
-referenced from code in ``src/``, ``scripts/`` or ``perfbench/``. A
-reference is a name, an attribute or an imported name, read with
-``ast``; docstrings, string literals and ``test_*.py`` files do not
-count. Slow reference models of the package's quantities belong in
-``tests/reference.py``.
+Every public module-level function and class of ``src/fairlink``, and
+every public method and property of a public class, must be referenced
+from code in ``src/``, ``scripts/`` or ``perfbench/``. A reference is a
+name, an attribute or an imported name, read with ``ast``; docstrings,
+string literals and ``test_*.py`` files do not count. Slow reference
+models of the package's quantities belong in ``tests/reference.py``.
+Every exception class of ``errors.py`` must be raised or caught in
+``src/``, so that no class outlives its last use.
 """
 
 import ast
@@ -56,3 +58,62 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
     used = referenced_names()
     unused = [qualified for qualified, name in public_definitions() if name not in used]
     assert unused == []
+
+
+def public_members() -> list[tuple[str, str]]:
+    """``(module.Class.name, name)`` of each public method and property of a public class.
+
+    A property is a decorated method or a ``name = property(...)`` assignment.
+    """
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in parse(path).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                names = []
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [node.name]
+                elif (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "id", None) == "property"
+                ):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                found += [
+                    (f"{path.stem}.{cls.name}.{name}", name)
+                    for name in names
+                    if not name.startswith("_")
+                ]
+    return found
+
+
+def test_members_are_found():
+    names = {name for _, name in public_members()}
+    assert {"adjacency", "smoothed", "train", "pair", "is_intra", "at_k"} <= names
+
+
+def test_every_public_member_has_a_caller_outside_the_tests():
+    used = referenced_names()
+    unused = [qualified for qualified, name in public_members() if name not in used]
+    assert unused == []
+
+
+def raised_or_caught() -> set[str]:
+    """Names of the classes that ``src/`` raises (``raise X`` or ``raise X(...)``) or catches."""
+    names = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                names.add(getattr(exc, "id", None))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                names.update(getattr(t, "id", None) for t in types)
+    return names
+
+
+def test_every_error_class_is_raised_or_caught():
+    classes = [n.name for n in parse(PACKAGE / "errors.py").body if isinstance(n, ast.ClassDef)]
+    assert {"FairlinkError", "ConfigError", "DataError", "InfeasibleError"} <= set(classes)
+    assert [name for name in classes if name not in raised_or_caught()] == []

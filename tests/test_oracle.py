@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from fairlink.errors import ConfigError, TooLargeError, ZeroTargetMassError
+from fairlink.errors import ConfigError, InfeasibleError, ZeroTargetMassError
 from fairlink.fairness import kl_divergence, ndkl, ndkl_upper_bound
 from fairlink.graphs import GroupDistribution, GroupId
 from fairlink.oracle import (
@@ -192,7 +192,7 @@ class TestEnumerateExtremes:
         )
 
     def test_guard(self, uniform_pair_target):
-        with pytest.raises(TooLargeError) as exc:
+        with pytest.raises(InfeasibleError) as exc:
             enumerate_ndkl_extremes(MultisetSpec({G00: 10, G01: 10}), uniform_pair_target)
         # The guard counts items; the oracle walks count vectors, it enumerates nothing.
         assert str(exc.value) == (
@@ -339,3 +339,14 @@ class TestVerifyTrace:
             if step.chosen_group != min(kl, key=lambda g: (kl[g], g))
         }
         assert {v.position for v in report.violations} == disagreements
+
+    def test_smoothing_must_match_the_merge(self):
+        # A merge made with smoothing may hold a zero-mass group; checked
+        # without smoothing, the first step that scores that group raises.
+        target = GroupDistribution({G00: 1.0, G01: 0.0})
+        cands = synthetic_candidate_set({G00: 2, G01: 2})
+        _, trace = kl_greedy_merge(cands, target, 4, smoothing=True)
+        assert verify_trace(trace, target, smoothing=True).ok
+        with pytest.raises(ZeroTargetMassError) as exc:
+            verify_trace(trace, target)
+        assert exc.value.group == G01

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import runpy
 import shutil
 import statistics
 import subprocess
@@ -19,14 +20,16 @@ from fairlink.pipeline import (
     NAIVE,
     RunConfig,
     evaluate_ranking,
+    resolve_target,
     run_pipeline,
     run_single,
 )
 from fairlink.rerank import read_ranking
+from fairlink.scorers import GroupedCandidateSet
 from fairlink.synth import biased_block_graph, write_graph_files
 
-from conftest import G00, G01, G11
-from reference import eval_report, load_seed_report
+from conftest import G00, G01, G11, exactly
+from reference import eval_report, load_seed_report, ranking_from_groups
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +224,27 @@ class TestRunSingle:
             for row in report.per_k:
                 assert 0.0 <= row.ndkl <= report.bound + 1e-12
 
+    def test_at_k_of_a_missing_cutoff(self, dataset, tmp_path):
+        report = run_single(small_config(dataset, tmp_path), 3).reports[GREEDY]
+        with pytest.raises(KeyError, match="no metrics at k=7"):
+            report.at_k(7)
+
+    def test_unsupported_target_spec(self):
+        with pytest.raises(ConfigError, match=exactly("unsupported target spec 5")):
+            resolve_target(5, None)
+
+    def test_cutoffs_checked_before_any_metric(self, monkeypatch):
+        def curve(*args, **kwargs):
+            raise AssertionError("ndkl_curve ran before the cutoffs were checked")
+
+        monkeypatch.setattr(fairlink.pipeline, "ndkl_curve", curve)
+        ranking = ranking_from_groups([G00, G01, G00])
+        pool = GroupedCandidateSet.from_candidates(ranking.entries)
+        target = GroupDistribution({G00: 0.5, G01: 0.5})
+        message = "each cutoff must be an integer >= 1, got 0"
+        with pytest.raises(ConfigError, match=exactly(message)):
+            evaluate_ranking("ranked", ranking, pool, target, [0, 5])
+
     def test_empty_k_list_yields_global_metrics_only(self, dataset, tmp_path):
         config = small_config(dataset, tmp_path, k_list=())
         result = run_single(config, 3)
@@ -351,6 +375,139 @@ class TestEvalChecksTheRanking:
         code, err, wrote = self.run_eval(tmp_path, capsys, second)
         assert (code, wrote) == (3, False)
         assert err.startswith("data error: ") and message in err
+
+
+class TestBoundaryChecks:
+    """Each option check at the CLI boundary gives its exit code and message."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """A four-node graph and a two-entry ranking over its 0-0 and 0-1 groups."""
+        edges, attrs, ranking = tmp_path / "edges.tsv", tmp_path / "attrs.tsv", tmp_path / "r.tsv"
+        attrs.write_text("0\t0\n1\t0\n2\t1\n3\t1\n")
+        edges.write_text("0\t1\n1\t2\n2\t3\n")
+        ranking.write_text("1\t0\t1\t0-0\t0.9\t1\n2\t1\t2\t0-1\t0.5\t0\n")
+        return {"edges": edges, "attrs": attrs, "ranking": ranking, "out": tmp_path / "out"}
+
+    def run(self, capsys, *argv):
+        code = main([str(a) for a in argv])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def eval_argv(self, files, *extra):
+        return (
+            "eval", "--edges", files["edges"], "--attrs", files["attrs"],
+            "--ranking", files["ranking"], "--out", files["out"], *extra,
+        )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{not json", "cannot parse config {path}: Expecting property name enclosed in "
+                          "double quotes: line 1 column 2 (char 1)"),
+            ("[1, 2]", "config {path} must hold a JSON object"),
+            ('"0-0=1"', "config {path} must hold a JSON object"),
+        ],
+    )
+    def test_config_file_that_is_no_json_object(self, files, tmp_path, capsys, text, message):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code, _, err = self.run(capsys, *self.eval_argv(files, "--config", config))
+        assert (code, err) == (2, f"configuration error: {message.format(path=config)}\n")
+        assert not files["out"].exists()
+
+    @pytest.mark.parametrize("command", ["rerank", "eval"])
+    @pytest.mark.parametrize("target", [[0.5, 0.5], 5, True])
+    def test_config_target_of_another_type(self, files, tmp_path, capsys, command, target):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"target": target}))
+        code, _, err = self.run(capsys, command, "--config", config, "--out", files["out"])
+        assert (code, err) == (2, f"configuration error: unsupported target spec {target!r}\n")
+
+    def test_eval_with_no_cutoffs_reports_ap(self, files, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k": []}))
+        code, out, err = self.run(
+            capsys, *self.eval_argv(files, "--target", "0-0=0.5,0-1=0.5", "--config", config)
+        )
+        assert (code, out, err) == (0, "naive: ap=1.0000\nranked: ap=1.0000\n", "")
+        report = json.loads(files["out"].read_text())
+        assert all(method["per_k"] == [] for method in report["methods"].values())
+
+    @pytest.mark.parametrize("command, extra", [
+        ("gap", ()), ("oracle", ("--counts", "0-0=2,0-1=1")),
+    ])
+    def test_gap_and_oracle_need_an_explicit_target(self, files, capsys, command, extra):
+        code, _, err = self.run(
+            capsys, command, "--target", "empirical", *extra, "--out", files["out"]
+        )
+        message = f"{command} needs an explicit --target distribution"
+        assert (code, err) == (2, f"configuration error: {message}\n")
+
+    @pytest.mark.parametrize("given", ["--edges", "--attrs"])
+    def test_pipeline_needs_edges_and_attrs(self, files, capsys, given):
+        code, _, err = self.run(capsys, "pipeline", given, files["edges"], "--out", files["out"])
+        message = "pipeline needs --edges and --attrs (or config equivalents)"
+        assert (code, err) == (2, f"configuration error: {message}\n")
+        assert not files["out"].exists()
+
+    def test_oracle_needs_a_positive_count(self, files, capsys):
+        code, _, err = self.run(
+            capsys, "oracle", "--counts", "0-0=0,0-1=0", "--target", "0-0=1",
+            "--out", files["out"],
+        )
+        message = "at least one group must have a positive count"
+        assert (code, err) == (2, f"configuration error: {message}\n")
+
+    def test_gap_pool_of_a_zero_mass_group(self, files, capsys):
+        code, _, err = self.run(
+            capsys, "gap", "--target", "0-0=1,0-1=0", "--pools", "0-0=5,0-1=5",
+            "--k-grid", 5, "--out", files["out"],
+        )
+        message = "group 0-1 has zero target mass (enable smoothing or fix the target)"
+        assert (code, err) == (2, f"configuration error: {message}\n")
+        assert not files["out"].exists()
+
+    def test_pipeline_on_a_one_value_graph(self, tmp_path, capsys):
+        # Checked where the score gap is taken, after split, sampling, scoring
+        # and the merges: a graph with one attribute value has no inter pair.
+        edges, attrs = tmp_path / "edges.tsv", tmp_path / "attrs.tsv"
+        write_graph_files(biased_block_graph({0: 40}, {G00: 0.3}, seed=1), edges, attrs)
+        code, _, err = self.run(
+            capsys, "pipeline", "--edges", edges, "--attrs", attrs, "--repeats", 1,
+            "--k", 10, "--out", tmp_path / "out",
+        )
+        assert (code, err) == (3, "data error: score sequence for inter is empty\n")
+
+    def test_module_runs_as_a_script(self, capsys, monkeypatch):
+        # `python -m fairlink.cli` exits with main's status.
+        argv = ["fairlink", "oracle", "--counts", "0-0=0", "--target", "0-0=1", "--out", "o.json"]
+        monkeypatch.setattr(sys, "argv", argv)
+        monkeypatch.delitem(sys.modules, "fairlink.cli")  # run_module warns of a loaded module
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("fairlink.cli", run_name="__main__")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("configuration error: at least one group")
+
+    def test_a_failed_metric_self_check_is_an_internal_error(self, files, monkeypatch):
+        # A planted fault: every bound reads 0. The report's self-check raises an
+        # error that is no FairlinkError, so the CLI does not call it a
+        # configuration error.
+        monkeypatch.setattr(fairlink.pipeline, "ndkl_upper_bound", lambda target: 0.0)
+        with pytest.raises(AssertionError, match="exceeds the bound 0.0; metric bug"):
+            main([str(a) for a in self.eval_argv(files, "--target", "0-0=0.9,0-1=0.1")])
+        assert not files["out"].exists()
+
+    def test_a_failed_worst_case_self_check_is_an_internal_error(self, files, monkeypatch):
+        # A planted fault: the greedy ranking measures above the block ordering.
+        values = iter([0.5, 0.1])
+        monkeypatch.setattr(fairlink.rerank, "ndkl", lambda ranking, target: next(values))
+        with pytest.raises(AssertionError, match="the worst-case construction is broken"):
+            main([
+                "gap", "--target", "0-0=0.5,0-1=0.5", "--pools", "0-0=5,0-1=5",
+                "--k-grid", "4", "--out", str(files["out"]),
+            ])
+        assert not files["out"].exists()
 
 
 class TestCli:

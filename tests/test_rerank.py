@@ -6,10 +6,9 @@ import pytest
 
 from fairlink.errors import (
     ConfigError,
+    DataError,
     DuplicatePairError,
-    EmptyInputError,
     InfeasibleKError,
-    LambdaOutOfRangeError,
     MalformedLineError,
     SelfLoopError,
     ZeroTargetMassError,
@@ -19,6 +18,7 @@ from fairlink.graphs import GroupDistribution, GroupId, canonical_edge
 from fairlink.oracle import MultisetSpec, enumerate_ndkl_extremes, verify_trace
 from fairlink.rank_metrics import RelevanceVector, precision_at_k
 from fairlink.rerank import (
+    GapCurve,
     default_gap_pools,
     gap_experiment,
     gap_point,
@@ -33,7 +33,7 @@ from fairlink.rerank import (
 )
 from fairlink.scorers import GroupedCandidateSet, ScoredCandidate
 
-from conftest import G00, G01, G11
+from conftest import G00, G01, G11, exactly
 from reference import ranking_from_groups, reference_merge
 
 
@@ -127,8 +127,14 @@ class TestGreedyMerge:
         assert len(ranking) == 2
 
     def test_empty_input(self, uniform_pair_target):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match=exactly("candidate set is empty")):
             kl_greedy_merge(GroupedCandidateSet({}), uniform_pair_target, 1)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_output_size_below_one(self, uniform_pair_target, n):
+        cands = make_lists({G00: [1.0]})
+        with pytest.raises(ConfigError, match=exactly(f"output size must be >= 1, got {n}")):
+            kl_greedy_merge(cands, uniform_pair_target, n)
 
     def test_dominates_random_permutations_of_own_multiset(self, three_group_target):
         cands = synthetic_candidate_set({G00: 8, G01: 8, G11: 8})
@@ -190,7 +196,7 @@ class TestWeightedMerge:
 
     def test_lambda_validation(self, uniform_pair_target):
         cands = make_lists({G00: [1.0]})
-        with pytest.raises(LambdaOutOfRangeError):
+        with pytest.raises(ConfigError, match=exactly("weight must lie in [0, 1], got 1.5")):
             kl_greedy_merge_weighted(cands, uniform_pair_target, 1, 1.5)
 
 
@@ -340,6 +346,11 @@ class TestOptimalDpProportions:
         with pytest.raises(InfeasibleKError):
             optimal_dp_proportions(10, 4, 5)
 
+    @pytest.mark.parametrize("k, pool_intra, pool_inter", [(-1, 2, 2), (2, -1, 5), (2, 5, -1)])
+    def test_negative_count_rejected(self, k, pool_intra, pool_inter):
+        with pytest.raises(ConfigError, match=exactly("counts must be non-negative")):
+            optimal_dp_proportions(k, pool_intra, pool_inter)
+
 
 class TestWorstCaseRanking:
     def test_matches_brute_force_maximum(self, uniform_pair_target):
@@ -365,6 +376,16 @@ class TestWorstCaseRanking:
     def test_zero_mass_rejected(self):
         with pytest.raises(ZeroTargetMassError):
             worst_case_ranking({G00: 1}, GroupDistribution({G00: 0.0, G01: 1.0}))
+
+    def test_too_few_candidates_rejected(self, uniform_pair_target):
+        candidates = synthetic_candidate_set({G00: 2, G01: 2})
+        message = "k=3 exceeds available capacity 2"
+        with pytest.raises(InfeasibleKError, match=exactly(message)):
+            worst_case_ranking({G00: 3, G01: 1}, uniform_pair_target, candidates)
+
+    def test_synthetic_negative_count_rejected(self):
+        with pytest.raises(ConfigError, match=exactly("negative count for group 0-1")):
+            synthetic_candidate_set({G00: 2, G01: -1})
 
 
 class TestGapExperiment:
@@ -406,6 +427,11 @@ class TestGapExperiment:
     def test_non_integral_pool_rejected(self, three_group_target):
         with pytest.raises(ConfigError):
             gap_point(three_group_target, {G00: 30.5, G01: 20, G11: 10}, 10)
+
+    def test_greedy_above_worst_is_an_internal_fault(self):
+        # A planted fault: the self-check raises an error that is no FairlinkError.
+        with pytest.raises(AssertionError, match="the worst-case construction is broken"):
+            GapCurve((10,), greedy_ndkl=(0.5,), worst_ndkl=(0.1,), delta_dp=(0.0,), prec=(1.0,))
 
     def test_csv_layout(self, tmp_path, three_group_target):
         pools = {G00: 60, G01: 40, G11: 30}

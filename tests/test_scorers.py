@@ -5,11 +5,10 @@ import pytest
 
 from fairlink.errors import (
     ConfigError,
-    DimensionMismatchError,
+    DataError,
     DuplicatePairError,
     MalformedLineError,
     MissingAttributeError,
-    MissingEmbeddingError,
     SelfLoopError,
     UnknownNodeError,
 )
@@ -23,7 +22,7 @@ from fairlink.scorers import (
 )
 from fairlink.synth import biased_block_graph
 
-from conftest import G00, G01, G11
+from conftest import G00, G01, G11, exactly
 from reference import (
     adamic_adar,
     check_chain_candidates,
@@ -80,9 +79,9 @@ class TestEmbeddingDot:
 
     def test_missing_and_mismatch(self):
         emb = {0: (1.0,), 1: (1.0, 2.0)}
-        with pytest.raises(MissingEmbeddingError):
+        with pytest.raises(DataError, match=exactly("no embedding for node 9")):
             embedding_dot(emb, 0, 9)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DataError, match=exactly("embedding dimension mismatch: 1 vs 2")):
             embedding_dot(emb, 0, 1)
 
     def test_load_embeddings(self, tmp_path):
@@ -94,6 +93,18 @@ class TestEmbeddingDot:
         bad.write_text("2 3\n0 1.0\n")
         with pytest.raises(MalformedLineError):
             load_embeddings(bad)
+
+    @pytest.mark.parametrize(
+        "header, reason",
+        [("2\n", "expected header `n dim`"), ("\n", "expected header `n dim`"),
+         ("2 3 4\n", "expected header `n dim`"), ("2 x\n", "non-integer header")],
+    )
+    def test_bad_header(self, tmp_path, header, reason):
+        path = tmp_path / "emb.txt"
+        path.write_text(header + "0 1.0 0.0 2.0\n")
+        with pytest.raises(MalformedLineError, match=exactly(f"{path}:1: {reason}")) as exc:
+            load_embeddings(path)
+        assert exc.value.line_no == 1
 
 
 def mixed_graph() -> SensitiveGraph:
@@ -352,16 +363,26 @@ class TestKeyedCandidates:
             )
 
     @pytest.mark.parametrize(
-        "embeddings, error",
+        "embeddings, error, message",
         [
-            (None, ConfigError),
-            ({0: (1.0,), 1: (1.0,), 2: (1.0,)}, MissingEmbeddingError),
-            ({0: (1.0,), 1: (1.0, 2.0), 2: (1.0,), 4: (1.0,)}, DimensionMismatchError),
+            pytest.param(
+                None, ConfigError, "scorer 'embedding' requires embeddings", id="None-ConfigError"
+            ),
+            pytest.param(
+                {0: (1.0,), 1: (1.0,), 2: (1.0,)}, DataError, "no embedding for node 4",
+                id="embeddings1-MissingEmbeddingError",
+            ),
+            pytest.param(
+                {0: (1.0,), 1: (1.0, 2.0), 2: (1.0,), 4: (1.0,)},
+                DataError,
+                "embedding dimension mismatch: 1 vs 2",
+                id="embeddings2-DimensionMismatchError",
+            ),
         ],
     )
-    def test_embedding_errors_still_raise(self, embeddings, error):
+    def test_embedding_errors_still_raise(self, embeddings, error, message):
         # No vectors at all, none for node 4, or vectors of two lengths.
-        with pytest.raises(error):
+        with pytest.raises(error, match=exactly(message)):
             score_candidates(
                 self.GRAPH, {}, {G00: [(2, 4)], G11: [(0, 1)]}, "embedding",
                 decoupled=False, embeddings=embeddings,
