@@ -299,7 +299,7 @@ def cmd_pipeline(options: dict) -> int:
         options["target"] = parse_target(options["target"]).as_label_dict()
     if "edges_path" not in options or "attrs_path" not in options:
         raise ConfigError("pipeline needs --edges and --attrs (or config equivalents)")
-    summary = run_pipeline(RunConfig.from_dict(options))
+    summary = run_pipeline(RunConfig(**options))
     for result in summary.results:
         report = result.reports[GREEDY]
         print(f"seed {result.seed}: greedy {_top_line(report)} (bound {report.bound:.4f})")

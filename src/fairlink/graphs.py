@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 import random
-import threading
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,12 +61,6 @@ class GroupId(NamedTuple):
         return cls.of(int(lo), int(hi))
 
 
-# Guards every graph's lazily built adjacency. One lock for all graphs keeps
-# a graph copyable and picklable; the builds are pure Python, so the
-# interpreter lock would serialize them anyway.
-_ADJACENCY_LOCK = threading.Lock()
-
-
 def canonical_edge(u: int, v: int) -> Edge:
     return (u, v) if u <= v else (v, u)
 
@@ -75,14 +68,9 @@ def canonical_edge(u: int, v: int) -> Edge:
 class SensitiveGraph:
     """Undirected graph with a categorical sensitive attribute per node.
 
-    Immutable after construction and safe to share across concurrent
-    readers. Sorted edges per group and sorted nodes per value are
-    computed once, at construction; a subgraph reuses its parent's
-    attributes and groups. The adjacency of each group's edges, and the
-    pooled adjacency derived from those, are built on first use, under a
-    lock, so at most once per graph; each is published by one assignment
-    of a complete table. A graph used only for its groups builds no
-    adjacency.
+    Immutable after construction, and it keeps no adjacency. Sorted edges
+    per group and sorted nodes per value are computed once, at
+    construction; a subgraph reuses its parent's attributes and groups.
     """
 
     __slots__ = (
@@ -91,8 +79,6 @@ class SensitiveGraph:
         "sensitive",
         "_edge_groups",
         "_value_nodes",
-        "_group_adjacency",
-        "_adjacency",
     )
 
     def __init__(
@@ -125,28 +111,20 @@ class SensitiveGraph:
         """Store the non-empty groups' edges (given sorted) and the edge set; return the graph."""
         self._edge_groups = {g: bucket for g, bucket in grouped.items() if bucket}
         self.edges = frozenset(edges)
-        self._group_adjacency = self._adjacency = None
         return self
 
-    def adjacency(self, group: GroupId | None = None) -> Mapping[int, set[int]]:
+    def adjacency(self, group: GroupId | None = None) -> dict[int, set[int]]:
         """Neighbor sets by node, over ``group``'s edges alone or (``None``) all edges.
 
-        Nodes without such an edge are absent. Treat as read-only.
+        Nodes without such an edge are absent. Each call builds a fresh
+        table, which belongs to the caller.
         """
-        with _ADJACENCY_LOCK:
-            if self._group_adjacency is None:
-                self._group_adjacency = {
-                    g: _neighbor_sets(bucket) for g, bucket in self._edge_groups.items()
-                }
-            if group is not None:
-                return self._group_adjacency.get(group, {})
-            if self._adjacency is None:
-                pooled = defaultdict(set)
-                for table in self._group_adjacency.values():
-                    for node, neighbors in table.items():
-                        pooled[node] |= neighbors
-                self._adjacency = dict(pooled)
-            return self._adjacency
+        edges = self.edges if group is None else self._edge_groups.get(group, ())
+        table = defaultdict(set)
+        for a, b in edges:
+            table[a].add(b)
+            table[b].add(a)
+        return dict(table)
 
     def attribute(self, v: int) -> int:
         try:
@@ -184,14 +162,6 @@ class SensitiveGraph:
         # Filtering a sorted bucket keeps it sorted.
         grouped = {g: [e for e in b if e in subset] for g, b in self._edge_groups.items()}
         return copy.copy(self)._index(grouped, subset)
-
-
-def _neighbor_sets(edges: Iterable[Edge]) -> dict[int, set[int]]:
-    table = defaultdict(set)
-    for a, b in edges:
-        table[a].add(b)
-        table[b].add(a)
-    return dict(table)
 
 
 # One GroupId per ordered pair of attribute values, shared by every edge and

@@ -116,14 +116,6 @@ class RunConfig:
         elif self.target != "empirical":
             raise ConfigError(f"unsupported target spec {self.target!r}")
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RunConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
-
     def to_dict(self) -> dict:
         data = asdict(self)
         data["ratios"] = list(self.ratios)

@@ -133,10 +133,10 @@ def kl_greedy_merge(
     ``tie_break_used`` are those of scoring every group with it.
     """
     check_lambda(lam)
-    if n < 1:
-        raise ConfigError(f"output size must be >= 1, got {n}")
     if candidates.total() == 0:
         raise DataError("candidate set is empty")
+    if n < 1:
+        raise ConfigError(f"output size must be >= 1, got {n}")
     masses = target.smoothed() if smoothing else target
     groups = candidates.groups()
     lists = {g: candidates.lists[g] for g in groups}

@@ -196,15 +196,15 @@ def score_candidates(
         raise ConfigError("scorer 'embedding' requires embeddings")
 
     groups = sorted({*positives, *negatives})
+    # One scorer for every group, or (None) each group's own, over its own table.
+    shared = None
     if scorer == "embedding":
-        scores = dict.fromkeys(groups, lambda u, v: embedding_dot(embeddings, u, v))
-    elif decoupled:
-        scores = {group: _pair_scorer(scorer, graph.adjacency(group)) for group in groups}
-    else:
-        scores = dict.fromkeys(groups, _pair_scorer(scorer, graph.adjacency()))
+        shared = lambda u, v: embedding_dot(embeddings, u, v)
+    elif not decoupled:
+        shared = _pair_scorer(scorer, graph.adjacency())
     lists: dict[GroupId, list[ScoredCandidate]] = {}
     for group in groups:
-        score = scores[group]
+        score = shared or _pair_scorer(scorer, graph.adjacency(group))
         bucket = [
             tuple.__new__(ScoredCandidate, (u, v, score(u, v), group, relevant))
             for relevant, keyed in ((True, positives), (False, negatives))

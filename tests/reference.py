@@ -5,7 +5,8 @@ in the most direct code, shares no code with the function it models,
 and tests compare the two with ``==``. From the package a model takes
 only its record types, the error classes of ``fairlink.errors`` (the
 vocabulary both sides speak) and the steps it does not model, such as
-``edge_group`` or a graph's adjacency.
+``edge_group``; neighbor sets come from a graph's edges, not from its
+``adjacency``.
 
 It holds one model per quantity:
 
@@ -382,10 +383,10 @@ def reference_merge(candidates, target, n, lam=1.0, *, smoothing=False):
 
 
 def neighbors(graph: SensitiveGraph, v: int) -> set[int]:
-    """Neighbor set of ``v``; treat as read-only."""
+    """Neighbor set of ``v``, read from the graph's edges."""
     if not 0 <= v < graph.node_count:
         raise UnknownNodeError(v)
-    return graph.adjacency().get(v, set())
+    return {b if a == v else a for a, b in graph.edges if v in (a, b)}
 
 
 def common_neighbors(graph: SensitiveGraph, u: int, v: int) -> float:

@@ -7,7 +7,9 @@ name, an attribute or an imported name, read with ``ast``; docstrings,
 string literals and ``test_*.py`` files do not count. Slow reference
 models of the package's quantities belong in ``tests/reference.py``.
 Every exception class of ``errors.py`` must be raised or caught in
-``src/``, so that no class outlives its last use.
+``src/``, so that no class outlives its last use. Every private
+module-level function, class and constant of ``src/fairlink`` must be
+read (a load, not a definition or an import) somewhere in ``src/``.
 """
 
 import ast
@@ -117,3 +119,45 @@ def test_every_error_class_is_raised_or_caught():
     classes = [n.name for n in parse(PACKAGE / "errors.py").body if isinstance(n, ast.ClassDef)]
     assert {"FairlinkError", "ConfigError", "DataError", "InfeasibleError"} <= set(classes)
     assert [name for name in classes if name not in raised_or_caught()] == []
+
+
+def private_definitions() -> list[tuple[str, str]]:
+    """``(module.name, name)`` of each private module-level function, class and constant."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [
+                (f"{path.stem}.{name}", name)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+    return found
+
+
+def loaded_in_src() -> set[str]:
+    """Names and attributes that code in ``src/`` reads."""
+    names = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_private_definitions_are_found():
+    names = {name for _, name in private_definitions()}
+    assert {"_interned_group", "_check_number", "_PIPELINE_ALIASES", "_sort_key"} <= names
+
+
+def test_every_private_definition_is_read_in_src():
+    used = loaded_in_src()
+    assert [qualified for qualified, name in private_definitions() if name not in used] == []

@@ -71,13 +71,21 @@ def small_config(dataset, out_dir, **overrides) -> RunConfig:
 class TestRunConfig:
     def test_round_trip(self, dataset, tmp_path):
         config = small_config(dataset, tmp_path)
-        again = RunConfig.from_dict(config.to_dict())
+        again = RunConfig(**config.to_dict())
         assert again == config
         assert again.config_hash() == config.config_hash()
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict({"edges_path": "e", "attrs_path": "a", "bogus": 1})
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # The CLI is the one place a config object becomes a RunConfig: a key
+        # that is neither a field nor a flag name fails there, before any
+        # file is read, even when it is an option of another subcommand.
+        config, missing = tmp_path / "config.json", tmp_path / "missing.tsv"
+        for key in ("bogus", "n", "scores"):
+            config.write_text(json.dumps({key: 1}))
+            argv = ["pipeline", "--edges", missing, "--attrs", missing, "--config", config]
+            assert main([str(a) for a in argv]) == 2
+            message = f"configuration error: unknown pipeline config key {key!r}\n"
+            assert capsys.readouterr().err == message
 
     def test_bad_target_sum(self, dataset, tmp_path):
         with pytest.raises(ConfigError):
@@ -151,23 +159,6 @@ class TestRunSingle:
         run_single(small_config(dataset, tmp_path), seed=3, graph=graph)
         assert built[0].total() > 0
         assert calls == []
-
-    @pytest.mark.parametrize("decoupled", [True, False])
-    def test_graphs_read_for_groups_build_no_adjacency(self, dataset, tmp_path, monkeypatch, decoupled):
-        # Only the train graph is scored; the loaded graph is read for its
-        # group buckets alone.
-        graph = load_graph(dataset["edges"], dataset["attrs"])
-        trains = []
-        build = fairlink.pipeline.build_candidates
-        def recorded(config, graph, train_graph, *rest, **kwargs):
-            trains.append(train_graph)
-            return build(config, graph, train_graph, *rest, **kwargs)
-        monkeypatch.setattr(fairlink.pipeline, "build_candidates", recorded)
-        run_single(small_config(dataset, tmp_path, decoupled=decoupled), seed=3, graph=graph)
-        [train] = trains
-        assert graph._group_adjacency is None and graph._adjacency is None
-        assert train._group_adjacency is not None
-        assert (train._adjacency is None) == decoupled
 
     def test_seconds_time_each_stage_in_chain_order(self, dataset, tmp_path):
         config = small_config(dataset, tmp_path)
@@ -399,6 +390,30 @@ class TestBoundaryChecks:
             "eval", "--edges", files["edges"], "--attrs", files["attrs"],
             "--ranking", files["ranking"], "--out", files["out"], *extra,
         )
+
+    @pytest.mark.parametrize("n", [(), ("--n", 5)])
+    def test_rerank_of_a_score_file_with_no_pair(self, files, tmp_path, capsys, n):
+        # The empty candidate set is the fault with or without --n.
+        scores, test = tmp_path / "scores.tsv", tmp_path / "test.tsv"
+        scores.write_text("# no pair\n")
+        test.write_text("")
+        code, _, err = self.run(
+            capsys, "rerank", "--edges", files["edges"], "--attrs", files["attrs"],
+            "--test", test, "--scores", scores, "--target", "0-0=0.5,0-1=0.5",
+            "--out", files["out"], *n,
+        )
+        assert (code, err) == (3, "data error: candidate set is empty\n")
+        assert not files["out"].exists()
+
+    def test_rerank_output_size_checked_before_any_file_is_read(self, files, tmp_path, capsys):
+        missing = tmp_path / "missing.tsv"
+        code, _, err = self.run(
+            capsys, "rerank", "--edges", missing, "--attrs", missing, "--test", missing,
+            "--scores", missing, "--target", "0-0=1", "--out", files["out"], "--n", 0,
+        )
+        message = "configuration error: output size must be an integer >= 1, got 0\n"
+        assert (code, err) == (2, message)
+        assert not files["out"].exists()
 
     @pytest.mark.parametrize(
         "text, message",
