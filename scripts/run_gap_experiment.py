@@ -40,7 +40,6 @@ def main() -> int:
     args = parser.parse_args()
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, masses in REFERENCE_PROPORTIONS.items():
         target = GroupDistribution(masses)
         curve = gap_experiment(target, default_gap_pools(target, args.k_grid), args.k_grid)

@@ -81,7 +81,6 @@ def main() -> int:
         graph = synthetic_graph(args.nodes, args.seed)
     except ConfigError as exc:
         parser.error(f"--nodes: {exc}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_graph_files(graph, edges, attrs)
     print(f"generated graph: {graph.node_count} nodes, {len(graph.edges)} edges")
 

@@ -221,11 +221,13 @@ def cmd_rerank(options: dict) -> int:
     test = read_edge_list(_require(options, "test"))
     candidates = ingest_scores(_require(options, "scores"), graph, test)
     target = _target(options, spec, graph)
+    if smoothing:
+        target = target.smoothed()
     n = n or candidates.total()
-    ranking, _ = kl_greedy_merge(candidates, target, n, lam, smoothing=smoothing)
+    ranking, _ = kl_greedy_merge(candidates, target, n, lam)
     out = _require(options, "out")
     write_ranking(out, ranking)
-    value = ndkl(ranking, target, smoothing=smoothing)
+    value = ndkl(ranking, target)
     print(f"wrote {out} ({len(ranking)} entries, ndkl={value:.4f})")
     return 0
 

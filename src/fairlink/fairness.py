@@ -102,20 +102,16 @@ def position_discount(k: int) -> float:
 
 
 def ndkl_curve(
-    ranking: Ranking,
-    target: GroupDistribution,
-    k_max: int | None = None,
-    *,
-    smoothing: bool = False,
+    ranking: Ranking, target: GroupDistribution, k_max: int | None = None
 ) -> list[float]:
     """``ndkl`` at every cutoff k = 1..k_max (default: the whole ranking).
 
     One pass over the prefix; entry k-1 is ``ndkl(ranking, target, k)``.
-    With ``smoothing`` the target is ``target.smoothed()``. The groups
-    seen so far are kept sorted, and each prefix's divergence sums
-    q ln(q/p) over them in that order, as ``kl_divergence`` does, so
+    The groups seen so far are kept sorted, and each prefix's divergence
+    sums q ln(q/p) over them in that order, as ``kl_divergence`` does, so
     every value is the one it gives. A group of zero target mass raises
-    ``ZeroTargetMassError`` at the first prefix that holds it.
+    ``ZeroTargetMassError`` at the first prefix that holds it; pass
+    ``target.smoothed()`` to give every listed group a tiny mass.
     """
     if len(ranking) == 0:
         raise EmptyRankingError()
@@ -123,7 +119,7 @@ def ndkl_curve(
     if not 1 <= limit <= len(ranking):
         raise KOutOfRangeError(limit, len(ranking))
 
-    target_masses = _masses(target.smoothed() if smoothing else target)
+    target_masses = _masses(target)
     counts: dict[GroupId, int] = {}
     seen: list[GroupId] = []
     weighted = 0.0
@@ -148,13 +144,7 @@ def ndkl_curve(
     return curve
 
 
-def ndkl(
-    ranking: Ranking,
-    target: GroupDistribution,
-    k_max: int | None = None,
-    *,
-    smoothing: bool = False,
-) -> float:
+def ndkl(ranking: Ranking, target: GroupDistribution, k_max: int | None = None) -> float:
     """Discount-weighted average divergence of prefix proportions from target.
 
     Sums kl_divergence(prefix_k, target) * 1/log2(k+1) over positions
@@ -162,7 +152,7 @@ def ndkl(
     the discounts, so the result depends only on the top-k_max entries.
     It is the last entry of ``ndkl_curve``.
     """
-    return ndkl_curve(ranking, target, k_max, smoothing=smoothing)[-1]
+    return ndkl_curve(ranking, target, k_max)[-1]
 
 
 def ndkl_upper_bound(target: GroupDistribution) -> float:

@@ -191,12 +191,7 @@ class TraceVerification:
 KL_TOLERANCE = 1e-9
 
 
-def verify_trace(
-    trace: AggregationTrace,
-    target: GroupDistribution,
-    *,
-    smoothing: bool = False,
-) -> TraceVerification:
+def verify_trace(trace: AggregationTrace, target: GroupDistribution) -> TraceVerification:
     """Re-check every step of a merge against the merge's own rule.
 
     Only the inputs the trace carries are trusted, its candidate lists and
@@ -207,8 +202,9 @@ def verify_trace(
     A step is a violation when the chosen group had no candidate left,
     the chosen candidate is not its group's head, or the chosen group's
     objective is worse than the best by more than ``KL_TOLERANCE``.
+    ``target`` is the one the merge was given: for a merge made with
+    ``target.smoothed()``, pass ``target.smoothed()`` here too.
     """
-    masses = target.smoothed() if smoothing else target
     lam, lists = trace.lam, trace.candidates.lists
     ranges = {g: (max(c.score for c in b), min(c.score for c in b)) for g, b in lists.items() if b}
     counts: Counter[GroupId] = Counter()
@@ -219,7 +215,7 @@ def verify_trace(
             head = counts[g]
             if head < len(lists[g]):
                 shat = 1.0 if high == low else (lists[g][head].score - low) / (high - low)
-                kl = _prefix_kl({**counts, g: head + 1}, t, masses)
+                kl = _prefix_kl({**counts, g: head + 1}, t, target)
                 objective[g] = lam * kl + (1.0 - lam) * (1.0 - shat)
         group = step.chosen_group
         best = min(objective, key=lambda g: (objective[g], g), default=group)

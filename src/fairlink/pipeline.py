@@ -117,10 +117,7 @@ class RunConfig:
             raise ConfigError(f"unsupported target spec {self.target!r}")
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["ratios"] = list(self.ratios)
-        data["k_list"] = list(self.k_list)
-        return data
+        return asdict(self)
 
     def config_hash(self) -> str:
         """Hash of the options as given, out_dir aside.
@@ -167,16 +164,7 @@ class EvalReport:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "per_k": [asdict(row) for row in self.per_k],
-            "ap": self.ap,
-            "delta_dp_selection": self.delta_dp_selection,
-            "delta_dp_score": self.delta_dp_score,
-            "delta_max": self.delta_max,
-            "target": self.target,
-            "bound": self.bound,
-        }
+        return asdict(self)
 
     def at_k(self, k: int) -> MetricsAtK:
         for row in self.per_k:
@@ -277,9 +265,12 @@ def evaluate_ranking(
     computed; cutoffs beyond the ranking length are clamped. The parity
     diagnostics are pool-level where the definition demands it
     (score-mean forms), and top-k based for the selection-rate form.
+    The report names ``target`` as given; with ``smoothing`` the
+    divergences and their bound are measured against ``target.smoothed()``.
     """
     k_list = check_cutoffs(k_list)
-    return _evaluate(method, ranking, pool_statistics(candidates), target, k_list, smoothing)
+    measured = target.smoothed() if smoothing else target
+    return _evaluate(method, ranking, pool_statistics(candidates), target, measured, k_list)
 
 
 def _evaluate(
@@ -287,18 +278,19 @@ def _evaluate(
     ranking: Ranking,
     pool: tuple,
     target: GroupDistribution,
+    measured: GroupDistribution,
     k_list: Sequence[int],
-    smoothing: bool,
 ) -> EvalReport:
     """``evaluate_ranking`` on the pool's ``pool_statistics``, which its rankings share.
 
-    ``k_list`` holds checked cutoffs (``check_cutoffs``).
+    The report names ``target``; divergences are measured against
+    ``measured``. ``k_list`` holds checked cutoffs (``check_cutoffs``).
     """
     pool_sizes, class_scores, group_scores, total_positives = pool
     rel = RelevanceVector.from_ranking(ranking, total_positives)
 
     cutoffs = list(dict.fromkeys(min(k, len(ranking)) for k in k_list))
-    curve = ndkl_curve(ranking, target, max(cutoffs), smoothing=smoothing) if cutoffs else []
+    curve = ndkl_curve(ranking, measured, max(cutoffs)) if cutoffs else []
     rows = [
         MetricsAtK(
             k=k,
@@ -313,7 +305,6 @@ def _evaluate(
 
     # With no cutoffs requested the parity gap is taken over the whole ranking.
     k_top = rows[-1].k if rows else len(ranking)
-    bound_target = target.smoothed() if smoothing else target.positive()
     return EvalReport(
         method=method,
         per_k=tuple(rows),
@@ -322,7 +313,7 @@ def _evaluate(
         delta_dp_score=delta_dp_score(class_scores[INTRA], class_scores[INTER]),
         delta_max=delta_max(group_scores),
         target=target.as_label_dict(),
-        bound=ndkl_upper_bound(bound_target),
+        bound=ndkl_upper_bound(measured.positive()),
     )
 
 
@@ -352,21 +343,20 @@ def run_single(
     lap("split")
     train_graph = split.train_graph(graph)
     target = resolve_target(config.target, train_graph)
+    measured = target.smoothed() if config.smoothing else target
     lap("subgraphs")
     candidates = build_candidates(
         config, graph, train_graph, split.slices["test"], seed, embeddings=embeddings, lap=lap
     )
 
     n = config.output_size or min(candidates.total(), max(config.k_list, default=candidates.total()))
-    greedy_ranking, _ = kl_greedy_merge(
-        candidates, target, n, config.lam, smoothing=config.smoothing
-    )
+    greedy_ranking, _ = kl_greedy_merge(candidates, measured, n, config.lam)
     naive_ranking = merge_by_score(candidates, n)
     lap("merges")
 
     pool = pool_statistics(candidates)
     reports = {
-        name: _evaluate(name, ranking, pool, target, config.k_list, config.smoothing)
+        name: _evaluate(name, ranking, pool, target, measured, config.k_list)
         for name, ranking in ((GREEDY, greedy_ranking), (NAIVE, naive_ranking))
     }
     lap("evaluation")

@@ -117,8 +117,6 @@ def kl_greedy_merge(
     target: GroupDistribution,
     n: int,
     lam: float = 1.0,
-    *,
-    smoothing: bool = False,
 ) -> tuple[Ranking, AggregationTrace]:
     """Merge per-group lists by the per-step objective lam*KL + (1-lam)*(1-shat).
 
@@ -126,6 +124,8 @@ def kl_greedy_merge(
     within-group normalized score; lam=1 is the pure divergence greedy.
     Ties prefer the higher shat, then the lower group id. Returns the
     ranking (length min(n, total candidates)) and the per-step trace.
+    A non-empty group of zero target mass raises ``ZeroTargetMassError``;
+    pass ``target.smoothed()`` to give every listed group a tiny mass.
 
     Each position costs O(G) for G groups: KL comes from the closed form
     (module docstring), and only groups within ``NEAR_TIE`` of the best
@@ -135,19 +135,17 @@ def kl_greedy_merge(
     check_lambda(lam)
     if candidates.total() == 0:
         raise DataError("candidate set is empty")
-    if n < 1:
-        raise ConfigError(f"output size must be >= 1, got {n}")
-    masses = target.smoothed() if smoothing else target
+    _check_number(n, "output size", integer=True, minimum=1)
     groups = candidates.groups()
     lists = {g: candidates.lists[g] for g in groups}
     for g in groups:
-        if lists[g] and masses.mass(g) <= 0.0:
+        if lists[g] and target.mass(g) <= 0.0:
             raise ZeroTargetMassError(g)
     available = [g for g in groups if lists[g]]
     normalized = {g: _normalized_scores(lists[g]) for g in available}
     # counts[g] items of g are placed, so it is also the index of g's head.
     counts: dict[GroupId, int] = {g: 0 for g in groups}
-    log_mass = {g: math.log(masses.mass(g)) for g in available}
+    log_mass = {g: math.log(target.mass(g)) for g in available}
     # delta[g] is what S gains when g gets one more item; rest[g] is the
     # head's score term.
     delta = {g: -log_mass[g] for g in available}
@@ -176,7 +174,7 @@ def kl_greedy_merge(
                     for h, c in counts.items()
                     if c > 0 or h == g
                 }
-                objectives[g] = lam * kl_divergence(fractions, masses) + rest[g]
+                objectives[g] = lam * kl_divergence(fractions, target) + rest[g]
             # Ties on the objective prefer the better-scored head, then the
             # lower group id, keeping the merge fully deterministic.
             best_group = min(near, key=lambda g: (objectives[g], -normalized[g][counts[g]], g))
@@ -247,14 +245,11 @@ def optimal_dp_proportions(k: int, pool_intra: int, pool_inter: int) -> tuple[in
 # --- synthetic candidates and worst-case construction ---------------------------
 
 
-def synthetic_candidate_set(
-    group_counts: Mapping[GroupId, int],
-    *,
-    relevant: bool = True,
-) -> GroupedCandidateSet:
+def synthetic_candidate_set(group_counts: Mapping[GroupId, int]) -> GroupedCandidateSet:
     """Fabricated candidates with the requested count per group.
 
-    Pairs are fresh synthetic node ids; scores descend within each group.
+    Pairs are fresh synthetic node ids; scores descend within each group,
+    and every candidate is relevant.
     Useful wherever only the group labels matter (worst-case rankings,
     gap experiments, oracle cross-checks).
     """
@@ -268,37 +263,27 @@ def synthetic_candidate_set(
         for i in range(count):
             u, v = next_node, next_node + 1
             next_node += 2
-            bucket.append(ScoredCandidate(u, v, 1.0 - i / (count + 1), group, relevant))
+            bucket.append(ScoredCandidate(u, v, 1.0 - i / (count + 1), group, True))
         lists[group] = bucket
     return GroupedCandidateSet(lists)
 
 
-def worst_case_ranking(
-    group_counts: Mapping[GroupId, int],
-    target: GroupDistribution,
-    candidates: GroupedCandidateSet | None = None,
-) -> Ranking:
+def worst_case_ranking(group_counts: Mapping[GroupId, int], target: GroupDistribution) -> Ranking:
     """Block ordering, a heuristic for the worst prefix divergence at fixed proportions.
 
     Emits each group as a contiguous block, rarest target mass first, so
     early prefixes are dominated by the most over-exposed group. Its NDKL
     never exceeds the exact maximum but often falls short of it (see the
-    oracle): it is a lower bound on the true worst case.
+    oracle): it is a lower bound on the true worst case. Its entries are
+    those of ``synthetic_candidate_set(group_counts)``.
     """
     positive_counts = {g: c for g, c in group_counts.items() if c > 0}
     for group in positive_counts:
         if target.mass(group) <= 0.0:
             raise ZeroTargetMassError(group)
     order = sorted(positive_counts, key=lambda g: (target.mass(g), g))
-    entries: list[ScoredCandidate] = []
-    if candidates is None:
-        candidates = synthetic_candidate_set(positive_counts)
-    for group in order:
-        bucket = candidates.lists.get(group, [])
-        if len(bucket) < positive_counts[group]:
-            raise InfeasibleKError(positive_counts[group], len(bucket))
-        entries.extend(bucket[: positive_counts[group]])
-    return Ranking(tuple(entries))
+    lists = synthetic_candidate_set(positive_counts).lists
+    return Ranking(tuple(entry for group in order for entry in lists[group]))
 
 
 # --- gap experiment --------------------------------------------------------------
@@ -308,9 +293,7 @@ def worst_case_ranking(
 class GapPoint:
     """One cutoff of the gap experiment: both rankings, shared statistics."""
 
-    k: int
     group_counts: dict[GroupId, int]
-    intra_selected: int
     delta_dp: float
     greedy: Ranking
     worst: Ranking
@@ -391,17 +374,9 @@ def gap_point(target: GroupDistribution, pools: Mapping[GroupId, int], k: int) -
             if part > 0:
                 group_counts[group] = part
 
-    candidates = synthetic_candidate_set(group_counts)
-    greedy, _ = kl_greedy_merge(candidates, target, n=k)
-    worst = worst_case_ranking(group_counts, target, candidates=candidates)
-    return GapPoint(
-        k=k,
-        group_counts=group_counts,
-        intra_selected=x,
-        delta_dp=gap,
-        greedy=greedy,
-        worst=worst,
-    )
+    greedy, _ = kl_greedy_merge(synthetic_candidate_set(group_counts), target, n=k)
+    worst = worst_case_ranking(group_counts, target)
+    return GapPoint(group_counts=group_counts, delta_dp=gap, greedy=greedy, worst=worst)
 
 
 def default_gap_pools(target: GroupDistribution, k_grid: Sequence[int]) -> dict[GroupId, int]:

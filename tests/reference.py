@@ -340,13 +340,12 @@ def reference_extremes(spec: MultisetSpec, target: GroupDistribution) -> Extreme
 # --- the merge -------------------------------------------------------------------
 
 
-def reference_merge(candidates, target, n, lam=1.0, *, smoothing=False):
+def reference_merge(candidates, target, n, lam=1.0):
     """The merge with every available group scored at every position.
 
     Returns the entries, the trace steps (position, group, candidate,
     tie) and whether the output was truncated.
     """
-    masses = target.smoothed() if smoothing else target
     groups = candidates.groups()
     lists = {g: candidates.lists[g] for g in groups}
     normalized = {g: [] for g in groups}
@@ -366,7 +365,7 @@ def reference_merge(candidates, target, n, lam=1.0, *, smoothing=False):
             break
         objectives = {}
         for g in available:
-            kl = prefix_divergence({**counts, g: counts[g] + 1}, t, masses)
+            kl = prefix_divergence({**counts, g: counts[g] + 1}, t, target)
             shat = normalized[g][heads[g]]
             objectives[g] = lam * kl + (1.0 - lam) * (1.0 - shat)
         best = min(available, key=lambda g: (objectives[g], -normalized[g][heads[g]], g))

@@ -135,7 +135,7 @@ class TestNdkl:
         target = GroupDistribution({G00: 1.0, G01: 0.0})
         with pytest.raises(ZeroTargetMassError):
             ndkl(ranking_from_groups([G01]), target)
-        assert ndkl(ranking_from_groups([G01]), target, smoothing=True) > 0
+        assert ndkl(ranking_from_groups([G01]), target.smoothed()) > 0
 
     def test_k_max_validation(self, uniform_pair_target):
         ranking = ranking_from_groups([G00, G01])
@@ -154,17 +154,17 @@ class TestNdklCurve:
         targets = [three_group_target, GroupDistribution({G00: 0.5, G01: 0.5, G11: 0.0})]
         for target in targets:
             groups = [g for g in (G00, G01, G11) if smoothing or target.mass(g) > 0]
+            masses = target.smoothed() if smoothing else target
             for _ in range(30):
                 ranking = ranking_from_groups(
                     [rnd.choice(groups) for _ in range(rnd.randint(1, 40))]
                 )
-                curve = ndkl_curve(ranking, target, smoothing=smoothing)
+                curve = ndkl_curve(ranking, masses)
                 assert len(curve) == len(ranking)
                 labels = ranking.group_sequence()
-                masses = target.smoothed() if smoothing else target
                 for k, value in enumerate(curve, start=1):
                     assert value == sequence_ndkl(labels[:k], masses)
-                    assert value == ndkl(ranking, target, k_max=k, smoothing=smoothing)
+                    assert value == ndkl(ranking, masses, k_max=k)
 
     @pytest.mark.parametrize("smoothing", [False, True])
     def test_twenty_one_groups_equal_the_per_cutoff_loop(self, smoothing):
@@ -178,13 +178,13 @@ class TestNdklCurve:
         weights = [0.0] + [rnd.random() for _ in groups[1:]]
         target = GroupDistribution({g: w / math.fsum(weights) for g, w in zip(groups, weights)})
         drawn = groups if smoothing else groups[1:]
+        masses = target.smoothed() if smoothing else target
         for _ in range(5):
             ranking = ranking_from_groups(
                 rnd.choices(drawn, weights=range(1, len(drawn) + 1), k=rnd.randint(50, 300))
             )
-            curve = ndkl_curve(ranking, target, smoothing=smoothing)
+            curve = ndkl_curve(ranking, masses)
             labels = ranking.group_sequence()
-            masses = target.smoothed() if smoothing else target
             assert curve == [sequence_ndkl(labels[:k], masses) for k in range(1, len(labels) + 1)]
 
     def test_zero_mass_group_raises_where_it_first_appears(self):

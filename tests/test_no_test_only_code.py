@@ -10,6 +10,10 @@ Every exception class of ``errors.py`` must be raised or caught in
 ``src/``, so that no class outlives its last use. Every private
 module-level function, class and constant of ``src/fairlink`` must be
 read (a load, not a definition or an import) somewhere in ``src/``.
+Every keyword-only parameter with a default, of a public function or of
+a public method of a public class, must be passed by name to a call of
+that function or method in ``src/``, ``scripts/`` or ``perfbench/``: a
+default that no caller varies is a constant.
 """
 
 import ast
@@ -161,3 +165,55 @@ def test_private_definitions_are_found():
 def test_every_private_definition_is_read_in_src():
     used = loaded_in_src()
     assert [qualified for qualified, name in private_definitions() if name not in used] == []
+
+
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def keyword_defaults() -> list[tuple[str, str, str]]:
+    """``(module.name, name, parameter)`` of each keyword-only parameter with a
+    default, of a public function or of a public method of a public class."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        functions = []
+        for node in parse(path).body:
+            if isinstance(node, FUNCTION):
+                functions.append((node.name, node))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                methods = [f for f in node.body if isinstance(f, FUNCTION)]
+                functions += [(f"{node.name}.{f.name}", f) for f in methods]
+        for qualified, function in functions:
+            if function.name.startswith("_"):
+                continue
+            args = function.args
+            found += [
+                (f"{path.stem}.{qualified}", function.name, arg.arg)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            ]
+    return found
+
+
+def keywords_passed() -> set[tuple[str, str]]:
+    """``(callee, keyword)`` of each keyword argument of a call outside the tests."""
+    passed = set()
+    for folder in CALLERS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
+            for node in ast.walk(parse(path)):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    passed.update((callee, k.arg) for k in node.keywords if k.arg)
+    return passed
+
+
+def test_keyword_defaults_are_found():
+    found = {(name, parameter) for _, name, parameter in keyword_defaults()}
+    assert {("enumerate_ndkl_extremes", "guard"), ("evaluate_ranking", "smoothing")} <= found
+
+
+def test_every_keyword_default_is_passed_by_name_outside_the_tests():
+    passed = keywords_passed()
+    unused = [f"{q}({p})" for q, name, p in keyword_defaults() if (name, p) not in passed]
+    assert unused == []

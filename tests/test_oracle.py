@@ -341,12 +341,13 @@ class TestVerifyTrace:
         assert {v.position for v in report.violations} == disagreements
 
     def test_smoothing_must_match_the_merge(self):
-        # A merge made with smoothing may hold a zero-mass group; checked
-        # without smoothing, the first step that scores that group raises.
+        # A merge made against the smoothed target may hold a zero-mass
+        # group; checked against the target as given, the first step that
+        # scores that group raises.
         target = GroupDistribution({G00: 1.0, G01: 0.0})
         cands = synthetic_candidate_set({G00: 2, G01: 2})
-        _, trace = kl_greedy_merge(cands, target, 4, smoothing=True)
-        assert verify_trace(trace, target, smoothing=True).ok
+        _, trace = kl_greedy_merge(cands, target.smoothed(), 4)
+        assert verify_trace(trace, target.smoothed()).ok
         with pytest.raises(ZeroTargetMassError) as exc:
             verify_trace(trace, target)
         assert exc.value.group == G01

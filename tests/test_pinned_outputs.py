@@ -3,8 +3,10 @@
 A small CLI session (split, score three ways, rerank at two weights,
 eval, pipeline) runs on a graph generated with the standard library's
 ``random`` only, so the input does not depend on numpy's generator
-stream. A second session runs the oracle on two multisets, one of them
-at the enumeration guard. Every output file is hashed with its
+stream. A second session reranks, evaluates and runs the pipeline on the
+same graph with ``--smoothing``, against a target that gives the groups
+of attribute value 2 no mass. A third session runs the oracle on two
+multisets, one of them at the enumeration guard. Every output file is hashed with its
 timestamp blanked and compared with the pinned digests below. A
 refactor that must not change outputs keeps this test green; a change
 that is meant to alter outputs re-pins the digests and says so.
@@ -45,6 +47,35 @@ PINNED = {
     "scores_cn.tsv": "025c61502250e866abe38ca4fede0b407d2b0ca12bb0710ddb1c988877ad1334",
     "scores_coupled.tsv": "28a5705caa4c7eca3d32115cda4a9f5bd598afa94bc38cdc56432e9a467783ce",
     "scores_decoupled.tsv": "b072b5c4bb3b077017f01a989fb0503e59537e2e7e5366ca04bce9e0ab3a08f7",
+    "split/split.json": "c55e60cb9f10e326b2e0e217f8ab20a21e89ecaef1eda1e07078f76aa9cc5dc4",
+    "split/test.tsv": "57a0bea20a328e37cf85cbec0e1f81cb33b3d8d54827b9c7c0cc333bb1313a21",
+    "split/train.tsv": "4ddac38a272df7be571acd1c6cc17db894e28262a336e67075a97b6170d4fd36",
+    "split/valid.tsv": "f2e88d81a71a5bc1e15a1beea49f7170914833ccf544ab492080010fdfa2efba",
+}
+
+
+PINNED_SMOOTHING = {
+    "eval.json": "baaea96ed27b67dd4212355aaebddb549e998fe6ccb62c120a012bdb21cfa2d6",
+    "ranking_lam06.tsv": "d76f8d0c02b42b9455a593235d3ccc6cf9c04e2a096c106982ed1297c2a14701",
+    "ranking_lam1.tsv": "c1a7dadd26f9e7c7ab8f8ecf02366e66d9f446d38d5b0eecfe99978341b88f9b",
+    "runs/config.json": "b48b8c692cf817adc8737207a8f656c01c6c49d3c5b45ff36ae9fdca7e70c1fa",
+    "runs/proportions.csv": "2707b128e0c06c4416ce01eeea3f4a9f2d62cce843f533406839f78ac659f66b",
+    "runs/seed_0/ranking_greedy.tsv": "b234d505d80a31efa14ecc5b19bc9213ece97a8b1967e877768b9f5f44657b14",
+    "runs/seed_0/ranking_naive.tsv": "4df4a4aff537564fc214fb31aaecb6f6fa4fd3cef1f3c4e702456b624c381069",
+    "runs/seed_0/report.json": "c6ddb11356b6a7d38e531132d4019d79f4db5d41fc2cab17fde4d3e9b0e30068",
+    "runs/seed_0/split/split.json": "e4ba7fae8804ca72a71146b4c29ee6bab8e242b989686c51f1f2ea4bdc1d57fd",
+    "runs/seed_0/split/test.tsv": "e83a5c94bf2f6af1b3c67c3e9e7ef8a4401c7fa0adf056c67896b51b2497158a",
+    "runs/seed_0/split/train.tsv": "ce3e6cdef6040d4442cd27755bbfc3c1b064a89d6b184f2fc3a4bf9088b8384c",
+    "runs/seed_0/split/valid.tsv": "3872d4ba165938d181d74ae1735e1b513985bb82fb9c308c668fc5ae996a9f42",
+    "runs/seed_1/ranking_greedy.tsv": "2bd229d53580dc120ee44e1b753e8f1fa8e65f85f18c3de4cbadee68cb2a904d",
+    "runs/seed_1/ranking_naive.tsv": "e24fe6cbaa71404b9eb59edbbcd09d322546b15f9cd0a80e700c790a5a1def3e",
+    "runs/seed_1/report.json": "bb6ddf05db926f992888b239d78e53e5811f657d9e2c3aa7346b1fe9f369d68b",
+    "runs/seed_1/split/split.json": "04306abb5a836d7450776d2e8f6a76b3fb33e96acdc54b85ef1c8f5685c50854",
+    "runs/seed_1/split/test.tsv": "15bcf04132339353cfd9a9579e777eb570a6c3da0a0eb99ab102288978c653f3",
+    "runs/seed_1/split/train.tsv": "e8e05918c3d37cd186dd256267ddcc1488630baeb37b58a2511674c11a956005",
+    "runs/seed_1/split/valid.tsv": "560fa0b30d5eb97c8a92cae86013149c5b60aade898bb9d11b65115b32be3757",
+    "runs/summary.csv": "367630936adae8e16a70faee700fd0b75f373fbf8984e4ac464cea08c464c9d2",
+    "scores.tsv": "b072b5c4bb3b077017f01a989fb0503e59537e2e7e5366ca04bce9e0ab3a08f7",
     "split/split.json": "c55e60cb9f10e326b2e0e217f8ab20a21e89ecaef1eda1e07078f76aa9cc5dc4",
     "split/test.tsv": "57a0bea20a328e37cf85cbec0e1f81cb33b3d8d54827b9c7c0cc333bb1313a21",
     "split/train.tsv": "4ddac38a272df7be571acd1c6cc17db894e28262a336e67075a97b6170d4fd36",
@@ -102,6 +133,27 @@ def session_digests(root: Path) -> dict[str, str]:
     return output_digests(root)
 
 
+def smoothing_digests(root: Path) -> dict[str, str]:
+    graph = ("--edges", "edges.tsv", "--attrs", "attrs.tsv")
+    target = ("--target", "0-0=0.5,0-1=0.2,1-1=0.3,0-2=0,1-2=0,2-2=0", "--smoothing")
+    run("split", *graph, "--seed", 7, "--out", "split")
+    run(
+        "score", *graph, "--train", "split/train.tsv", "--test", "split/test.tsv",
+        "--seed", 7, "--out", "scores.tsv",
+    )
+    for lam, name in ((1.0, "ranking_lam1.tsv"), (0.6, "ranking_lam06.tsv")):
+        run(
+            "rerank", *graph, *target, "--test", "split/test.tsv", "--scores", "scores.tsv",
+            "--n", 80, "--lam", lam, "--out", name,
+        )
+    run(
+        "eval", *graph, *target, "--ranking", "ranking_lam1.tsv", "--k", 10, 40, 80,
+        "--out", "eval.json",
+    )
+    run("pipeline", *graph, *target, "--lam", 0.7, "--repeats", 2, "--out", "runs")
+    return output_digests(root)
+
+
 def oracle_digests(root: Path) -> dict[str, str]:
     # A uniform target over two equal counts ties every ordering with its
     # mirror image, so the first-found argmin/argmax rule is pinned too.
@@ -133,6 +185,13 @@ def test_cli_outputs_match_pinned_digests(tmp_path, monkeypatch):
     write_graph(tmp_path)
     digests = session_digests(tmp_path)
     assert digests == PINNED
+
+
+def test_smoothed_outputs_match_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+    write_graph(tmp_path)
+    assert smoothing_digests(tmp_path) == PINNED_SMOOTHING
 
 
 def test_oracle_outputs_match_pinned_digests(tmp_path, monkeypatch):
