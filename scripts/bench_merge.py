@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Time the KL-greedy merge as a function of group count G and output length n.
+"""Time the KL-greedy merge and NDKL at every cutoff, by group count G and output length n.
 
 Runs ``kl_greedy_merge`` on synthetic candidate lists for every
-G x n x lambda on the grid and prints one JSON object with the best wall
-time of each cell. Group g of G has target mass proportional to g + 1
-(rational masses, so exact ties occur) and about twice as many
-candidates as the merge takes from it, so no list runs out. Each
-cell's trace is then checked with ``oracle.verify_trace``, outside the
-timed region; the script exits 1 if any step breaks the merge's rule.
+G x n x lambda on the grid, then ``ndkl_curve`` of the ranking it made,
+and prints one JSON object with the best wall time of each (``seconds``
+and ``ndkl_seconds``) per cell. Group g of G has target mass
+proportional to g + 1 (rational masses, so exact ties occur) and about
+twice as many candidates as the merge takes from it, so no list runs
+out. Each cell's trace is then checked with ``oracle.verify_trace``,
+outside the timed region; the script exits 1 if any step breaks the
+merge's rule.
 Standard library only; the code timed is whichever ``fairlink`` is on
 the path.
 
@@ -23,6 +25,7 @@ import platform
 import sys
 import time
 
+from fairlink.fairness import ndkl_curve
 from fairlink.graphs import GroupDistribution, GroupId
 from fairlink.oracle import verify_trace
 from fairlink.rerank import kl_greedy_merge, synthetic_candidate_set
@@ -58,17 +61,29 @@ def main() -> int:
         for n in args.n:
             candidates, target = instance(group_count, n)
             for lam in args.lam:
-                best = math.inf
+                best = curve_best = math.inf
                 for _ in range(args.repeats):
                     started = time.perf_counter()
                     ranking, trace = kl_greedy_merge(candidates, target, n, lam)
                     best = min(best, time.perf_counter() - started)
                 assert len(ranking) == n
+                for _ in range(args.repeats):
+                    started = time.perf_counter()
+                    ndkl_curve(ranking, target)
+                    curve_best = min(curve_best, time.perf_counter() - started)
                 violation = verify_trace(trace, target).first_violation
                 if violation is not None:
                     failed += 1
                     print(f"G={group_count} n={n} lam={lam}: {violation}", file=sys.stderr)
-                rows.append({"groups": group_count, "n": n, "lam": lam, "seconds": round(best, 4)})
+                rows.append(
+                    {
+                        "groups": group_count,
+                        "n": n,
+                        "lam": lam,
+                        "seconds": round(best, 4),
+                        "ndkl_seconds": round(curve_best, 4),
+                    }
+                )
     print(
         json.dumps(
             {"python": platform.python_version(), "repeats": args.repeats, "rows": rows},

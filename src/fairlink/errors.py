@@ -115,7 +115,7 @@ class ZeroTargetMassError(ConfigError):
 
     def __init__(self, group):
         super().__init__(
-            f"group {group} has zero target mass (enable smoothing or fix the target)"
+            f"group {group} has zero target mass (the target must give it a positive mass)"
         )
         self.group = group
 

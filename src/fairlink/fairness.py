@@ -6,6 +6,10 @@ divergences with a position discount (earlier positions weigh more) and
 normalizing by the total discount yields a rank-aware score, here called
 NDKL: it is 0 when every prefix matches the target exactly and is capped
 by max_i ln(1/pi_i) for any ranking over groups with target mass pi.
+``ndkl_curve`` gives it at every cutoff in one pass: each seen group's
+count and mass sit in lists kept in sorted group order, and the
+discounts and their running sums come from one table that grows on
+demand and that ``rank_metrics.ndcg_at_k`` reads too.
 
 Demographic-parity style diagnostics (selection-rate and score-mean
 gaps over the intra/inter dyadic classes, and the max pairwise group
@@ -101,17 +105,39 @@ def position_discount(k: int) -> float:
     return 1.0 / math.log2(k + 1)
 
 
+# Entry k of the pair holds position k's discount and the sum of the
+# discounts of positions 1..k, added in order of k; entry 0 is no position.
+# It grows by rebinding a longer pair and is never changed in place, so
+# concurrent callers need no lock.
+_DISCOUNTS: tuple[tuple[float, ...], tuple[float, ...]] = ((0.0,), (0.0,))
+
+
+def _discount_table(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``(discounts, running sums)`` with entries for positions 1..n at least."""
+    global _DISCOUNTS
+    table = _DISCOUNTS
+    if len(table[0]) <= n:
+        discounts, sums = list(table[0]), list(table[1])
+        for k in range(len(discounts), max(n, 2 * len(discounts)) + 1):
+            discounts.append(position_discount(k))
+            sums.append(sums[-1] + discounts[-1])
+        table = _DISCOUNTS = (tuple(discounts), tuple(sums))
+    return table
+
+
 def ndkl_curve(
     ranking: Ranking, target: GroupDistribution, k_max: int | None = None
 ) -> list[float]:
     """``ndkl`` at every cutoff k = 1..k_max (default: the whole ranking).
 
     One pass over the prefix; entry k-1 is ``ndkl(ranking, target, k)``.
-    The groups seen so far are kept sorted, and each prefix's divergence
+    The groups seen so far are kept sorted, with their counts and target
+    masses in lists at the same positions, and each prefix's divergence
     sums q ln(q/p) over them in that order, as ``kl_divergence`` does, so
-    every value is the one it gives. A group of zero target mass raises
-    ``ZeroTargetMassError`` at the first prefix that holds it; pass
-    ``target.smoothed()`` to give every listed group a tiny mass.
+    every value is the one it gives. Discounts and their running sums
+    come from one table, added in order of k. A group of zero target
+    mass raises ``ZeroTargetMassError`` at the first prefix that holds it;
+    pass ``target.smoothed()`` to give every listed group a tiny mass.
     """
     if len(ranking) == 0:
         raise EmptyRankingError()
@@ -120,27 +146,35 @@ def ndkl_curve(
         raise KOutOfRangeError(limit, len(ranking))
 
     target_masses = _masses(target)
-    counts: dict[GroupId, int] = {}
+    discounts, normalizers = _discount_table(limit)
+    log = math.log
     seen: list[GroupId] = []
+    slot: dict[GroupId, int] = {}
+    counts: list[int] = []
+    masses: list[float] = []
     weighted = 0.0
-    normalizer = 0.0
     curve: list[float] = []
-    for k, cand in enumerate(ranking.entries[:limit], start=1):
-        group = cand.group
-        if group not in counts:
-            if target_masses.get(group, 0.0) <= 0.0:
+    for k, (_, _, _, group, _) in enumerate(ranking.entries[:limit], start=1):
+        i = slot.get(group)
+        if i is None:
+            mass = target_masses.get(group, 0.0)
+            if mass <= 0.0:
                 raise ZeroTargetMassError(group)
-            bisect.insort(seen, group)
-        counts[group] = counts.get(group, 0) + 1
+            i = bisect.bisect(seen, group)
+            seen.insert(i, group)
+            counts.insert(i, 0)
+            masses.insert(i, mass)
+            slot = {g: j for j, g in enumerate(seen)}
+        counts[i] += 1
         total = 0.0
-        for g in seen:
-            q = counts[g] / k
-            total += q * math.log(q / target_masses[g])
-        discount = position_discount(k)
-        normalizer += discount
+        for c, p in zip(counts, masses):
+            q = c / k
+            total += q * log(q / p)
         # As in kl_divergence, float dust below 0 is clamped.
-        weighted += discount * max(0.0, total)
-        curve.append(weighted / normalizer)
+        if total < 0.0:
+            total = 0.0
+        weighted += discounts[k] * total
+        curve.append(weighted / normalizers[k])
     return curve
 
 

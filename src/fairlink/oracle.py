@@ -3,14 +3,17 @@
 Given the multiset of group labels a ranking is made of, the exact
 minimum and maximum divergence over all its orderings are found as a
 shortest and a longest path through the lattice of prefix count
-vectors, without visiting any ordering. A prefix is scored with one
-plain formula, ``_prefix_kl``, which shares no code with the
-incremental implementation in ``fairness``; agreement between the two
-is itself a checked property.
+vectors, without visiting any ordering. Every divergence here is built
+from one plain term, ``_kl_term``, q ln(q / p) of one group, which
+shares no code with ``fairness`` or the merge: ``_prefix_kl`` adds a
+prefix's terms in sorted group order, and ``verify_trace`` sums a
+step's terms once with ``math.fsum`` and swaps in each candidate
+group's incremented term. Agreement with the implementations in
+``fairness`` and ``rerank`` is itself a checked property.
 
 ``verify_trace`` certifies each step of a greedy merge under the merge's
 own rule at any weight lam, from the merge's inputs alone: a per-step
-certificate, not global optimality.
+certificate, not global optimality. A step costs O(G) for G groups.
 """
 
 from __future__ import annotations
@@ -67,22 +70,25 @@ class ExtremeResult:
         }
 
 
+def _kl_term(count: int, k: int, group: GroupId, target: GroupDistribution) -> float:
+    """q ln(q / p) of a group with ``count`` of ``k`` items, q = count / k and p its mass."""
+    p = target.mass(group)
+    if p <= 0.0:
+        raise ZeroTargetMassError(group)
+    q = count / k
+    return q * math.log(q / p)
+
+
 def _prefix_kl(counts: Mapping[GroupId, int], k: int, target: GroupDistribution) -> float:
     """KL divergence from ``target`` of the proportions ``counts / k``.
 
-    The sum of q ln(q / p) over the groups in sorted order, zero counts
-    skipped, clamped at 0: the one formula every path of this module
-    scores a prefix with.
+    The groups' ``_kl_term`` added left to right in sorted group order,
+    zero counts skipped, and clamped at 0.
     """
     kl = 0.0
     for g in sorted(counts):
-        c = counts[g]
-        if c:
-            q = c / k
-            p = target.mass(g)
-            if p <= 0.0:
-                raise ZeroTargetMassError(g)
-            kl += q * math.log(q / p)
+        if counts[g]:
+            kl += _kl_term(counts[g], k, g, target)
     return max(0.0, kl)
 
 
@@ -198,7 +204,10 @@ def verify_trace(trace: AggregationTrace, target: GroupDistribution) -> TraceVer
     lam; the counts are this function's own. At each step, every group
     with candidates left scores lam*KL + (1-lam)*(1-shat), with KL the
     divergence of the prefix plus that group's head and shat the head's
-    min-max normalized score within its group (1.0 when all are equal).
+    min-max normalized score within its group (1.0 when all are equal;
+    halved first when the finite range overflows, as the merge does).
+    KL is the ``math.fsum`` of the placed groups' terms with the group's
+    own term swapped for its incremented one, clamped at 0: O(G) per step.
     A step is a violation when the chosen group had no candidate left,
     the chosen candidate is not its group's head, or the chosen group's
     objective is worse than the best by more than ``KL_TOLERANCE``.
@@ -206,17 +215,27 @@ def verify_trace(trace: AggregationTrace, target: GroupDistribution) -> TraceVer
     ``target.smoothed()``, pass ``target.smoothed()`` here too.
     """
     lam, lists = trace.lam, trace.candidates.lists
-    ranges = {g: (max(c.score for c in b), min(c.score for c in b)) for g, b in lists.items() if b}
+    shats: dict[GroupId, list[float]] = {}
+    for g, bucket in lists.items():
+        if bucket:
+            high, low = max(c.score for c in bucket), min(c.score for c in bucket)
+            if high == low:
+                shats[g] = [1.0] * len(bucket)
+            elif math.isinf(high - low):
+                shats[g] = [(c.score / 2 - low / 2) / (high / 2 - low / 2) for c in bucket]
+            else:
+                shats[g] = [(c.score - low) / (high - low) for c in bucket]
     counts: Counter[GroupId] = Counter()
     violations: list[TraceViolation] = []
     for t, step in enumerate(trace.steps, start=1):
+        terms = {g: _kl_term(c, t, g, target) for g, c in counts.items()}
+        total = math.fsum(terms.values())
         objective: dict[GroupId, float] = {}
-        for g, (high, low) in ranges.items():
+        for g, shat in shats.items():
             head = counts[g]
-            if head < len(lists[g]):
-                shat = 1.0 if high == low else (lists[g][head].score - low) / (high - low)
-                kl = _prefix_kl({**counts, g: head + 1}, t, target)
-                objective[g] = lam * kl + (1.0 - lam) * (1.0 - shat)
+            if head < len(shat):
+                kl = total - terms.get(g, 0.0) + _kl_term(head + 1, t, g, target)
+                objective[g] = lam * max(0.0, kl) + (1.0 - lam) * (1.0 - shat[head])
         group = step.chosen_group
         best = min(objective, key=lambda g: (objective[g], g), default=group)
         chosen_value = objective.get(group, math.inf)

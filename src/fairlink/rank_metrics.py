@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, KOutOfRangeError, NoPositivesError
-from .fairness import Ranking, position_discount
+from .fairness import Ranking, _discount_table
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,9 @@ def ndcg_at_k(rel: RelevanceVector, k: int) -> float:
     if rel.total_positives == 0:
         raise NoPositivesError()
     _check_k(rel, k)
-    dcg = math.fsum(position_discount(i) for i, flag in enumerate(rel.flags[:k], start=1) if flag)
-    ideal = math.fsum(position_discount(i) for i in range(1, min(k, rel.total_positives) + 1))
+    discounts = _discount_table(k)[0]
+    dcg = math.fsum(d for d, flag in zip(discounts[1 : k + 1], rel.flags) if flag)
+    ideal = math.fsum(discounts[1 : min(k, rel.total_positives) + 1])
     return dcg / ideal
 
 

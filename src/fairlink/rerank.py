@@ -17,7 +17,10 @@ group g gives KL_t(g) = (S + delta_g)/t - ln t, where
 delta_g = ln(c_g + 1) + c_g log1p(1/c_g) - ln p_g (the log1p form keeps
 precision at large c_g). Only the chosen group's delta changes per step,
 so a position costs one O(G) scan of lam*delta_g/t + (1-lam)*(1-shat_g),
-whose argmin is the objective's. Groups within ``NEAR_TIE`` of that
+whose argmin is the objective's. Every per-group quantity (count and
+head, lam*delta, score term, normalized scores, log mass) sits in a list
+indexed by the group's position in sorted order, so no step hashes a
+``GroupId``. Groups within ``NEAR_TIE`` of that
 minimum are re-scored with ``kl_divergence``, which keeps every choice
 and tie of scoring each group with it. The trace records decisions, not
 divergences; ``oracle.verify_trace`` recomputes every step's objectives
@@ -97,11 +100,17 @@ class AggregationTrace:
 
 
 def _normalized_scores(candidates: Sequence[ScoredCandidate]) -> list[float]:
-    """Min-max normalize a non-empty group's scores to [0, 1]; 1.0 when all equal."""
+    """Min-max normalize a non-empty group's scores to [0, 1]; 1.0 when all equal.
+
+    Finite scores whose range overflows a float (1e308 and -1e308) are
+    halved first, which keeps every value in [0, 1].
+    """
     high = candidates[0].score
     low = candidates[-1].score
     if high == low:
         return [1.0] * len(candidates)
+    if math.isinf(high - low):
+        return [(c.score / 2 - low / 2) / (high / 2 - low / 2) for c in candidates]
     return [(c.score - low) / (high - low) for c in candidates]
 
 
@@ -136,21 +145,24 @@ def kl_greedy_merge(
     if candidates.total() == 0:
         raise DataError("candidate set is empty")
     _check_number(n, "output size", integer=True, minimum=1)
-    groups = candidates.groups()
-    lists = {g: candidates.lists[g] for g in groups}
+    # Group i is the i-th non-empty group in sorted order; every per-group
+    # state is a list indexed by i, so no step hashes a GroupId.
+    groups = [g for g in candidates.groups() if candidates.lists[g]]
     for g in groups:
-        if lists[g] and target.mass(g) <= 0.0:
+        if target.mass(g) <= 0.0:
             raise ZeroTargetMassError(g)
-    available = [g for g in groups if lists[g]]
-    normalized = {g: _normalized_scores(lists[g]) for g in available}
-    # counts[g] items of g are placed, so it is also the index of g's head.
-    counts: dict[GroupId, int] = {g: 0 for g in groups}
-    log_mass = {g: math.log(target.mass(g)) for g in available}
-    # delta[g] is what S gains when g gets one more item; rest[g] is the
-    # head's score term.
-    delta = {g: -log_mass[g] for g in available}
-    rest = {g: (1.0 - lam) * (1.0 - normalized[g][0]) for g in available}
-    size, log_inv_p_min = len(available), max(-v for v in log_mass.values())
+    lists = [candidates.lists[g] for g in groups]
+    normalized = [_normalized_scores(bucket) for bucket in lists]
+    log_mass = [math.log(target.mass(g)) for g in groups]
+    # counts[i] items of group i are placed, so it is also the index of its head.
+    counts = [0] * len(groups)
+    # scaled[i] is lam times what S gains when group i gets one more item;
+    # rest[i] is its head's score term.
+    keep = 1.0 - lam
+    scaled = [lam * -m for m in log_mass]
+    rest = [keep * (1.0 - shat[0]) for shat in normalized]
+    available = list(range(len(groups)))
+    size, log_inv_p_min = len(available), max(-v for v in log_mass)
     bound = (size + 4) * sys.float_info.epsilon * (math.log(size) + log_inv_p_min + 2)
     window = max(NEAR_TIE, 4 * bound)
 
@@ -160,34 +172,35 @@ def kl_greedy_merge(
         if not available:
             break
         # KL_t(g) = (S + delta_g)/t - ln t, so lam*KL + rest ranks as below.
-        approx = [lam * delta[g] / t + rest[g] for g in available]
+        approx = [scaled[i] / t + rest[i] for i in available]
         cutoff = min(approx) + window
-        near = [g for g, a in zip(available, approx) if a <= cutoff]
-        best_group, tie = near[0], False
+        near = [i for i, a in zip(available, approx) if a <= cutoff]
+        best, tie = near[0], False
         if len(near) > 1:
-            objectives: dict[GroupId, float] = {}
-            for g in near:
+            scored = []
+            for i in near:
                 # counts sum to t-1, so incrementing one group makes the
                 # tentative fractions a proper distribution over t items.
                 fractions = {
-                    h: (c + (1 if h == g else 0)) / t
-                    for h, c in counts.items()
-                    if c > 0 or h == g
+                    groups[h]: (c + (h == i)) / t for h, c in enumerate(counts) if c or h == i
                 }
-                objectives[g] = lam * kl_divergence(fractions, target) + rest[g]
+                objective = lam * kl_divergence(fractions, target) + rest[i]
+                scored.append((objective, -normalized[i][counts[i]], i))
             # Ties on the objective prefer the better-scored head, then the
-            # lower group id, keeping the merge fully deterministic.
-            best_group = min(near, key=lambda g: (objectives[g], -normalized[g][counts[g]], g))
-            tie = sum(1 for g in near if objectives[g] == objectives[best_group]) > 1
-        chosen = lists[best_group][counts[best_group]]
-        counts[best_group] = c = counts[best_group] + 1
-        delta[best_group] = math.log(c + 1) + c * math.log1p(1 / c) - log_mass[best_group]
-        if c < len(lists[best_group]):
-            rest[best_group] = (1.0 - lam) * (1.0 - normalized[best_group][c])
+            # lower group id (the lower index), keeping the merge fully deterministic.
+            low = min(scored)
+            best, tie = low[2], sum(1 for s in scored if s[0] == low[0]) > 1
+        row = lists[best]
+        c = counts[best]
+        chosen = row[c]
+        counts[best] = c = c + 1
+        scaled[best] = lam * (math.log(c + 1) + c * math.log1p(1 / c) - log_mass[best])
+        if c < len(row):
+            rest[best] = keep * (1.0 - normalized[best][c])
         else:
-            available.remove(best_group)
+            available.remove(best)
         entries.append(chosen)
-        steps.append(TraceStep(t, best_group, chosen, tie))
+        steps.append(tuple.__new__(TraceStep, (t, groups[best], chosen, tie)))
 
     truncated = len(entries) < n
     if truncated:
@@ -263,7 +276,8 @@ def synthetic_candidate_set(group_counts: Mapping[GroupId, int]) -> GroupedCandi
         for i in range(count):
             u, v = next_node, next_node + 1
             next_node += 2
-            bucket.append(ScoredCandidate(u, v, 1.0 - i / (count + 1), group, True))
+            score = 1.0 - i / (count + 1)
+            bucket.append(tuple.__new__(ScoredCandidate, (u, v, score, group, True)))
         lists[group] = bucket
     return GroupedCandidateSet(lists)
 
@@ -281,8 +295,13 @@ def worst_case_ranking(group_counts: Mapping[GroupId, int], target: GroupDistrib
     for group in positive_counts:
         if target.mass(group) <= 0.0:
             raise ZeroTargetMassError(group)
-    order = sorted(positive_counts, key=lambda g: (target.mass(g), g))
-    lists = synthetic_candidate_set(positive_counts).lists
+    return _block_ordering(synthetic_candidate_set(positive_counts), target)
+
+
+def _block_ordering(candidates: GroupedCandidateSet, target: GroupDistribution) -> Ranking:
+    """Each group's list as one block, rarest target mass first (ties by group)."""
+    lists = candidates.lists
+    order = sorted(lists, key=lambda g: (target.mass(g), g))
     return Ranking(tuple(entry for group in order for entry in lists[group]))
 
 
@@ -348,7 +367,9 @@ def gap_point(target: GroupDistribution, pools: Mapping[GroupId, int], k: int) -
     The intra/inter split of the top-k comes from the exact parity
     solver; within each dyadic class the count is apportioned across
     groups proportionally to the target, capped by the pools. Candidates
-    are synthetic and all relevant, isolating exposure from utility.
+    are synthetic and all relevant, isolating exposure from utility: one
+    ``synthetic_candidate_set`` per cutoff, from which both rankings take
+    their entries.
     """
     for group, pool in pools.items():
         if pool < 0 or pool != int(pool):
@@ -374,8 +395,9 @@ def gap_point(target: GroupDistribution, pools: Mapping[GroupId, int], k: int) -
             if part > 0:
                 group_counts[group] = part
 
-    greedy, _ = kl_greedy_merge(synthetic_candidate_set(group_counts), target, n=k)
-    worst = worst_case_ranking(group_counts, target)
+    candidates = synthetic_candidate_set(group_counts)
+    greedy, _ = kl_greedy_merge(candidates, target, n=k)
+    worst = _block_ordering(candidates, target)
     return GapPoint(group_counts=group_counts, delta_dp=gap, greedy=greedy, worst=worst)
 
 

@@ -245,23 +245,31 @@ def prefix_divergence(counts: Mapping[GroupId, int], k: int, target: GroupDistri
     return max(0.0, total)
 
 
-def sequence_ndkl(labels: Sequence[GroupId], target: GroupDistribution) -> float:
-    """NDKL of a label sequence: each prefix's divergence from its group counts, discounted.
+def sequence_ndkl_curve(labels: Sequence[GroupId], target: GroupDistribution) -> list[float]:
+    """NDKL of every prefix of a label sequence, each prefix's divergence from its counts alone.
 
-    The sum over k of ``prefix_divergence`` at k times 1 / log2(k + 1),
-    added in order of k, over the sum of the discounts.
+    Entry k-1 is the sum over j <= k of ``prefix_divergence`` at j times
+    1 / log2(j + 1), added in order of j, over the sum of those
+    discounts, added in the same order.
     """
     if not labels:
         raise ConfigError("label sequence is empty")
     counts: Counter[GroupId] = Counter()
     weighted = 0.0
     normalizer = 0.0
+    curve = []
     for k, group in enumerate(labels, start=1):
         counts[group] += 1
         discount = 1.0 / math.log2(k + 1)
         normalizer += discount
         weighted += discount * prefix_divergence(counts, k, target)
-    return weighted / normalizer
+        curve.append(weighted / normalizer)
+    return curve
+
+
+def sequence_ndkl(labels: Sequence[GroupId], target: GroupDistribution) -> float:
+    """NDKL of a label sequence: the last entry of ``sequence_ndkl_curve``."""
+    return sequence_ndkl_curve(labels, target)[-1]
 
 
 def ranking_from_groups(labels: Sequence[GroupId], *, relevant: bool = True) -> Ranking:

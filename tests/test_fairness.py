@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from fairlink import fairness
 from fairlink.errors import (
     ConfigError,
     DataError,
@@ -21,12 +23,13 @@ from fairlink.fairness import (
     ndkl,
     ndkl_curve,
     ndkl_upper_bound,
+    position_discount,
     top_k_proportions,
 )
 from fairlink.graphs import GroupDistribution, GroupId
 
 from conftest import G00, G01, G11, exactly
-from reference import ranking_from_groups, sequence_ndkl
+from reference import ranking_from_groups, sequence_ndkl, sequence_ndkl_curve
 
 
 class TestKlDivergence:
@@ -185,7 +188,31 @@ class TestNdklCurve:
             )
             curve = ndkl_curve(ranking, masses)
             labels = ranking.group_sequence()
-            assert curve == [sequence_ndkl(labels[:k], masses) for k in range(1, len(labels) + 1)]
+            assert curve == sequence_ndkl_curve(labels, masses)
+
+    @pytest.mark.parametrize("long_first", [True, False])
+    def test_fifty_five_groups_in_either_growth_order_of_the_table(self, monkeypatch, long_first):
+        # The discount table starts from no position and grows with the
+        # curves: a long curve then a short one reads a table grown once, a
+        # short one then a long one grows it twice. Both equal the per-cutoff
+        # reference, and every entry is the discount and the in-order sum.
+        monkeypatch.setattr(fairness, "_DISCOUNTS", ((0.0,), (0.0,)))
+        rnd = random.Random(55)
+        groups = [GroupId.of(a, b) for a in range(10) for b in range(a, 10)]
+        assert len(groups) == 55
+        weights = [rnd.randint(1, 9) for _ in groups]
+        target = GroupDistribution({g: w / sum(weights) for g, w in zip(groups, weights)})
+        long = ranking_from_groups(rnd.choices(groups, weights=range(1, 56), k=2400))
+        short = ranking_from_groups(rnd.choices(groups[20:], k=150))
+        for ranking in (long, short) if long_first else (short, long):
+            labels = ranking.group_sequence()
+            assert ndkl_curve(ranking, target) == sequence_ndkl_curve(labels, target)
+        discounts, sums = fairness._DISCOUNTS
+        assert len(discounts) == len(sums) > 2400
+        running = 0.0
+        for k in range(1, len(discounts)):
+            running += 1.0 / math.log2(k + 1)
+            assert (discounts[k], sums[k]) == (position_discount(k), running)
 
     def test_zero_mass_group_raises_where_it_first_appears(self):
         target = GroupDistribution({G00: 0.5, G01: 0.5, G11: 0.0})

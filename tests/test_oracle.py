@@ -20,6 +20,7 @@ from fairlink.rerank import (
     kl_greedy_merge_weighted,
     synthetic_candidate_set,
 )
+from fairlink.scorers import GroupedCandidateSet, ScoredCandidate
 
 from conftest import G00, G01, G11
 from reference import (
@@ -339,6 +340,49 @@ class TestVerifyTrace:
             if step.chosen_group != min(kl, key=lambda g: (kl[g], g))
         }
         assert {v.position for v in report.violations} == disagreements
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_a_merge_over_fifty_five_groups_at_its_own_size(self, lam):
+        # Rational masses (i + 1)/1540 tie objectives exactly; every list
+        # holds more than the merge takes from it.
+        groups = [GroupId.of(a, b) for a in range(10) for b in range(a, 10)]
+        target = GroupDistribution({g: (i + 1) / 1540 for i, g in enumerate(groups)})
+        n = 2400
+        cands = synthetic_candidate_set(
+            {g: math.ceil(2 * n * target.mass(g)) + 10 for g in groups}
+        )
+        _, trace = kl_greedy_merge(cands, target, n, lam)
+        report = verify_trace(trace, target)
+        assert (report.ok, report.steps_checked) == (True, n), report.first_violation
+        # The last step swapped for the head of the group whose tentative
+        # divergence is largest is flagged, and no other step.
+        victim = n - 1
+        tentative = {}
+        for g, bucket in cands.lists.items():
+            head = taken_before(trace, victim, g)
+            if head < len(bucket):
+                placed = Counter(s.chosen_group for s in trace.steps[:victim]) + Counter({g: 1})
+                tentative[g] = kl_divergence({h: c / n for h, c in placed.items()}, target)
+        wrong = max(tentative, key=tentative.get)
+        head = cands.lists[wrong][taken_before(trace, victim, wrong)]
+        report = verify_trace(plant(trace, victim, wrong, head), target)
+        assert [(v.position, v.chosen_group) for v in report.violations] == [(n, wrong)]
+
+    def test_scores_whose_range_overflows(self):
+        # 1e308 - (-1e308) is inf; the verifier halves the scores as the
+        # merge does, so shat is 1, 0.55, 0 and step 3 must take 0-0's 1e307
+        # (objective 0.45) over 1-1's 0.0 (objective 1) at lam = 0.
+        bucket = [
+            ScoredCandidate(2 * i, 2 * i + 1, s, G00, True)
+            for i, s in enumerate([1e308, 1e307, -1e308])
+        ]
+        other = [ScoredCandidate(10, 11, 1.0, G11, True), ScoredCandidate(12, 13, 0.0, G11, True)]
+        target = GroupDistribution({G00: 0.5, G11: 0.5})
+        _, trace = kl_greedy_merge(GroupedCandidateSet({G00: bucket, G11: other}), target, 5, 0.0)
+        assert [s.chosen_group for s in trace.steps] == [G00, G11, G00, G00, G11]
+        assert verify_trace(trace, target).ok
+        report = verify_trace(plant(trace, 2, G11, other[1]), target)
+        assert [(v.position, v.best_group) for v in report.violations[:1]] == [(3, G00)]
 
     def test_smoothing_must_match_the_merge(self):
         # A merge made against the smoothed target may hold a zero-mass

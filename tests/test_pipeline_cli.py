@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import runpy
 import shutil
 import statistics
@@ -14,7 +15,8 @@ import fairlink
 from fairlink.cli import build_parser, main, parse_group_map, parse_target
 from fairlink.errors import ConfigError, ZeroTargetMassError
 from fairlink.fairness import top_k_proportions
-from fairlink.graphs import GroupDistribution, GroupId, load_graph
+from fairlink.graphs import GroupDistribution, GroupId, load_graph, read_edge_list
+from fairlink.oracle import verify_trace
 from fairlink.pipeline import (
     GREEDY,
     NAIVE,
@@ -24,8 +26,8 @@ from fairlink.pipeline import (
     run_pipeline,
     run_single,
 )
-from fairlink.rerank import read_ranking
-from fairlink.scorers import GroupedCandidateSet
+from fairlink.rerank import kl_greedy_merge, read_ranking
+from fairlink.scorers import GroupedCandidateSet, ingest_scores
 from fairlink.synth import biased_block_graph, write_graph_files
 
 from conftest import G00, G01, G11, exactly
@@ -405,6 +407,53 @@ class TestBoundaryChecks:
         assert (code, err) == (3, "data error: candidate set is empty\n")
         assert not files["out"].exists()
 
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_rerank_of_scores_whose_range_overflows(self, tmp_path, capsys, lam):
+        # 1e308 - (-1e308) is inf in floats; every normalized score must
+        # still lie in [0, 1], so the merge runs and its trace verifies.
+        edges, attrs = tmp_path / "edges.tsv", tmp_path / "attrs.tsv"
+        test, scores, out = tmp_path / "test.tsv", tmp_path / "scores.tsv", tmp_path / "r.tsv"
+        attrs.write_text("0\t0\n1\t0\n2\t0\n3\t1\n4\t1\n5\t1\n")
+        edges.write_text("0\t4\n1\t5\n")
+        test.write_text("0\t4\n")
+        scores.write_text("0\t1\t1e308\n0\t2\t-1e308\n1\t2\t0.5\n3\t4\t1.0\n")
+        code, _, err = self.run(
+            capsys, "rerank", "--edges", edges, "--attrs", attrs, "--test", test,
+            "--scores", scores, "--target", "0-0=0.5,1-1=0.5", "--lam", lam, "--out", out,
+        )
+        assert (code, err) == (0, "")
+        target = GroupDistribution({G00: 0.5, G11: 0.5})
+        candidates = ingest_scores(scores, load_graph(edges, attrs), read_edge_list(test))
+        ranking, trace = kl_greedy_merge(candidates, target, 4, lam)
+        assert read_ranking(out) == ranking
+        assert verify_trace(trace, target).ok
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            (
+                "rerank",
+                ("--test", "{test}", "--scores", "{scores}", "--target", "0-0=1,0-1=0"),
+            ),
+            ("gap", ("--target", "0-0=1,0-1=0", "--pools", "0-0=5,0-1=5", "--k-grid", "5")),
+            ("oracle", ("--counts", "0-0=2,0-1=1", "--target", "0-0=1,0-1=0")),
+        ],
+        ids=["rerank", "gap", "oracle"],
+    )
+    def test_zero_target_mass_names_no_option(self, files, tmp_path, capsys, command, argv):
+        # Some of these commands have no --smoothing, so the message advises none.
+        scores, test = tmp_path / "scores.tsv", tmp_path / "test.tsv"
+        scores.write_text("0\t1\t0.9\n1\t2\t0.5\n")
+        test.write_text("0\t1\n")
+        argv = [a.format(scores=scores, test=test) for a in argv]
+        if command == "rerank":
+            argv += ["--edges", files["edges"], "--attrs", files["attrs"]]
+        code, _, err = self.run(capsys, command, *argv, "--out", files["out"])
+        message = "group 0-1 has zero target mass (the target must give it a positive mass)"
+        assert code == 2
+        assert re.match(exactly(f"configuration error: {message}"), err)
+        assert not files["out"].exists()
+
     def test_rerank_output_size_checked_before_any_file_is_read(self, files, tmp_path, capsys):
         missing = tmp_path / "missing.tsv"
         code, _, err = self.run(
@@ -479,7 +528,7 @@ class TestBoundaryChecks:
             capsys, "gap", "--target", "0-0=1,0-1=0", "--pools", "0-0=5,0-1=5",
             "--k-grid", 5, "--out", files["out"],
         )
-        message = "group 0-1 has zero target mass (enable smoothing or fix the target)"
+        message = "group 0-1 has zero target mass (the target must give it a positive mass)"
         assert (code, err) == (2, f"configuration error: {message}\n")
         assert not files["out"].exists()
 

@@ -1,7 +1,9 @@
 import math
+import random
 
 import pytest
 
+from fairlink import fairness
 from fairlink.errors import ConfigError, KOutOfRangeError, NoPositivesError
 from fairlink.rank_metrics import (
     RelevanceVector,
@@ -80,6 +82,22 @@ class TestNdcgAtK:
     def test_no_positives(self):
         with pytest.raises(NoPositivesError):
             ndcg_at_k(vec(0, 0), 2)
+
+    @pytest.mark.parametrize("lengths", [(1, 3, 40, 700, 2500), (2500, 700, 40, 3, 1)])
+    def test_equals_an_fsum_of_the_discounts(self, monkeypatch, lengths):
+        # The discounts come from a table that grows on demand: grown in
+        # steps or once, every value is the fsum of 1/log2(i+1).
+        monkeypatch.setattr(fairness, "_DISCOUNTS", ((0.0,), (0.0,)))
+        rnd = random.Random(len(lengths))
+        for length in lengths:
+            flags = [rnd.random() < 0.3 for _ in range(length - 1)] + [True]
+            rel = vec(*flags, total=sum(flags) + rnd.randint(0, 5))
+            for k in sorted({1, max(1, length // 3), length}):
+                top = flags[:k]
+                dcg = math.fsum(1 / math.log2(i + 1) for i, f in enumerate(top, start=1) if f)
+                depth = min(k, rel.total_positives)
+                ideal = math.fsum(1 / math.log2(i + 1) for i in range(1, depth + 1))
+                assert ndcg_at_k(rel, k) == dcg / ideal
 
 
 class TestAveragePrecision:

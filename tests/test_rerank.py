@@ -19,6 +19,7 @@ from fairlink.oracle import MultisetSpec, enumerate_ndkl_extremes, verify_trace
 from fairlink.rank_metrics import RelevanceVector, precision_at_k
 from fairlink.rerank import (
     GapCurve,
+    _normalized_scores,
     default_gap_pools,
     gap_experiment,
     gap_point,
@@ -281,6 +282,44 @@ class TestMergeMatchesReference:
         }
         target = GroupDistribution({G00: 1 / 4, G01: 1 / 4, G11: 1 / 2})
         assert assert_same_merge(make_lists(spec), target, 20_000, lam, False) > 0
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_ten_groups_of_rational_masses(self, lam):
+        # Masses (i + 1)/55 make runs of objectives tie exactly, and three
+        # score levels tie the heads' shat too.
+        rnd = random.Random(int(10 * lam))
+        groups = all_groups(4)
+        target = GroupDistribution({g: (i + 1) / 55 for i, g in enumerate(groups)})
+        spec = {
+            g: sorted((rnd.choice((1.0, 0.5, 0.0)) for _ in range(40)), reverse=True)
+            for g in groups
+        }
+        assert assert_same_merge(make_lists(spec), target, 300, lam, False) > 0
+
+
+class TestNormalizedScores:
+    def test_a_finite_range_keeps_the_min_max_formula(self):
+        rnd = random.Random(3)
+        for _ in range(300):
+            scale = 10.0 ** rnd.randint(-300, 307)
+            scores = sorted((rnd.uniform(-scale, scale) for _ in range(rnd.randint(2, 9))))[::-1]
+            high, low = scores[0], scores[-1]
+            bucket = make_lists({G00: scores}).lists[G00]
+            assert _normalized_scores(bucket) == [(s - low) / (high - low) for s in scores]
+
+    def test_a_range_that_overflows_stays_in_the_unit_interval(self):
+        # 1e308 - (-1e308) overflows to inf; the values are those of the
+        # halved scores, 1 at the top and 0 at the bottom.
+        scores = [1e308, 5e307, 0.0, -1.7e308]
+        shat = _normalized_scores(make_lists({G00: scores}).lists[G00])
+        half = [s / 2 for s in scores]
+        assert shat == [(h - half[-1]) / (half[0] - half[-1]) for h in half]
+        assert shat[0] == 1.0 and shat[-1] == 0.0
+        rnd = random.Random(4)
+        for _ in range(300):
+            scores = [1.7e308, -1.7e308] + [1.7e308 * rnd.uniform(-1, 1) for _ in range(6)]
+            shat = _normalized_scores(make_lists({G00: sorted(scores)[::-1]}).lists[G00])
+            assert all(0.0 <= a <= 1.0 for a in shat) and shat == sorted(shat)[::-1]
 
 
 class TestMergeByScore:

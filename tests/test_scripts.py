@@ -90,6 +90,8 @@ def test_bench_merge_traces_verify():
     assert result.returncode == 0, result.stderr
     rows = json.loads(result.stdout)["rows"]
     assert [(r["groups"], r["lam"]) for r in rows] == [(3, 1.0), (3, 0.5), (21, 1.0), (21, 0.5)]
+    assert all(list(r) == ["groups", "n", "lam", "seconds", "ndkl_seconds"] for r in rows)
+    assert all(r["ndkl_seconds"] >= 0 for r in rows)
 
 
 def test_bench_oracle_counts_states_and_orderings():
