@@ -4,7 +4,8 @@
 Runs ``kl_greedy_merge`` on synthetic candidate lists for every
 G x n x lambda on the grid, then ``ndkl_curve`` of the ranking it made,
 and prints one JSON object with the best wall time of each (``seconds``
-and ``ndkl_seconds``) per cell. Group g of G has target mass
+and ``ndkl_seconds``) and the number of positions the merge's tie rule
+decided (``ties``, from its trace) per cell. Group g of G has target mass
 proportional to g + 1 (rational masses, so exact ties occur) and about
 twice as many candidates as the merge takes from it, so no list runs
 out. Each cell's trace is then checked with ``oracle.verify_trace``,
@@ -82,6 +83,7 @@ def main() -> int:
                         "lam": lam,
                         "seconds": round(best, 4),
                         "ndkl_seconds": round(curve_best, 4),
+                        "ties": len(trace.ties),
                     }
                 )
     print(

@@ -84,9 +84,8 @@ def main() -> int:
     write_graph_files(graph, edges, attrs)
     print(f"generated graph: {graph.node_count} nodes, {len(graph.edges)} edges")
 
-    summary = run_pipeline(config)
     k_top = max(config.k_list)
-    for result in summary.results:
+    for result in run_pipeline(config):
         greedy = result.reports[GREEDY].at_k(k_top)
         naive = result.reports[NAIVE].at_k(k_top)
         print(
@@ -94,7 +93,7 @@ def main() -> int:
             f"prec@{k_top}={greedy.precision:.4f} | "
             f"naive ndkl@{k_top}={naive.ndkl:.4f} prec@{k_top}={naive.precision:.4f}"
         )
-    print(f"reports and rankings under {summary.out_dir}")
+    print(f"reports and rankings under {Path(config.out_dir)}")
     return 0
 
 

@@ -301,11 +301,11 @@ def cmd_pipeline(options: dict) -> int:
         options["target"] = parse_target(options["target"]).as_label_dict()
     if "edges_path" not in options or "attrs_path" not in options:
         raise ConfigError("pipeline needs --edges and --attrs (or config equivalents)")
-    summary = run_pipeline(RunConfig(**options))
-    for result in summary.results:
+    config = RunConfig(**options)
+    for result in run_pipeline(config):
         report = result.reports[GREEDY]
         print(f"seed {result.seed}: greedy {_top_line(report)} (bound {report.bound:.4f})")
-    print(f"outputs under {summary.out_dir}")
+    print(f"outputs under {Path(config.out_dir)}")
     return 0
 
 

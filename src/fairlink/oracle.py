@@ -198,14 +198,15 @@ KL_TOLERANCE = 1e-9
 
 
 def verify_trace(trace: AggregationTrace, target: GroupDistribution) -> TraceVerification:
-    """Re-check every step of a merge against the merge's own rule.
+    """Re-check every step of a merge, position t of its ranking, against its rule.
 
     Only the inputs the trace carries are trusted, its candidate lists and
-    lam; the counts are this function's own. At each step, every group
-    with candidates left scores lam*KL + (1-lam)*(1-shat), with KL the
-    divergence of the prefix plus that group's head and shat the head's
-    min-max normalized score within its group (1.0 when all are equal;
-    halved first when the finite range overflows, as the merge does).
+    lam; the counts are this function's own, and ``ties`` is not read. At
+    each step, every group with candidates left scores
+    lam*KL + (1-lam)*(1-shat), with KL the divergence of the prefix plus
+    that group's head and shat the head's min-max normalized score within
+    its group (1.0 when all are equal; halved first when the finite range
+    overflows, as the merge does).
     KL is the ``math.fsum`` of the placed groups' terms with the group's
     own term swapped for its incremented one, clamped at 0: O(G) per step.
     A step is a violation when the chosen group had no candidate left,
@@ -227,7 +228,7 @@ def verify_trace(trace: AggregationTrace, target: GroupDistribution) -> TraceVer
                 shats[g] = [(c.score - low) / (high - low) for c in bucket]
     counts: Counter[GroupId] = Counter()
     violations: list[TraceViolation] = []
-    for t, step in enumerate(trace.steps, start=1):
+    for t, chosen in enumerate(trace.ranking, start=1):
         terms = {g: _kl_term(c, t, g, target) for g, c in counts.items()}
         total = math.fsum(terms.values())
         objective: dict[GroupId, float] = {}
@@ -236,15 +237,15 @@ def verify_trace(trace: AggregationTrace, target: GroupDistribution) -> TraceVer
             if head < len(shat):
                 kl = total - terms.get(g, 0.0) + _kl_term(head + 1, t, g, target)
                 objective[g] = lam * max(0.0, kl) + (1.0 - lam) * (1.0 - shat[head])
-        group = step.chosen_group
+        group = chosen.group
         best = min(objective, key=lambda g: (objective[g], g), default=group)
         chosen_value = objective.get(group, math.inf)
         best_value = objective.get(best, math.inf)
         if (
             group not in objective
-            or step.chosen != lists[group][counts[group]]
+            or chosen != lists[group][counts[group]]
             or chosen_value > best_value + KL_TOLERANCE
         ):
             violations.append(TraceViolation(t, group, chosen_value, best, best_value))
         counts[group] += 1
-    return TraceVerification(steps_checked=len(trace.steps), violations=tuple(violations))
+    return TraceVerification(steps_checked=len(trace.ranking), violations=tuple(violations))

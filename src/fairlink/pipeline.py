@@ -391,14 +391,6 @@ def emit_seed_report(result: SeedRunResult, out_dir: str | Path) -> dict[str, Pa
     return paths
 
 
-@dataclass(frozen=True)
-class PipelineSummary:
-    config: RunConfig
-    seeds: tuple[int, ...]
-    results: tuple[SeedRunResult, ...]
-    out_dir: Path
-
-
 def _summary_rows(results: Sequence[SeedRunResult]) -> list[dict]:
     """Aggregate per-seed metrics into (method, metric, k, mean, std) rows."""
     values: dict[tuple[str, str, int | str], list[float]] = {}
@@ -446,20 +438,19 @@ def _proportion_rows(results: Sequence[SeedRunResult]) -> list[dict]:
     return rows
 
 
-def run_pipeline(config: RunConfig) -> PipelineSummary:
+def run_pipeline(config: RunConfig) -> tuple[SeedRunResult, ...]:
     """Run ``config.repeats`` seeded passes and aggregate the reports.
 
-    Seeds are config.seed, config.seed + 1, ... so a summary is exactly
+    Seeds are config.seed, config.seed + 1, ... so every output is exactly
     reproducible from the config and the files it names. Outputs per
     seed live under ``out_dir/seed_<s>/``; aggregate CSVs sit at the top
-    level.
+    level. Returns each seed's ``SeedRunResult``, in seed order.
     """
     out_dir = Path(config.out_dir)
-    seeds = tuple(config.seed + i for i in range(config.repeats))
     graph = load_graph(config.edges_path, config.attrs_path)
     embeddings = load_embeddings(config.embeddings_path) if config.embeddings_path else None
     results = []
-    for seed in seeds:
+    for seed in range(config.seed, config.seed + config.repeats):
         result = run_single(config, seed, graph, embeddings=embeddings)
         results.append(result)
         seed_dir = out_dir / f"seed_{seed}"
@@ -477,4 +468,4 @@ def run_pipeline(config: RunConfig) -> PipelineSummary:
         _proportion_rows(results),
         ["seed", "method", "k", "group", "fraction", "target_fraction"],
     )
-    return PipelineSummary(config=config, seeds=seeds, results=tuple(results), out_dir=out_dir)
+    return tuple(results)

@@ -22,9 +22,9 @@ head, lam*delta, score term, normalized scores, log mass) sits in a list
 indexed by the group's position in sorted order, so no step hashes a
 ``GroupId``. Groups within ``NEAR_TIE`` of that
 minimum are re-scored with ``kl_divergence``, which keeps every choice
-and tie of scoring each group with it. The trace records decisions, not
-divergences; ``oracle.verify_trace`` recomputes every step's objectives
-from the merge's inputs, which the trace carries.
+and tie of scoring each group with it. The trace holds the ranking, its
+inputs and the positions where the tie rule chose, not divergences;
+``oracle.verify_trace`` recomputes every step's objectives from them.
 
 Also here: the exact integer solver for the dyadic-parity-optimal
 intra/inter selection split, the block ordering (rarest target mass
@@ -41,7 +41,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     ConfigError,
@@ -81,22 +81,15 @@ logger = logging.getLogger(__name__)
 NEAR_TIE = 1e-11
 
 
-class TraceStep(NamedTuple):
-    position: int
-    chosen_group: GroupId
-    chosen: ScoredCandidate
-    tie_break_used: bool
-
-
 @dataclass(frozen=True)
 class AggregationTrace:
-    """The greedy merge's per-step decisions, and its candidate set (not a
-    copy) and weight, so that the steps can be re-checked."""
+    """A merge's ranking and candidate set (neither a copy) and weight, which
+    re-check it, and ``ties``: the 1-based positions where the tie rule chose."""
 
-    steps: tuple[TraceStep, ...]
+    ranking: Ranking = field(repr=False)
     candidates: GroupedCandidateSet = field(repr=False)
     lam: float
-    truncated: bool = False
+    ties: tuple[int, ...]
 
 
 def _normalized_scores(candidates: Sequence[ScoredCandidate]) -> list[float]:
@@ -132,14 +125,15 @@ def kl_greedy_merge(
     KL is the tentative prefix divergence from the target, shat the head's
     within-group normalized score; lam=1 is the pure divergence greedy.
     Ties prefer the higher shat, then the lower group id. Returns the
-    ranking (length min(n, total candidates)) and the per-step trace.
+    ranking (length min(n, total candidates); shorter than n logs a
+    warning) and its trace.
     A non-empty group of zero target mass raises ``ZeroTargetMassError``;
     pass ``target.smoothed()`` to give every listed group a tiny mass.
 
     Each position costs O(G) for G groups: KL comes from the closed form
     (module docstring), and only groups within ``NEAR_TIE`` of the best
-    are re-scored with ``kl_divergence``, so choices, ties and
-    ``tie_break_used`` are those of scoring every group with it.
+    are re-scored with ``kl_divergence``, so the choices and the trace's
+    ``ties`` are those of scoring every group with it.
     """
     check_lambda(lam)
     if candidates.total() == 0:
@@ -167,7 +161,7 @@ def kl_greedy_merge(
     window = max(NEAR_TIE, 4 * bound)
 
     entries: list[ScoredCandidate] = []
-    steps: list[TraceStep] = []
+    ties: list[int] = []
     for t in range(1, n + 1):
         if not available:
             break
@@ -175,7 +169,7 @@ def kl_greedy_merge(
         approx = [scaled[i] / t + rest[i] for i in available]
         cutoff = min(approx) + window
         near = [i for i, a in zip(available, approx) if a <= cutoff]
-        best, tie = near[0], False
+        best = near[0]
         if len(near) > 1:
             scored = []
             for i in near:
@@ -189,7 +183,9 @@ def kl_greedy_merge(
             # Ties on the objective prefer the better-scored head, then the
             # lower group id (the lower index), keeping the merge fully deterministic.
             low = min(scored)
-            best, tie = low[2], sum(1 for s in scored if s[0] == low[0]) > 1
+            best = low[2]
+            if sum(1 for s in scored if s[0] == low[0]) > 1:
+                ties.append(t)
         row = lists[best]
         c = counts[best]
         chosen = row[c]
@@ -200,12 +196,11 @@ def kl_greedy_merge(
         else:
             available.remove(best)
         entries.append(chosen)
-        steps.append(tuple.__new__(TraceStep, (t, groups[best], chosen, tie)))
 
-    truncated = len(entries) < n
-    if truncated:
+    if len(entries) < n:
         logger.warning("candidates exhausted at %d of %d requested positions", len(entries), n)
-    return Ranking(tuple(entries)), AggregationTrace(tuple(steps), candidates, lam, truncated)
+    ranking = Ranking(tuple(entries))
+    return ranking, AggregationTrace(ranking, candidates, lam, tuple(ties))
 
 
 # Second name of the same function; the benchmark harness (perfbench/)
@@ -310,9 +305,8 @@ def _block_ordering(candidates: GroupedCandidateSet, target: GroupDistribution) 
 
 @dataclass(frozen=True)
 class GapPoint:
-    """One cutoff of the gap experiment: both rankings, shared statistics."""
+    """One cutoff of the gap experiment: both rankings and their shared parity gap."""
 
-    group_counts: dict[GroupId, int]
     delta_dp: float
     greedy: Ranking
     worst: Ranking
@@ -361,6 +355,19 @@ def _split_by_class(pools: Mapping[GroupId, int]) -> tuple[dict[GroupId, int], d
     return intra, inter
 
 
+def _check_gap_inputs(target: GroupDistribution, pools: Mapping, k_grid: Sequence[int]) -> None:
+    """Reject a bad pool, then the first cutoff outside 1..(sum of the pools)."""
+    for group, pool in pools.items():
+        if pool < 0 or pool != int(pool):
+            raise ConfigError(f"pool for group {group} must be a non-negative integer: {pool!r}")
+        if pool > 0 and target.mass(group) <= 0.0:
+            raise ZeroTargetMassError(group)
+    capacity = sum(pools.values())
+    for k in k_grid:
+        if k < 1 or k > capacity:
+            raise InfeasibleKError(k, capacity)
+
+
 def gap_point(target: GroupDistribution, pools: Mapping[GroupId, int], k: int) -> GapPoint:
     """Build the greedy and worst-case rankings for one cutoff.
 
@@ -371,15 +378,7 @@ def gap_point(target: GroupDistribution, pools: Mapping[GroupId, int], k: int) -
     ``synthetic_candidate_set`` per cutoff, from which both rankings take
     their entries.
     """
-    for group, pool in pools.items():
-        if pool < 0 or pool != int(pool):
-            raise ConfigError(f"pool for group {group} must be a non-negative integer: {pool!r}")
-        if pool > 0 and target.mass(group) <= 0.0:
-            raise ZeroTargetMassError(group)
-    capacity = sum(pools.values())
-    if k < 1 or k > capacity:
-        raise InfeasibleKError(k, capacity)
-
+    _check_gap_inputs(target, pools, (k,))
     intra_pools, inter_pools = _split_by_class(pools)
     x, gap = optimal_dp_proportions(k, sum(intra_pools.values()), sum(inter_pools.values()))
 
@@ -398,7 +397,7 @@ def gap_point(target: GroupDistribution, pools: Mapping[GroupId, int], k: int) -
     candidates = synthetic_candidate_set(group_counts)
     greedy, _ = kl_greedy_merge(candidates, target, n=k)
     worst = _block_ordering(candidates, target)
-    return GapPoint(group_counts=group_counts, delta_dp=gap, greedy=greedy, worst=worst)
+    return GapPoint(delta_dp=gap, greedy=greedy, worst=worst)
 
 
 def default_gap_pools(target: GroupDistribution, k_grid: Sequence[int]) -> dict[GroupId, int]:
@@ -416,8 +415,9 @@ def gap_experiment(
     Both rankings at each cutoff carry identical group counts, so their
     dyadic parity gap is identical by construction, and all candidates
     are relevant, so precision is 1 throughout; only the exposure order
-    differs.
+    differs. The pools and every cutoff are checked before the first merge.
     """
+    _check_gap_inputs(target, pools, k_grid)
     greedy_values = []
     worst_values = []
     gaps = []

@@ -351,8 +351,8 @@ def reference_extremes(spec: MultisetSpec, target: GroupDistribution) -> Extreme
 def reference_merge(candidates, target, n, lam=1.0):
     """The merge with every available group scored at every position.
 
-    Returns the entries, the trace steps (position, group, candidate,
-    tie) and whether the output was truncated.
+    Returns the entries and the 1-based positions where two or more
+    groups' objectives were equal.
     """
     groups = candidates.groups()
     lists = {g: candidates.lists[g] for g in groups}
@@ -366,7 +366,7 @@ def reference_merge(candidates, target, n, lam=1.0):
             normalized[g] = [1.0] * len(bucket)
     heads = {g: 0 for g in groups}
     counts = {g: 0 for g in groups}
-    entries, steps = [], []
+    entries, ties = [], []
     for t in range(1, n + 1):
         available = [g for g in groups if heads[g] < len(lists[g])]
         if not available:
@@ -377,13 +377,12 @@ def reference_merge(candidates, target, n, lam=1.0):
             shat = normalized[g][heads[g]]
             objectives[g] = lam * kl + (1.0 - lam) * (1.0 - shat)
         best = min(available, key=lambda g: (objectives[g], -normalized[g][heads[g]], g))
-        tie = sum(1 for g in available if objectives[g] == objectives[best]) > 1
-        chosen = lists[best][heads[best]]
+        if sum(1 for g in available if objectives[g] == objectives[best]) > 1:
+            ties.append(t)
+        entries.append(lists[best][heads[best]])
         heads[best] += 1
         counts[best] += 1
-        entries.append(chosen)
-        steps.append((t, best, chosen, tie))
-    return tuple(entries), steps, len(entries) < n
+    return tuple(entries), tuple(ties)
 
 
 # --- neighbourhood scores ----------------------------------------------------------

@@ -234,8 +234,8 @@ def test_criterion_5_end_to_end_greedy_vs_naive(tmp_path):
             k_list=(100, 1000),
             output_size=1000,
         )
-        summary = run_pipeline(config)
-        for result in summary.results:
+        results = run_pipeline(config)
+        for result in results:
             greedy = result.reports[GREEDY].at_k(1000)
             naive = result.reports[NAIVE].at_k(1000)
             assert greedy.ndkl <= 0.05, f"seed {result.seed}: ndkl {greedy.ndkl}"
@@ -252,7 +252,7 @@ def test_criterion_5_end_to_end_greedy_vs_naive(tmp_path):
             + ", ".join(
                 f"{r.seed}: greedy ndkl={r.reports[GREEDY].at_k(1000).ndkl:.4f} "
                 f"naive ndkl={r.reports[NAIVE].at_k(1000).ndkl:.4f}"
-                for r in summary.results
+                for r in results
             )
         )
 

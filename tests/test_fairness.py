@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import sys
 
 import pytest
 
@@ -234,6 +236,35 @@ class TestNdklCurve:
             ndkl_curve(ranking, three_group_target, k_max=0)
         with pytest.raises(KOutOfRangeError):
             ndkl_curve(ranking, three_group_target, k_max=6)
+
+    def test_float_dust_below_zero_is_clamped(self):
+        # At k = 30 the prefix holds exactly the counts the target was made
+        # from, and its terms sum to about -5.6e-17 in ndkl_curve's order.
+        # The clamp moves no output float, so a line tracer shows it runs.
+        counts = {
+            GroupId.parse(label): count
+            for label, count in (("0-0", 7), ("0-1", 1), ("0-2", 9), ("1-1", 5), ("1-2", 8))
+        }
+        target = GroupDistribution.from_counts(counts).smoothed()
+        ranking = ranking_from_groups([g for g, c in sorted(counts.items()) for _ in range(c)])
+        lines, first = inspect.getsourcelines(ndkl_curve)
+        clamp = first + 1 + next(i for i, line in enumerate(lines) if "if total < 0.0:" in line)
+        code, clamped_at = ndkl_curve.__code__, []
+
+        def trace_lines(frame, event, arg):
+            if event == "line" and frame.f_lineno == clamp:
+                clamped_at.append(frame.f_locals["k"])
+            return trace_lines
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: trace_lines if frame.f_code is code else None)
+        try:
+            curve = ndkl_curve(ranking, target)
+        finally:
+            sys.settrace(previous)
+        assert lines[clamp - first].strip() == "total = 0.0"
+        assert 30 in clamped_at
+        assert curve == sequence_ndkl_curve(ranking.group_sequence(), target)
 
 
 class TestNdklUpperBound:

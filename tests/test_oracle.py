@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from fairlink.errors import ConfigError, InfeasibleError, ZeroTargetMassError
-from fairlink.fairness import kl_divergence, ndkl, ndkl_upper_bound
+from fairlink.fairness import Ranking, kl_divergence, ndkl, ndkl_upper_bound
 from fairlink.graphs import GroupDistribution, GroupId
 from fairlink.oracle import (
     MultisetSpec,
@@ -228,6 +228,21 @@ class TestEnumerationMatchesReference:
         assert result.permutations_examined == 6006
         assert result == reference_extremes(spec, target)
 
+    def test_sums_are_compared_after_the_term_is_added(self):
+        # Near-equal masses: two predecessor sums that differ in their last
+        # bits become equal once the term is added, so the tie goes to the
+        # lexicographically first path. Comparing the predecessor sums
+        # before adding would keep the smaller one and end on another argmin.
+        target = GroupDistribution(
+            {G01: 0.6000000000000001, G11: 0.20000000000000007, G02: 0.19999999999999993}
+        )
+        spec = MultisetSpec({G01: 1, G11: 2, G02: 4})
+        result = enumerate_ndkl_extremes(spec, target)
+        assert result == reference_extremes(spec, target)
+        assert result.permutations_examined == 105
+        assert result.min_value == 0.38061328075058426
+        assert result.argmin == (G01, G11, G02, G02, G11, G02, G02)
+
     def test_ties_keep_the_first_ordering_found(self):
         # Two groups with equal counts and masses: each ordering ties with its mirror image.
         target = GroupDistribution({G00: 0.5, G01: 0.5})
@@ -243,26 +258,30 @@ class TestEnumerationMatchesReference:
 def tentative_kls(trace, target) -> list[dict[GroupId, float]]:
     """Each step's ``kl_divergence`` of the prefix plus every group's head."""
     counts, out = Counter(), []
-    for t, step in enumerate(trace.steps, start=1):
+    for t, chosen in enumerate(trace.ranking, start=1):
         kls = {}
         for g, bucket in trace.candidates.lists.items():
             if counts[g] < len(bucket):
                 placed = counts + Counter({g: 1})
                 kls[g] = kl_divergence({h: c / t for h, c in placed.items()}, target)
         out.append(kls)
-        counts[step.chosen_group] += 1
+        counts[chosen.group] += 1
     return out
 
 
+def groups_of(trace) -> tuple[GroupId, ...]:
+    return trace.ranking.group_sequence()
+
+
 def taken_before(trace, victim: int, group: GroupId) -> int:
-    return sum(1 for s in trace.steps[:victim] if s.chosen_group == group)
+    return groups_of(trace)[:victim].count(group)
 
 
-def plant(trace, victim: int, group: GroupId, chosen):
-    """The trace with step ``victim`` recording ``chosen`` from ``group``."""
-    planted = trace.steps[victim]._replace(chosen_group=group, chosen=chosen)
+def plant(trace, victim: int, chosen):
+    """The trace with ranking entry ``victim`` (0-based) swapped for ``chosen``."""
+    entries = trace.ranking.entries
     return dataclasses.replace(
-        trace, steps=trace.steps[:victim] + (planted,) + trace.steps[victim + 1 :]
+        trace, ranking=Ranking(entries[:victim] + (chosen,) + entries[victim + 1 :])
     )
 
 
@@ -287,11 +306,11 @@ class TestVerifyTrace:
         )
         wrong = max(tentative, key=tentative.get)
         head = cands.lists[wrong][taken_before(trace, victim, wrong)]
-        report = verify_trace(plant(trace, victim, wrong, head), three_group_target)
+        report = verify_trace(plant(trace, victim, head), three_group_target)
         assert not report.ok
         first = report.first_violation
         assert (first.position, first.chosen_group) == (victim + 1, wrong)
-        assert first.best_group == trace.steps[victim].chosen_group
+        assert first.best_group == groups_of(trace)[victim]
         assert first.chosen_kl == pytest.approx(tentative[wrong], abs=1e-12)
 
     def test_planted_non_head_detected(self, three_group_target):
@@ -299,9 +318,9 @@ class TestVerifyTrace:
         _, trace = kl_greedy_merge(cands, three_group_target, 12)
         # The right group, but its second candidate instead of its head.
         victim = 4
-        group = trace.steps[victim].chosen_group
+        group = groups_of(trace)[victim]
         skipped = cands.lists[group][taken_before(trace, victim, group) + 1]
-        report = verify_trace(plant(trace, victim, group, skipped), three_group_target)
+        report = verify_trace(plant(trace, victim, skipped), three_group_target)
         assert [v.position for v in report.violations] == [victim + 1]
         assert report.first_violation.chosen_group == group
 
@@ -309,17 +328,18 @@ class TestVerifyTrace:
         cands = synthetic_candidate_set({G00: 1, G01: 6, G11: 6})
         _, trace = kl_greedy_merge(cands, three_group_target, 12)
         # G00 has one candidate; a G00 step after it was taken is a fault.
-        victim = next(i for i, s in enumerate(trace.steps) if s.chosen_group == G00) + 1
-        report = verify_trace(plant(trace, victim, G00, cands.lists[G00][0]), three_group_target)
+        victim = groups_of(trace).index(G00) + 1
+        report = verify_trace(plant(trace, victim, cands.lists[G00][0]), three_group_target)
         first = report.first_violation
         assert (first.position, first.chosen_group) == (victim + 1, G00)
         assert first.chosen_kl == math.inf
-        assert first.best_group == trace.steps[victim].chosen_group
+        assert first.best_group == groups_of(trace)[victim]
         # A step after every list ran out has no group to take from.
-        extra = trace.steps[0]._replace(position=len(trace.steps) + 1)
+        extra = trace.ranking.entries[0]
         _, short = kl_greedy_merge(cands, three_group_target, cands.total())
         report = verify_trace(
-            dataclasses.replace(short, steps=short.steps + (extra,)), three_group_target
+            dataclasses.replace(short, ranking=Ranking(short.ranking.entries + (extra,))),
+            three_group_target,
         )
         assert [v.position for v in report.violations] == [cands.total() + 1]
 
@@ -335,9 +355,11 @@ class TestVerifyTrace:
         report = verify_trace(dataclasses.replace(trace0, lam=1.0), target)
         assert not report.ok
         disagreements = {
-            step.position
-            for step, kl in zip(trace0.steps, tentative_kls(trace0, target))
-            if step.chosen_group != min(kl, key=lambda g: (kl[g], g))
+            t
+            for t, (group, kl) in enumerate(
+                zip(groups_of(trace0), tentative_kls(trace0, target)), start=1
+            )
+            if group != min(kl, key=lambda g: (kl[g], g))
         }
         assert {v.position for v in report.violations} == disagreements
 
@@ -361,11 +383,11 @@ class TestVerifyTrace:
         for g, bucket in cands.lists.items():
             head = taken_before(trace, victim, g)
             if head < len(bucket):
-                placed = Counter(s.chosen_group for s in trace.steps[:victim]) + Counter({g: 1})
+                placed = Counter(groups_of(trace)[:victim]) + Counter({g: 1})
                 tentative[g] = kl_divergence({h: c / n for h, c in placed.items()}, target)
         wrong = max(tentative, key=tentative.get)
         head = cands.lists[wrong][taken_before(trace, victim, wrong)]
-        report = verify_trace(plant(trace, victim, wrong, head), target)
+        report = verify_trace(plant(trace, victim, head), target)
         assert [(v.position, v.chosen_group) for v in report.violations] == [(n, wrong)]
 
     def test_scores_whose_range_overflows(self):
@@ -379,9 +401,9 @@ class TestVerifyTrace:
         other = [ScoredCandidate(10, 11, 1.0, G11, True), ScoredCandidate(12, 13, 0.0, G11, True)]
         target = GroupDistribution({G00: 0.5, G11: 0.5})
         _, trace = kl_greedy_merge(GroupedCandidateSet({G00: bucket, G11: other}), target, 5, 0.0)
-        assert [s.chosen_group for s in trace.steps] == [G00, G11, G00, G00, G11]
+        assert list(groups_of(trace)) == [G00, G11, G00, G00, G11]
         assert verify_trace(trace, target).ok
-        report = verify_trace(plant(trace, 2, G11, other[1]), target)
+        report = verify_trace(plant(trace, 2, other[1]), target)
         assert [(v.position, v.best_group) for v in report.violations[:1]] == [(3, G00)]
 
     def test_smoothing_must_match_the_merge(self):

@@ -250,11 +250,11 @@ class TestRunSingle:
 class TestPipelineOutputs:
     def test_outputs_and_internal_consistency(self, dataset, tmp_path):
         config = small_config(dataset, tmp_path / "run")
-        summary = run_pipeline(config)
-        assert summary.seeds == (3, 4)
+        results = run_pipeline(config)
+        assert tuple(r.seed for r in results) == (3, 4)
 
-        for seed in summary.seeds:
-            seed_dir = summary.out_dir / f"seed_{seed}"
+        for result in results:
+            seed_dir = tmp_path / "run" / f"seed_{result.seed}"
             report = json.loads((seed_dir / "report.json").read_text())
             # Proportions in the report must match the emitted ranking file.
             for method in (GREEDY, NAIVE):
@@ -265,19 +265,19 @@ class TestPipelineOutputs:
 
     def test_report_json_round_trip(self, dataset, tmp_path):
         config = small_config(dataset, tmp_path / "run")
-        summary = run_pipeline(config)
-        result = summary.results[0]
-        loaded = load_seed_report(summary.out_dir / f"seed_{result.seed}" / "report.json")
+        result = run_pipeline(config)[0]
+        loaded = load_seed_report(tmp_path / "run" / f"seed_{result.seed}" / "report.json")
         assert loaded == result.reports
 
     def test_summary_csv_matches_hand_average(self, dataset, tmp_path):
         config = small_config(dataset, tmp_path / "run", repeats=3)
-        summary = run_pipeline(config)
+        results = run_pipeline(config)
         per_seed = [
-            load_seed_report(summary.out_dir / f"seed_{seed}" / "report.json")
-            for seed in summary.seeds
+            load_seed_report(tmp_path / "run" / f"seed_{result.seed}" / "report.json")
+            for result in results
         ]
-        with open(summary.out_dir / "summary.csv", newline="") as fh:
+        assert per_seed == [result.reports for result in results]
+        with open(tmp_path / "run" / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         for row in rows:
             method, metric = row["method"], row["metric"]
@@ -316,10 +316,10 @@ class TestPipelineOutputs:
             calls.append(path)
             return load(path)
         monkeypatch.setattr(fairlink.pipeline, "load_embeddings", counted)
-        summary = run_pipeline(config)
+        results = run_pipeline(config)
         assert calls == [emb]
-        assert [r.reports for r in summary.results] == [r.reports for r in expected]
-        assert [r.rankings for r in summary.results] == [r.rankings for r in expected]
+        assert [r.reports for r in results] == [r.reports for r in expected]
+        assert [r.rankings for r in results] == [r.rankings for r in expected]
 
 
 def strip_timestamp(payload: dict) -> dict:
@@ -530,6 +530,25 @@ class TestBoundaryChecks:
         )
         message = "group 0-1 has zero target mass (the target must give it a positive mass)"
         assert (code, err) == (2, f"configuration error: {message}\n")
+        assert not files["out"].exists()
+
+    def test_gap_rejects_a_late_cutoff_before_any_merge(self, files, capsys, monkeypatch):
+        # Every cutoff is checked against the pools before the first one runs.
+        calls = []
+        merge = fairlink.rerank.kl_greedy_merge
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return merge(*args, **kwargs)
+
+        monkeypatch.setattr(fairlink.rerank, "kl_greedy_merge", counted)
+        code, out, err = self.run(
+            capsys, "gap", "--target", "0-0=0.5,0-1=0.5", "--pools", "0-0=20,0-1=20",
+            "--k-grid", 20, 41, "--out", files["out"],
+        )
+        message = "k=41 exceeds available capacity 40"
+        assert (code, out, err) == (4, "", f"infeasible experiment: {message}\n")
+        assert calls == []
         assert not files["out"].exists()
 
     def test_pipeline_on_a_one_value_graph(self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 from collections import Counter
@@ -58,7 +59,8 @@ class TestGreedyMerge:
         ranking, trace = kl_greedy_merge(cands, target, 3)
         assert [c.score for c in ranking] == [0.9, 0.5, 0.1]
         assert ndkl(ranking, target) == 0.0
-        assert not trace.truncated
+        assert trace.ranking is ranking
+        assert trace.ties == ()
 
     def test_two_group_alternation_matches_brute_force(self, uniform_pair_target):
         cands = synthetic_candidate_set({G00: 2, G01: 2})
@@ -84,15 +86,15 @@ class TestGreedyMerge:
         assert report.ok and report.steps_checked == 12
         # And with kl_divergence, every available group scored at every step.
         counts = Counter()
-        for t, step in enumerate(trace.steps, start=1):
+        for t, chosen in enumerate(trace.ranking, start=1):
             tentative = {}
             for g, bucket in cands.lists.items():
                 if counts[g] < len(bucket):
                     placed = counts + Counter({g: 1})
                     fractions = {h: c / t for h, c in placed.items()}
                     tentative[g] = kl_divergence(fractions, three_group_target)
-            assert tentative[step.chosen_group] <= min(tentative.values()) + 1e-15
-            counts[step.chosen_group] += 1
+            assert tentative[chosen.group] <= min(tentative.values()) + 1e-15
+            counts[chosen.group] += 1
 
     def test_within_group_order_preserved(self, three_group_target):
         rnd = random.Random(17)
@@ -109,15 +111,19 @@ class TestGreedyMerge:
     def test_exhausted_group_never_selected(self):
         target = GroupDistribution({G00: 0.9, G01: 0.1})
         cands = make_lists({G00: [1.0], G01: [1.0, 0.9, 0.8]})
-        ranking, trace = kl_greedy_merge(cands, target, 4)
+        ranking, _ = kl_greedy_merge(cands, target, 4)
         assert Counter(ranking.group_sequence())[G00] == 1
-        assert not trace.truncated
+        assert len(ranking) == 4
 
-    def test_truncated_output_when_candidates_run_out(self, uniform_pair_target):
+    def test_truncated_output_when_candidates_run_out(self, uniform_pair_target, caplog):
         cands = make_lists({G00: [1.0], G01: [1.0]})
-        ranking, trace = kl_greedy_merge(cands, uniform_pair_target, 10)
-        assert len(ranking) == 2
-        assert trace.truncated
+        with caplog.at_level(logging.WARNING, logger="fairlink.rerank"):
+            full, _ = kl_greedy_merge(cands, uniform_pair_target, 2)
+            assert (len(full), caplog.messages) == (2, [])
+            ranking, trace = kl_greedy_merge(cands, uniform_pair_target, 10)
+        assert len(ranking) == 2 < 10
+        assert trace.ranking is ranking
+        assert caplog.messages == ["candidates exhausted at 2 of 10 requested positions"]
 
     def test_zero_target_mass_rejected(self):
         target = GroupDistribution({G00: 1.0, G01: 0.0})
@@ -182,7 +188,7 @@ class TestWeightedMerge:
         assert half.group_sequence() == (G01, G00)
 
         # Recompute both step-2 objectives by hand.
-        step = half_trace.steps[1]
+        step = half_trace.ranking.entries[1]
         kl_g00 = kl_divergence({G00: 0.5, G01: 0.5}, target)
         kl_g01 = kl_divergence({G01: 1.0}, target)
         assert kl_g00 == pytest.approx(0.5 * math.log(5) + 0.5 * math.log(5 / 9), abs=1e-12)
@@ -190,11 +196,11 @@ class TestWeightedMerge:
         obj_g00 = 0.5 * kl_g00 + 0.5 * (1 - 1.0)  # untouched head, s_hat = 1
         obj_g01 = 0.5 * kl_g01 + 0.5 * (1 - 0.5)  # second element, s_hat = 0.5
         assert obj_g00 < obj_g01
-        assert step.chosen_group == G00
+        assert step.group == G00
         assert verify_trace(half_trace, target).ok
         # And under the pure rule the same step keeps G01.
         assert kl_g01 < kl_g00
-        assert pure_trace.steps[1].chosen_group == G01
+        assert pure_trace.ranking.entries[1].group == G01
 
     def test_lambda_validation(self, uniform_pair_target):
         cands = make_lists({G00: [1.0]})
@@ -244,21 +250,18 @@ def random_instance(rnd: random.Random, group_count: int):
 def assert_same_merge(cands, target, n, lam, smoothing) -> int:
     """The merge agrees with ``reference_merge`` and its trace passes
     ``verify_trace``, all against ``target.smoothed()`` with ``smoothing``;
-    returns the tie steps seen."""
+    returns the number of tie positions seen."""
     if smoothing:
         target = target.smoothed()
     ranking, trace = kl_greedy_merge(cands, target, n, lam)
-    entries, steps, truncated = reference_merge(cands, target, n, lam)
+    entries, ties = reference_merge(cands, target, n, lam)
     assert ranking.entries == entries
-    assert trace.truncated == truncated
+    assert trace.ranking is ranking
     assert (trace.candidates, trace.lam) == (cands, lam)
-    assert len(trace.steps) == len(steps)
-    for step, (t, best, chosen, tie) in zip(trace.steps, steps):
-        assert (step.position, step.chosen_group, step.chosen) == (t, best, chosen)
-        assert step.tie_break_used == tie
+    assert trace.ties == ties
     report = verify_trace(trace, target)
     assert report.ok, report.first_violation
-    return sum(1 for step in steps if step[3])
+    return len(ties)
 
 
 class TestMergeMatchesReference:
@@ -448,7 +451,7 @@ class TestGapExperiment:
         pools = {G00: 100, G01: 80, G11: 50}
         point = gap_point(three_group_target, pools, 60)
         assert Counter(point.greedy.group_sequence()) == Counter(point.worst.group_sequence())
-        assert sum(point.group_counts.values()) == 60
+        assert len(point.greedy) == len(point.worst) == 60
 
     def test_default_pools_skip_a_zero_mass_group(self):
         target = GroupDistribution({G00: 0.7, G01: 0.3, G11: 0.0})

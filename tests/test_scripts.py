@@ -90,8 +90,10 @@ def test_bench_merge_traces_verify():
     assert result.returncode == 0, result.stderr
     rows = json.loads(result.stdout)["rows"]
     assert [(r["groups"], r["lam"]) for r in rows] == [(3, 1.0), (3, 0.5), (21, 1.0), (21, 0.5)]
-    assert all(list(r) == ["groups", "n", "lam", "seconds", "ndkl_seconds"] for r in rows)
+    assert all(list(r) == ["groups", "n", "lam", "seconds", "ndkl_seconds", "ties"] for r in rows)
     assert all(r["ndkl_seconds"] >= 0 for r in rows)
+    # Rational masses (g + 1)/231 tie objectives exactly at G = 21.
+    assert rows[2]["ties"] > 0
 
 
 def test_bench_oracle_counts_states_and_orderings():
