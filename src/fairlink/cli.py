@@ -63,7 +63,7 @@ from .rerank import (
     read_ranking,
     write_ranking,
 )
-from .scorers import SCORERS, GroupedCandidateSet, ingest_scores, write_scores
+from .scorers import SCORERS, GroupedCandidateSet, ingest_scores, load_embeddings, write_scores
 
 OUTPUT_DIR_ENV = "FAIRLINK_OUTPUT_DIR"
 # Config-file keys that name a file or directory, in any subcommand.
@@ -204,7 +204,10 @@ def cmd_score(options: dict) -> int:
     graph = load_graph(run.edges_path, run.attrs_path)
     train = graph.subgraph_with_edges(read_edge_list(_require(options, "train")))
     test = graph.subgraph_with_edges(read_edge_list(_require(options, "test")))
-    candidates = build_candidates(run, graph, train, test.edges_by_group(), run.seed)
+    embeddings = load_embeddings(run.embeddings_path) if run.embeddings_path else None
+    candidates = build_candidates(
+        run, graph, train, test.edges_by_group(), run.seed, embeddings=embeddings
+    )
     write_scores(_require(options, "out"), candidates)
     print(f"scored {candidates.total()} candidates across {len(candidates.groups())} groups")
     return 0
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranking", help="ranking file to evaluate")
     p.add_argument("--train", help="training edges for the empirical target")
     p.add_argument("--target")
-    p.add_argument("--k", type=int, nargs="+", help="cutoffs (ascending)")
+    p.add_argument("--k", type=int, nargs="+", help="cutoffs")
     p.add_argument("--smoothing", action="store_true", default=None)
     p.add_argument("--out", help="output report JSON")
     p.set_defaults(func=cmd_eval)

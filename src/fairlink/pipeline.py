@@ -65,10 +65,10 @@ NAIVE = "naive"
 
 
 def check_cutoffs(k_list: Sequence[int]) -> tuple[int, ...]:
-    """Validated cutoffs: a list of integers, each at least 1."""
+    """Validated cutoffs in ascending order, duplicates kept: integers, each at least 1."""
     if not isinstance(k_list, (list, tuple)):
         raise ConfigError(f"cutoffs must be a list of integers, got {k_list!r}")
-    return tuple(_check_number(k, "each cutoff", integer=True, minimum=1) for k in k_list)
+    return tuple(sorted(_check_number(k, "each cutoff", integer=True, minimum=1) for k in k_list))
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class RunConfig:
         _check_number(self.seed, "seed", integer=True)
         _check_number(self.repeats, "repeats", integer=True, minimum=1)
         # An empty k_list is allowed: reports then carry global metrics only.
-        object.__setattr__(self, "k_list", tuple(sorted(check_cutoffs(self.k_list))))
+        object.__setattr__(self, "k_list", check_cutoffs(self.k_list))
         object.__setattr__(self, "ratios", check_ratios(self.ratios))
         check_lambda(self.lam)
         _check_number(self.negatives_per_positive, "negatives_per_positive", minimum=0)
@@ -185,7 +185,7 @@ class SeedRunResult:
     target: GroupDistribution
     reports: dict[str, EvalReport]
     rankings: dict[str, Ranking] = field(repr=False)
-    split: SplitResult | None = field(repr=False, default=None)
+    split: SplitResult = field(repr=False)
     seconds: dict[str, float] = field(repr=False, compare=False, default_factory=dict)
 
     def report_payload(self) -> dict:
@@ -195,20 +195,6 @@ class SeedRunResult:
             "target": self.target.as_label_dict(),
             "methods": {name: report.to_dict() for name, report in sorted(self.reports.items())},
         }
-
-
-def resolve_target(spec, train_graph: SensitiveGraph | None) -> GroupDistribution:
-    """The target a run ranks against.
-
-    ``spec`` is ``"empirical"`` (the group proportions of the training
-    graph's edges) or a ``label -> mass`` mapping; only the empirical
-    target reads ``train_graph``.
-    """
-    if isinstance(spec, Mapping):
-        return GroupDistribution.from_label_dict(spec)
-    if spec != "empirical":
-        raise ConfigError(f"unsupported target spec {spec!r}")
-    return empirical_distribution(train_graph)
 
 
 def build_candidates(
@@ -226,9 +212,9 @@ def build_candidates(
     Each pair is born in its group, canonical and once, and is scored as
     given: the positives are edges of ``graph`` keyed by group (a split's
     test slices, or a subgraph's groups) and the negatives are sampled
-    per group. ``embeddings`` are read from ``config.embeddings_path``
-    when not given. ``lap`` is called with "negatives" and then
-    "scoring" as each step ends.
+    per group. ``embeddings`` is the table the embedding scorer reads,
+    loaded by the caller; this stage reads no file. ``lap`` is called
+    with "negatives" and then "scoring" as each step ends.
     """
     negatives = sample_negatives(
         graph,
@@ -236,8 +222,6 @@ def build_candidates(
         seed=seed,
     )
     lap("negatives")
-    if embeddings is None and config.embeddings_path:
-        embeddings = load_embeddings(config.embeddings_path)
     candidates = score_candidates(
         train_graph,
         positives,
@@ -320,29 +304,30 @@ def _evaluate(
 def run_single(
     config: RunConfig,
     seed: int,
-    graph: SensitiveGraph | None = None,
+    graph: SensitiveGraph,
     *,
     embeddings: Mapping | None = None,
 ) -> SeedRunResult:
     """One fully deterministic pipeline pass for the given seed.
 
-    ``graph`` and ``embeddings`` are read from the config's files when
-    not given. The result's ``seconds`` times the stages: load (only when
-    ``graph`` is not given), split, subgraphs (train graph and target),
-    negatives, scoring, merges and evaluation.
+    ``graph`` is the loaded graph of ``config``'s files and ``embeddings``
+    its embedding table, if the scorer needs one; the caller reads both.
+    The result's ``seconds`` times the stages: split, subgraphs (train
+    graph and target), negatives, scoring, merges and evaluation.
     """
     marks = [("", time.perf_counter())]
 
     def lap(stage: str) -> None:
         marks.append((stage, time.perf_counter()))
 
-    if graph is None:
-        graph = load_graph(config.edges_path, config.attrs_path)
-        lap("load")
     split = stratified_split(graph, config.ratios, seed=seed)
     lap("split")
     train_graph = split.train_graph(graph)
-    target = resolve_target(config.target, train_graph)
+    target = (
+        empirical_distribution(train_graph)
+        if config.target == "empirical"
+        else GroupDistribution.from_label_dict(config.target)
+    )
     measured = target.smoothed() if config.smoothing else target
     lap("subgraphs")
     candidates = build_candidates(

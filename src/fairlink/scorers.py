@@ -117,7 +117,7 @@ def _pair_scorer(scorer: str, adjacency: Mapping[int, set[int]]) -> Callable[[in
 
 
 def embedding_dot(embeddings: Mapping[int, Sequence[float]], u: int, v: int) -> float:
-    """Inner product of the two node embeddings; one that overflows raises ``ConfigError``."""
+    """Inner product of the two node embeddings; one that overflows raises ``DataError``."""
     for node in (u, v):
         if node not in embeddings:
             raise DataError(f"no embedding for node {node}")
@@ -125,7 +125,7 @@ def embedding_dot(embeddings: Mapping[int, Sequence[float]], u: int, v: int) -> 
     if len(a) != len(b):
         raise DataError(f"embedding dimension mismatch: {len(a)} vs {len(b)}")
     if not math.isfinite(value := math.fsum(x * y for x, y in zip(a, b))):
-        raise ConfigError(f"non-finite score for {(u, v)}")
+        raise DataError(f"non-finite score for {(u, v)}")
     return value
 
 

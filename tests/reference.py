@@ -20,6 +20,11 @@ It holds one model per quantity:
   every ordering of a multiset (``multiset_permutations``) scored on
   its own;
 - the KL-greedy merge, scoring every available group at every position;
+- a ``decimal`` model (``DecimalModel``) of the prefix divergence, the
+  NDKL curve and the merge's per-step objectives, to ``DIGITS``
+  significant digits. It is the one model compared within a bound, not
+  with ``==``: it measures how far the package's floats stand from the
+  exact values, and whether each merge choice is an exact argmin;
 - the single-pair neighbourhood heuristics and the candidate scoring
   built on them, and the invariants of a candidate set the chain built
   (``check_chain_candidates``);
@@ -32,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from decimal import Context, Decimal, localcontext
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -348,6 +354,14 @@ def reference_extremes(spec: MultisetSpec, target: GroupDistribution) -> Extreme
 # --- the merge -------------------------------------------------------------------
 
 
+def normalized_scores(bucket: Sequence[ScoredCandidate]) -> list[float]:
+    """A group list's min-max normalized scores, in floats; all 1.0 when its scores are equal."""
+    if bucket and bucket[0].score != bucket[-1].score:
+        high, low = bucket[0].score, bucket[-1].score
+        return [(c.score - low) / (high - low) for c in bucket]
+    return [1.0] * len(bucket)
+
+
 def reference_merge(candidates, target, n, lam=1.0):
     """The merge with every available group scored at every position.
 
@@ -356,14 +370,7 @@ def reference_merge(candidates, target, n, lam=1.0):
     """
     groups = candidates.groups()
     lists = {g: candidates.lists[g] for g in groups}
-    normalized = {g: [] for g in groups}
-    for g in groups:
-        bucket = lists[g]
-        if bucket and bucket[0].score != bucket[-1].score:
-            high, low = bucket[0].score, bucket[-1].score
-            normalized[g] = [(c.score - low) / (high - low) for c in bucket]
-        else:
-            normalized[g] = [1.0] * len(bucket)
+    normalized = {g: normalized_scores(lists[g]) for g in groups}
     heads = {g: 0 for g in groups}
     counts = {g: 0 for g in groups}
     entries, ties = [], []
@@ -383,6 +390,82 @@ def reference_merge(candidates, target, n, lam=1.0):
         heads[best] += 1
         counts[best] += 1
     return tuple(entries), tuple(ties)
+
+
+# --- a high-precision model ------------------------------------------------------
+
+DIGITS = 50
+
+
+class DecimalModel:
+    """The prefix divergence, the NDKL curve and the merge's objectives, to ``DIGITS`` digits.
+
+    Every float it is given (a target mass, a normalized score, the
+    weight) enters at its exact value, so the model errs only by
+    ``decimal``'s rounding, near 1e-49 relative. ``ln`` of each integer
+    and of each target mass is computed once and cached: with counts c
+    over k items,
+    sum_g (c_g / k) ln(c_g / (k p_g)) = (sum_g c_g (ln c_g - ln p_g)) / k - ln k,
+    so a term costs multiplications only. The discount 1 / log2(j + 1) is
+    ln 2 / ln(j + 1), and ln 2 cancels in the NDKL ratio.
+    """
+
+    def __init__(self, target: GroupDistribution):
+        self.target = target
+        self.context = Context(prec=DIGITS)
+        self._ln_int: dict[int, Decimal] = {}
+        self._ln_mass: dict[GroupId, Decimal] = {}
+
+    def ln_int(self, n: int) -> Decimal:
+        if n not in self._ln_int:
+            self._ln_int[n] = self.context.ln(Decimal(n))
+        return self._ln_int[n]
+
+    def ln_mass(self, group: GroupId) -> Decimal:
+        if group not in self._ln_mass:
+            p = self.target.mass(group)
+            if p <= 0.0:
+                raise ZeroTargetMassError(group)
+            self._ln_mass[group] = self.context.ln(Decimal(p))
+        return self._ln_mass[group]
+
+    def divergence(self, counts: Mapping[GroupId, int]) -> Decimal:
+        """KL divergence from the target of the proportions ``counts / sum(counts)``."""
+        with localcontext(self.context):
+            k = sum(counts.values())
+            total = sum(
+                (c * (self.ln_int(c) - self.ln_mass(g)) for g, c in counts.items() if c > 0),
+                Decimal(0),
+            )
+            return total / k - self.ln_int(k)
+
+    def ndkl_curve(self, labels: Sequence[GroupId]) -> list[Decimal]:
+        """NDKL of every prefix of a label sequence, as ``sequence_ndkl_curve`` defines it."""
+        counts: Counter[GroupId] = Counter()
+        weighted = normalizer = Decimal(0)
+        curve = []
+        with localcontext(self.context):
+            for k, group in enumerate(labels, start=1):
+                counts[group] += 1
+                weight = 1 / self.ln_int(k + 1)
+                weighted += weight * self.divergence(counts)
+                normalizer += weight
+                curve.append(weighted / normalizer)
+        return curve
+
+    def merge_objectives(
+        self, counts: Mapping[GroupId, int], shat: Mapping[GroupId, float], lam: float
+    ) -> dict[GroupId, Decimal]:
+        """lam * KL + (1 - lam) * (1 - shat) for each group of ``shat``: KL is the
+        divergence of ``counts`` with one more item of that group, and ``shat`` the
+        normalized score of that group's head."""
+        with localcontext(self.context):
+            weight = Decimal(lam)
+            return {
+                g: weight * self.divergence({**counts, g: counts.get(g, 0) + 1})
+                + (1 - weight) * (1 - Decimal(s))
+                for g, s in shat.items()
+            }
 
 
 # --- neighbourhood scores ----------------------------------------------------------

@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -31,7 +32,7 @@ from fairlink.fairness import (
 from fairlink.graphs import GroupDistribution, GroupId
 
 from conftest import G00, G01, G11, exactly
-from reference import ranking_from_groups, sequence_ndkl, sequence_ndkl_curve
+from reference import DecimalModel, ranking_from_groups, sequence_ndkl, sequence_ndkl_curve
 
 
 class TestKlDivergence:
@@ -265,6 +266,24 @@ class TestNdklCurve:
         assert lines[clamp - first].strip() == "total = 0.0"
         assert 30 in clamped_at
         assert curve == sequence_ndkl_curve(ranking.group_sequence(), target)
+
+    @pytest.mark.parametrize("values", [2, 6, 10], ids=["G3", "G21", "G55"])
+    def test_within_1e_13_of_the_decimal_model(self, values):
+        # Random targets, and smoothed ones whose zero-mass group sits at the
+        # 1e-9 floor and is drawn into the ranking like every other group.
+        rnd = random.Random(100 + values)
+        groups = [GroupId.of(a, b) for a in range(values) for b in range(a, values)]
+        worst = Decimal(0)
+        for smoothing in (False, True):
+            weights = [0.0 if smoothing and i == 0 else rnd.random() for i in range(len(groups))]
+            target = GroupDistribution({g: w / math.fsum(weights) for g, w in zip(groups, weights)})
+            masses = target.smoothed() if smoothing else target
+            for _ in range(2):
+                ranking = ranking_from_groups(rnd.choices(groups, k=rnd.randint(100, 400)))
+                curve = ndkl_curve(ranking, masses)
+                exact = DecimalModel(masses).ndkl_curve(ranking.group_sequence())
+                worst = max(worst, *(abs(Decimal(v) - e) for v, e in zip(curve, exact)))
+        assert worst <= Decimal("1e-13")
 
 
 class TestNdklUpperBound:

@@ -13,7 +13,9 @@ read (a load, not a definition or an import) somewhere in ``src/``.
 Every keyword-only parameter with a default, of a public function or of
 a public method of a public class, must be passed by name to a call of
 that function or method in ``src/``, ``scripts/`` or ``perfbench/``: a
-default that no caller varies is a constant.
+default that no caller varies is a constant. Only the process owners, the
+CLI commands and ``pipeline.run_pipeline``, call an input reader; no stage
+reads what its caller has already read and checked.
 """
 
 import ast
@@ -217,3 +219,49 @@ def test_every_keyword_default_is_passed_by_name_outside_the_tests():
     passed = keywords_passed()
     unused = [f"{q}({p})" for q, name, p in keyword_defaults() if (name, p) not in passed]
     assert unused == []
+
+
+# The readers of input files, and the functions that may call them.
+READERS = {
+    "load_graph", "load_embeddings", "read_edge_list", "read_attributes", "read_ranking",
+    "ingest_scores",
+}
+READER_OWNERS = {"pipeline.run_pipeline", "graphs.load_graph"}
+
+
+def reader_calls() -> list[tuple[str, str]]:
+    """``(module.function, reader)`` of each call of an input reader in ``src/fairlink``.
+
+    A method's owner is ``module.Class.method``; a call outside any
+    function is owned by ``module.<module>``.
+    """
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        owners = []
+        for node in parse(path).body:
+            if isinstance(node, ast.ClassDef):
+                owners += [(f"{node.name}.{getattr(m, 'name', '<body>')}", m) for m in node.body]
+            else:
+                owners.append((getattr(node, "name", "<module>"), node))
+        for owner, tree in owners:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if callee in READERS:
+                        found.append((f"{path.stem}.{owner}", callee))
+    return found
+
+
+def test_reader_calls_are_found():
+    calls = reader_calls()
+    assert {("pipeline.run_pipeline", "load_graph"), ("cli.cmd_eval", "read_ranking")} <= set(calls)
+    assert ("graphs.load_graph", "read_attributes") in calls
+
+
+def test_only_the_process_owners_read_input_files():
+    strays = [
+        f"{owner} calls {reader}"
+        for owner, reader in reader_calls()
+        if not owner.startswith("cli.") and owner not in READER_OWNERS
+    ]
+    assert strays == []

@@ -22,12 +22,11 @@ from fairlink.pipeline import (
     NAIVE,
     RunConfig,
     evaluate_ranking,
-    resolve_target,
     run_pipeline,
     run_single,
 )
 from fairlink.rerank import kl_greedy_merge, read_ranking
-from fairlink.scorers import GroupedCandidateSet, ingest_scores
+from fairlink.scorers import GroupedCandidateSet, ingest_scores, load_embeddings
 from fairlink.synth import biased_block_graph, write_graph_files
 
 from conftest import G00, G01, G11, exactly
@@ -46,6 +45,11 @@ def dataset(tmp_path_factory):
     edges, attrs = root / "edges.tsv", root / "attrs.tsv"
     write_graph_files(graph, edges, attrs)
     return {"edges": str(edges), "attrs": str(attrs), "graph": graph}
+
+
+def loaded(dataset):
+    """The dataset's graph as ``load_graph`` reads it from its files."""
+    return load_graph(dataset["edges"], dataset["attrs"])
 
 
 def write_embeddings(graph, path) -> str:
@@ -132,8 +136,8 @@ class TestRunConfig:
 class TestRunSingle:
     def test_deterministic_reports(self, dataset, tmp_path):
         config = small_config(dataset, tmp_path)
-        a = run_single(config, 3)
-        b = run_single(config, 3)
+        a = run_single(config, 3, loaded(dataset))
+        b = run_single(config, 3, loaded(dataset))
         assert a.reports == b.reports
         assert a.rankings[GREEDY].entries == b.rankings[GREEDY].entries
 
@@ -165,11 +169,9 @@ class TestRunSingle:
     def test_seconds_time_each_stage_in_chain_order(self, dataset, tmp_path):
         config = small_config(dataset, tmp_path)
         stages = ["split", "subgraphs", "negatives", "scoring", "merges", "evaluation"]
-        loaded = run_single(config, 3)
-        given = run_single(config, 3, load_graph(dataset["edges"], dataset["attrs"]))
-        assert list(loaded.seconds) == ["load", *stages]
+        given = run_single(config, 3, loaded(dataset))
         assert list(given.seconds) == stages
-        assert all(value >= 0 for value in [*loaded.seconds.values(), *given.seconds.values()])
+        assert all(value >= 0 for value in given.seconds.values())
 
     def test_timings_neither_compared_nor_reported(self, dataset, tmp_path):
         graph = load_graph(dataset["edges"], dataset["attrs"])
@@ -191,7 +193,7 @@ class TestRunSingle:
             return original(candidates)
         monkeypatch.setattr(fairlink.pipeline, "pool_statistics", counted)
         config = small_config(dataset, tmp_path)
-        result = run_single(config, 3)
+        result = run_single(config, 3, loaded(dataset))
         [pool] = calls
         for name, ranking in result.rankings.items():
             assert result.reports[name] == evaluate_ranking(
@@ -203,28 +205,24 @@ class TestRunSingle:
             dataset, tmp_path, target={"0-0": 1.0, "0-1": 0.0, "1-1": 0.0}
         )
         with pytest.raises(ZeroTargetMassError):
-            run_single(config, 3)
+            run_single(config, 3, loaded(dataset))
 
     def test_greedy_tracks_target_better_than_naive(self, dataset, tmp_path):
         config = small_config(dataset, tmp_path)
-        result = run_single(config, 3)
+        result = run_single(config, 3, loaded(dataset))
         k = result.reports[GREEDY].per_k[-1].k
         assert result.reports[GREEDY].at_k(k).ndkl <= result.reports[NAIVE].at_k(k).ndkl
 
     def test_report_within_bound(self, dataset, tmp_path):
-        result = run_single(small_config(dataset, tmp_path), 3)
+        result = run_single(small_config(dataset, tmp_path), 3, loaded(dataset))
         for report in result.reports.values():
             for row in report.per_k:
                 assert 0.0 <= row.ndkl <= report.bound + 1e-12
 
     def test_at_k_of_a_missing_cutoff(self, dataset, tmp_path):
-        report = run_single(small_config(dataset, tmp_path), 3).reports[GREEDY]
+        report = run_single(small_config(dataset, tmp_path), 3, loaded(dataset)).reports[GREEDY]
         with pytest.raises(KeyError, match="no metrics at k=7"):
             report.at_k(7)
-
-    def test_unsupported_target_spec(self):
-        with pytest.raises(ConfigError, match=exactly("unsupported target spec 5")):
-            resolve_target(5, None)
 
     def test_cutoffs_checked_before_any_metric(self, monkeypatch):
         def curve(*args, **kwargs):
@@ -240,7 +238,7 @@ class TestRunSingle:
 
     def test_empty_k_list_yields_global_metrics_only(self, dataset, tmp_path):
         config = small_config(dataset, tmp_path, k_list=())
-        result = run_single(config, 3)
+        result = run_single(config, 3, loaded(dataset))
         for report in result.reports.values():
             assert report.per_k == ()
             assert 0.0 <= report.ap <= 1.0
@@ -304,12 +302,13 @@ class TestPipelineOutputs:
 
     def test_embeddings_read_once_per_run(self, dataset, tmp_path, monkeypatch):
         # Every seed scores with the one embedding table read before the first seed,
-        # and gets the reports of a seed run that reads the file itself.
+        # and gets the reports of a seed run given the graph and the table.
         emb = write_embeddings(dataset["graph"], tmp_path / "emb.txt")
         config = small_config(
             dataset, tmp_path / "out", scorer="embedding", embeddings_path=emb, repeats=3
         )
-        expected = [run_single(config, seed) for seed in (3, 4, 5)]
+        graph, embeddings = loaded(dataset), load_embeddings(emb)
+        expected = [run_single(config, seed, graph, embeddings=embeddings) for seed in (3, 4, 5)]
         calls = []
         load = fairlink.pipeline.load_embeddings
         def counted(path):
@@ -677,7 +676,7 @@ class TestCli:
             dataset, tmp_path / "out",
             scorer="embedding", embeddings_path=str(emb_path), repeats=1,
         )
-        result = run_single(config, 3)
+        result = run_single(config, 3, loaded(dataset), embeddings=load_embeddings(emb_path))
         assert result.reports[GREEDY].per_k  # ran end to end
 
     def test_pipeline_config_file_ratios_respected(self, dataset, tmp_path):
@@ -972,6 +971,44 @@ class TestCli:
             return
         assert code == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, unordered, ascending",
+        [("eval", "--k", (80, 10, 40), (10, 40, 80)), ("gap", "--k-grid", (50, 10), (10, 50))],
+    )
+    def test_cutoffs_in_any_order_give_the_same_bytes(
+        self, chain, tmp_path, capsys, command, flag, unordered, ascending
+    ):
+        # The parity gap and the printed line are taken at the largest cutoff,
+        # and the report lists the cutoffs ascending, whatever order they come in.
+        options = {
+            "eval": ("--edges", chain["edges"], "--attrs", chain["attrs"],
+                     "--ranking", chain["ranking"], "--train", chain["train"]),
+            "gap": ("--target", "0-0=0.61,0-1=0.2,1-1=0.19"),
+        }[command]
+        runs = []
+        for cutoffs in (unordered, ascending):
+            out = tmp_path / "out"
+            assert self.run(command, *options, flag, *cutoffs, "--out", out) == 0
+            runs.append((out.read_bytes(), capsys.readouterr().out.replace(str(out), "OUT")))
+            out.unlink()
+        assert runs[0] == runs[1]
+
+    def test_score_of_embeddings_whose_dot_product_overflows(self, chain, tmp_path, capsys):
+        # 1e200 * 1e200 overflows to inf: a fault in the data, not in the options.
+        graph = load_graph(chain["edges"], chain["attrs"])
+        embeddings = tmp_path / "emb.txt"
+        rows = "".join(f"{node} 1e200 1e200\n" for node in range(graph.node_count))
+        embeddings.write_text(f"{graph.node_count} 2\n{rows}")
+        out = tmp_path / "scores.tsv"
+        code = self.run(
+            "score", "--edges", chain["edges"], "--attrs", chain["attrs"],
+            "--train", chain["train"], "--test", chain["test"], "--scorer", "embedding",
+            "--embeddings", embeddings, "--out", out,
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("data error: non-finite score for (")
         assert not out.exists()
 
     def test_parse_helpers(self):

@@ -2,6 +2,7 @@ import logging
 import math
 import random
 from collections import Counter
+from decimal import Decimal
 
 import pytest
 
@@ -36,7 +37,7 @@ from fairlink.rerank import (
 from fairlink.scorers import GroupedCandidateSet, ScoredCandidate
 
 from conftest import G00, G01, G11, exactly
-from reference import ranking_from_groups, reference_merge
+from reference import DecimalModel, normalized_scores, ranking_from_groups, reference_merge
 
 
 def make_lists(spec: dict[GroupId, list[float]]) -> GroupedCandidateSet:
@@ -298,6 +299,47 @@ class TestMergeMatchesReference:
             for g in groups
         }
         assert assert_same_merge(make_lists(spec), target, 300, lam, False) > 0
+
+
+class TestMergeIsAnExactArgmin:
+    """Every merge choice is an argmin of the step's objectives to 50 digits
+    (``DecimalModel``), within 1e-40: the floats chose no worse group."""
+
+    EXACT = Decimal("1e-40")
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    @pytest.mark.parametrize("kind", ["rational", "random", "uniform"])
+    def test_every_choice(self, kind, lam):
+        rnd = random.Random(10 * ("rational", "random", "uniform").index(kind) + int(lam))
+        weight = {"rational": lambda: rnd.randint(1, 4), "random": rnd.random, "uniform": lambda: 1}
+        exact_ties = 0
+        for group_count in range(2, 11):
+            groups = all_groups(4)[:group_count]
+            for _ in range(2):
+                weights = [weight[kind]() for _ in groups]
+                target = GroupDistribution({g: w / sum(weights) for g, w in zip(groups, weights)})
+                spec = {}
+                for g in groups:
+                    levels = rnd.choice(((1.0, 0.5, 0.0), None))
+                    draw = (lambda: rnd.choice(levels)) if levels else rnd.random
+                    spec[g] = sorted((draw() for _ in range(rnd.randint(1, 20))), reverse=True)
+                cands = make_lists(spec)
+                ranking, _ = kl_greedy_merge(cands, target, cands.total(), lam)
+                model = DecimalModel(target)
+                lists = cands.lists
+                shat = {g: normalized_scores(lists[g]) for g in groups}
+                counts = Counter()
+                for t, entry in enumerate(ranking.entries, start=1):
+                    heads = {g: shat[g][counts[g]] for g in groups if counts[g] < len(lists[g])}
+                    objectives = model.merge_objectives(counts, heads, lam)
+                    best = min(objectives.values())
+                    g = entry.group
+                    assert entry == lists[g][counts[g]]
+                    assert objectives[g] - best <= self.EXACT, (t, g, objectives[g] - best)
+                    exact_ties += sum(v - best <= self.EXACT for v in objectives.values()) > 1
+                    counts[g] += 1
+        # Equal counts of equal masses tie exactly; random masses do not.
+        assert exact_ties > 0 or kind == "random"
 
 
 class TestNormalizedScores:

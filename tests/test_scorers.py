@@ -357,7 +357,7 @@ class TestKeyedCandidates:
         path = tmp_path / "emb.txt"
         path.write_text("5 2\n0 1e200 0.0\n1 1e200 1.0\n2 1.0 0.0\n3 0.0 1.0\n4 1.0 0.0\n")
         embeddings = load_embeddings(path)
-        with pytest.raises(ConfigError, match=r"non-finite score for \(0, 1\)"):
+        with pytest.raises(DataError, match=r"non-finite score for \(0, 1\)"):
             score_candidates(
                 self.GRAPH, {G11: [(0, 1)]}, {}, "embedding", decoupled=False, embeddings=embeddings
             )
